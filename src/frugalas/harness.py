@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .forest import ForestConfig
-from .labels import Censored, LabelStore, Solved
-from .loop import FrugalLoop, LoopConfig
+from .labels import LabelStore
+from .loop import FrugalLoop, LoopConfig, RunOracle
 from .preprocess import FoldSplit, fit_imputer, make_splits
-from .scenario import OK, Scenario
+from .scenario import Scenario
 from .selector import algorithm_pairs, evaluate_selector, train_ensemble
 
 FRUGAL_CONFIGS = [
@@ -117,17 +117,14 @@ class ExperimentSpec:
 def full_observation_store(scenario: Scenario, instances) -> tuple[LabelStore, float]:
     """Observations after running every (instance, algorithm) at full cutoff,
     with the total charged CPU-seconds (the passive labelling cost)."""
+    oracle = RunOracle(scenario)
     store = LabelStore()
     cost = 0.0
     for inst in instances:
         for algo in scenario.algorithms:
-            rec = scenario.run(inst, algo)
-            if rec.status == OK:
-                store.record(inst, algo, Solved(rec.runtime))
-                cost += rec.runtime
-            else:
-                store.record(inst, algo, Censored(scenario.cutoff))
-                cost += min(rec.runtime, scenario.cutoff)
+            obs, charged = oracle.simulate(inst, algo, scenario.cutoff)
+            store.record(inst, algo, obs)
+            cost += charged
     return store, cost
 
 
@@ -152,6 +149,14 @@ def run_passive_baseline(
         current_timeout=scenario.cutoff,
     )
     return evaluate_selector(ensemble, test_instances, scenario), cost
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den, where 0 / 0 is 1.0 (both ideal) and x / 0 is inf (never
+    reached, as `summarize` counts it)."""
+    if den == 0:
+        return 1.0 if num == 0 else math.inf
+    return num / den
 
 
 def _write_rows(path: Path, rows: list[dict]) -> None:
@@ -189,11 +194,11 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     }
     rows: list[dict] = []
     if config_id in PASSIVE_CONFIGS:
-        flags = parse_config_id(config_id)
-        test_par10, cost = run_passive_baseline(
-            scenario, fold, plan.test, seed,
-            timeout_models=flags["to"], n_trees=spec.n_trees,
-        )
+        test_par10, cost = passive_par10, passive_cost
+        if parse_config_id(config_id)["to"]:
+            test_par10, cost = run_passive_baseline(
+                scenario, fold, plan.test, seed, timeout_models=True, n_trees=spec.n_trees
+            )
         n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
         rows.append(
             common
@@ -205,7 +210,7 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
                 "cost_frac": repr(1.0),
                 "data_frac": repr(1.0),
                 "test_par10_s": repr(test_par10),
-                "perf_ratio": repr(test_par10 / passive_par10),
+                "perf_ratio": repr(_ratio(test_par10, passive_par10)),
             }
         )
     else:
@@ -218,10 +223,10 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
                     "timeout_s": repr(rec.timeout),
                     "labels": rec.requests,
                     "cost_s": repr(rec.cost),
-                    "cost_frac": repr(rec.cost / passive_cost),
+                    "cost_frac": repr(_ratio(rec.cost, passive_cost)),
                     "data_frac": repr(rec.data_frac),
                     "test_par10_s": repr(rec.test_par10),
-                    "perf_ratio": repr(rec.test_par10 / passive_par10),
+                    "perf_ratio": repr(_ratio(rec.test_par10, passive_par10)),
                 }
             )
     _write_rows(path, rows)

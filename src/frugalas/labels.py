@@ -50,8 +50,9 @@ class LabelStore:
 def pairwise_label(obs_a: Observation, obs_b: Observation) -> str | None:
     """Which side of an algorithm pair is faster: 'a', 'b' or None.
 
-    A solved run beats a censored one; two censored runs carry no information,
-    and neither does an exact runtime tie.
+    A solved run beats a run censored at or above its runtime; against a
+    lower censor level it says nothing yet. Two censored runs carry no
+    information, and neither does an exact runtime tie.
     """
     if obs_a is None or obs_b is None:
         raise ValueError("pairwise_label requires an observation on both sides")
@@ -64,7 +65,7 @@ def pairwise_label(obs_a: Observation, obs_b: Observation) -> str | None:
             return "b"
         return None
     if a_solved:
-        return "a"
+        return "a" if obs_a.runtime <= obs_b.at else None
     if b_solved:
-        return "b"
+        return "b" if obs_b.runtime <= obs_a.at else None
     return None

@@ -207,9 +207,9 @@ class FrugalLoop:
                 self.store.record(inst, algo, obs)
                 self.ledger.charge(0, inst, algo, charged, obs)
 
-        remaining = [inst for inst in self.train if inst not in set(initial_set)]
-        self.pools: list[set[str]] = [set(remaining) for _ in self.pairs]
-        self.resolved_cells = len(self.pairs) * initial
+        self.pools: list[set[str]] = [set(self.train) for _ in self.pairs]
+        self.resolved_cells = 0
+        self._update_pools()
 
         self.ensemble: SelectorEnsemble = self._retrain()
 
@@ -318,7 +318,17 @@ class FrugalLoop:
         self.requests_executed += 1
 
     def _update_pools(self) -> None:
+        """Drop settled cells; the only place a cell leaves its pool.
+
+        A cell settles once its label is decided or neither side can change
+        any more (solved, or censored at the full cutoff): an exact runtime
+        tie or two censors at the cutoff never become informative.
+        """
         cutoff = self.scenario.cutoff
+
+        def final(obs) -> bool:
+            return isinstance(obs, Solved) or obs.at >= cutoff
+
         for p, (a, b) in enumerate(self.pairs):
             done = []
             for inst in self.pools[p]:
@@ -326,19 +336,10 @@ class FrugalLoop:
                 obs_b = self.store.get(inst, b)
                 if obs_a is None or obs_b is None:
                     continue
-                side = pairwise_label(obs_a, obs_b)
-                if side is not None:
+                if pairwise_label(obs_a, obs_b) is not None or (final(obs_a) and final(obs_b)):
                     done.append(inst)
-                elif isinstance(obs_a, Censored) and isinstance(obs_b, Censored):
-                    # Permanently uninformative only once both hit the full cutoff.
-                    if obs_a.at >= cutoff and obs_b.at >= cutoff:
-                        done.append(inst)
-                else:
-                    # Exact solved-runtime tie: never informative for this pair.
-                    done.append(inst)
-            for inst in done:
-                self.pools[p].discard(inst)
-                self.resolved_cells += 1
+            self.pools[p].difference_update(done)
+            self.resolved_cells += len(done)
 
     # -- stepping ------------------------------------------------------------
 

@@ -45,7 +45,7 @@ def fit_imputer(scenario: Scenario, train_instances) -> ImputerModel:
     train_instances = list(train_instances)
     if not train_instances:
         raise PreprocessError("empty training set")
-    idx = [scenario.instances.index(i) for i in train_instances]
+    idx = [scenario.instance_index(i) for i in train_instances]
     sub = scenario.feature_matrix[idx]
     n = len(idx)
 

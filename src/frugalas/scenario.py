@@ -7,7 +7,7 @@ single repetition are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +40,16 @@ class Scenario:
     feature_matrix: np.ndarray  # (n_instances, n_features), NaN = missing
     runs: dict[tuple[str, str], RunRecord]
     cutoff: float
-    feature_costs: dict[str, float] | None = None
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {inst: k for k, inst in enumerate(self.instances)}
 
     def instance_index(self, instance: str) -> int:
-        return self.instances.index(instance)
+        return self._index[instance]
 
     def feature_row(self, instance: str) -> np.ndarray:
-        return self.feature_matrix[self.instances.index(instance)]
+        return self.feature_matrix[self._index[instance]]
 
     def run(self, instance: str, algorithm: str) -> RunRecord:
         return self.runs[(instance, algorithm)]
@@ -197,21 +200,6 @@ def load_scenario(directory) -> Scenario:
     if len(runs) != len(instances) * len(algorithms):
         raise ScenarioError("algorithm_runs.arff references instances without features")
 
-    feature_costs = None
-    costs_path = directory / "feature_costs.arff"
-    if costs_path.is_file():
-        costs_rel = _read_relation(directory, "feature_costs.arff")
-        c_inst = _column(costs_rel, "instance_id", "feature_costs.arff")
-        c_rep = _column(costs_rel, "repetition", "feature_costs.arff")
-        cost_cols = [
-            i for i in range(len(costs_rel.attributes)) if i not in (c_inst, c_rep)
-        ]
-        feature_costs = {}
-        for row in costs_rel.rows:
-            instance = str(row[c_inst])
-            total = sum(float(row[c]) for c in cost_cols if row[c] is not None)
-            feature_costs[instance] = feature_costs.get(instance, 0.0) + total
-
     return Scenario(
         id=desc["scenario_id"],
         algorithms=algorithms,
@@ -220,7 +208,6 @@ def load_scenario(directory) -> Scenario:
         feature_matrix=feature_matrix,
         runs=runs,
         cutoff=cutoff,
-        feature_costs=feature_costs,
     )
 
 

@@ -8,13 +8,13 @@ every algorithm is predicted to time out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .forest import ForestConfig, RandomForest, fit_forest
 from .labels import LabelStore, Solved, pairwise_label
-from .preprocess import ImputerModel, par10
+from .preprocess import ImputerModel, PreprocessError, par10
 from .scenario import Scenario
 
 TIMEOUT_CONFIDENCE_THRESHOLD = 0.5
@@ -56,11 +56,23 @@ def _sub_seed(base_seed: int, *path: int) -> int:
 def timeout_label(obs, timeout: float) -> int | None:
     """Training label for a timeout predictor at the given level.
 
-    None marks an undetermined observation (censored below the level).
+    None marks an absent or undetermined observation (censored below the
+    level).
     """
+    if obs is None:
+        return None
     if isinstance(obs, Solved):
         return 0 if obs.runtime <= timeout else 1
     return 1 if obs.at >= timeout else None
+
+
+def _pair_class(store: LabelStore, instance: str, a: str, b: str) -> int | None:
+    """Training class of a pairwise row (0 = a faster, 1 = b faster); None
+    while either side is unlabelled or the pair is undecided."""
+    obs_a, obs_b = store.get(instance, a), store.get(instance, b)
+    if obs_a is None or obs_b is None:
+        return None
+    return {"a": 0, "b": 1}.get(pairwise_label(obs_a, obs_b))
 
 
 def train_ensemble(
@@ -76,7 +88,8 @@ def train_ensemble(
     """Fit pairwise (and optionally timeout) forests from observed labels.
 
     Row order follows train_instances, so two stores with identical
-    observations produce identical ensembles.
+    observations produce identical ensembles. Raises PreprocessError when no
+    pair has a labelled row, unless allow_untrained.
     """
     train_instances = list(train_instances)
     if current_timeout is None:
@@ -85,62 +98,39 @@ def train_ensemble(
         i: imputer.transform_row(scenario.feature_row(i)) for i in train_instances
     }
 
-    pairwise: list[PairwiseModel] = []
-    any_rows = False
-    for p, (a, b) in enumerate(algorithm_pairs(scenario.algorithms)):
-        rows, labels = [], []
-        for inst in train_instances:
-            obs_a = store.get(inst, a)
-            obs_b = store.get(inst, b)
-            if obs_a is None or obs_b is None:
-                continue
-            side = pairwise_label(obs_a, obs_b)
-            if side is None:
-                continue
-            rows.append(feature_rows[inst])
-            labels.append(0 if side == "a" else 1)
-        if rows:
-            any_rows = True
-            cfg = ForestConfig(
-                n_trees=forest_config.n_trees,
-                max_depth=forest_config.max_depth,
-                min_samples_split=forest_config.min_samples_split,
-                seed=_sub_seed(forest_config.seed, 1, p),
-            )
-            model = fit_forest(np.vstack(rows), np.array(labels), cfg)
-        else:
-            model = None
-        pairwise.append(PairwiseModel(pair=(a, b), model=model))
-    if not any_rows and not allow_untrained:
-        raise ValueError("no labelled data: every pairwise model would be untrained")
+    def fit(labels, *seed_path) -> RandomForest | None:
+        """Forest on the instances with a label; None when none has one."""
+        rows = [feature_rows[i] for i, y in zip(train_instances, labels) if y is not None]
+        if not rows:
+            return None
+        y = np.array([y for y in labels if y is not None])
+        cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *seed_path))
+        return fit_forest(np.vstack(rows), y, cfg)
+
+    pairwise = [
+        PairwiseModel(
+            pair=(a, b),
+            model=fit([_pair_class(store, i, a, b) for i in train_instances], 1, p),
+        )
+        for p, (a, b) in enumerate(algorithm_pairs(scenario.algorithms))
+    ]
+    if all(pm.model is None for pm in pairwise) and not allow_untrained:
+        raise PreprocessError("no labelled data: every pairwise model would be untrained")
 
     timeout_models = None
     if timeout_enabled:
-        timeout_models = []
-        for k, algo in enumerate(scenario.algorithms):
-            rows, labels = [], []
-            for inst in train_instances:
-                obs = store.get(inst, algo)
-                if obs is None:
-                    continue
-                label = timeout_label(obs, current_timeout)
-                if label is None:
-                    continue
-                rows.append(feature_rows[inst])
-                labels.append(label)
-            if rows:
-                cfg = ForestConfig(
-                    n_trees=forest_config.n_trees,
-                    max_depth=forest_config.max_depth,
-                    min_samples_split=forest_config.min_samples_split,
-                    seed=_sub_seed(forest_config.seed, 2, k),
-                )
-                model = fit_forest(np.vstack(rows), np.array(labels), cfg)
-            else:
-                model = None
-            timeout_models.append(
-                TimeoutModel(algorithm=algo, trained_at=current_timeout, model=model)
+        timeout_models = [
+            TimeoutModel(
+                algorithm=algo,
+                trained_at=current_timeout,
+                model=fit(
+                    [timeout_label(store.get(i, algo), current_timeout) for i in train_instances],
+                    2,
+                    k,
+                ),
             )
+            for k, algo in enumerate(scenario.algorithms)
+        ]
 
     return SelectorEnsemble(
         algorithms=list(scenario.algorithms),
@@ -148,20 +138,6 @@ def train_ensemble(
         timeout_models=timeout_models,
         imputer=imputer,
     )
-
-
-def predicted_timeout_set(ensemble: SelectorEnsemble, row: np.ndarray) -> set[str]:
-    """Algorithms whose timeout predictor is confident they will time out."""
-    if ensemble.timeout_models is None:
-        return set()
-    out = set()
-    for tm in ensemble.timeout_models:
-        if tm.model is None:
-            continue
-        p1 = tm.model.predict_proba(row.reshape(1, -1))[0, 1]
-        if p1 > TIMEOUT_CONFIDENCE_THRESHOLD:
-            out.add(tm.algorithm)
-    return out
 
 
 def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:

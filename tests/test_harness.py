@@ -4,6 +4,7 @@ import pytest
 from conftest import build_scenario
 from frugalas.harness import (
     FRUGAL_CONFIGS,
+    _ratio,
     PASSIVE_CONFIGS,
     RATIO_GRID,
     STEP_COLUMNS,
@@ -144,6 +145,34 @@ class TestGrid:
         assert float(last["cost_frac"]) == 1.0
         assert float(last["data_frac"]) == 1.0
 
+    @pytest.mark.parametrize("config", ["uncertainty-dt", "random-dt"])
+    def test_dynamic_timeout_exhaustion_matches_passive(self, tmp_path, config):
+        # censored initial cells stay queryable under a dynamic timeout, so an
+        # exhausted run still trains on the passive labels; reruns of censored
+        # runs are charged, so only the selector (not the cost) must match
+        scenario = make_synthetic_scenario(60, 3, seed=0)
+        spec = _small_spec(tmp_path, scenario=scenario, configurations=[config])
+        run_grid(spec)
+        last = read_step_logs(spec.out_dir)[-1]
+        plan = make_splits(scenario, seed=0)
+        passive_par10, _ = run_passive_baseline(
+            scenario, plan.folds[0], plan.test, seed=0, n_trees=spec.n_trees
+        )
+        assert float(last["test_par10_s"]) == passive_par10
+        assert float(last["data_frac"]) == 1.0
+
+    def test_zero_passive_par10_gives_unit_ratio(self, tmp_path):
+        # algorithm a0 solves every instance in 0 s: the passive test PAR10 is 0
+        rng = np.random.default_rng(0)
+        scenario = build_scenario([[0.0, 1.0]] * 30, features=rng.uniform(size=(30, 2)))
+        spec = _small_spec(tmp_path, scenario=scenario, configurations=["passive", "random"])
+        run_grid(spec)
+        rows = read_step_logs(spec.out_dir)
+        assert rows
+        for row in rows:
+            assert float(row["test_par10_s"]) == 0.0
+            assert float(row["perf_ratio"]) == 1.0
+
     def test_passive_cell_is_single_row(self, tmp_path):
         spec = _small_spec(tmp_path, configurations=["passive", "passive-to"])
         run_grid(spec)
@@ -184,6 +213,12 @@ def _step_row(config, fold, seed, step, ratio, cost_frac, data_frac):
     }
 
 
+def test_ratio_of_zeros():
+    assert _ratio(3.0, 2.0) == 1.5
+    assert _ratio(0.0, 0.0) == 1.0
+    assert _ratio(2.0, 0.0) == float("inf")
+
+
 class TestSummarize:
     def test_single_run_constant(self):
         rows = [_step_row("random", 0, 0, 1, 1.0, 0.4, 0.4)]
@@ -211,6 +246,21 @@ class TestSummarize:
         out = summarize(rows)
         for rec in out:  # best ratio 2.5 never reaches any target in the grid
             assert float(rec["mean_cost_frac"]) == 1.0
+
+    def test_reach_above_full_cost_counts_as_charged(self):
+        # censored reruns are charged in full, so an exhausted dynamic-timeout
+        # run can first reach a target above cost fraction 1; it is not clamped
+        rows = [_step_row("random", 0, 0, 1, 1.0, 1.004, 1.0)]
+        out = summarize(rows)
+        assert all(float(rec["mean_cost_frac"]) == 1.004 for rec in out)
+
+    def test_infinite_ratio_never_reaches(self):
+        rows = [
+            _step_row("random", 0, 0, 1, float("inf"), 0.1, 0.1),
+            _step_row("random", 0, 0, 2, 1.0, 0.5, 0.5),
+        ]
+        out = summarize(rows)
+        assert all(float(rec["mean_cost_frac"]) == 0.5 for rec in out)
 
     def test_first_reach_picks_cheapest_hit(self):
         rows = [

@@ -300,6 +300,21 @@ class TestExecution:
         ]
         assert charged == [60.0, 60.0, 90.0, 100.0]
 
+    def test_solved_against_lower_censor_stays_queryable(self):
+        loop, base = self._manual_loop()
+        loop.store.record("i6", "a0", Solved(90.0))
+        loop.store.record("i6", "a1", Censored(60.0))
+        loop.pools[0].add("i6")
+        loop._update_pools()
+        assert "i6" in loop.pools[0]  # 90 s solved vs censored at 60 s: undecided
+
+        loop.controller.current = 100.0
+        loop.execute_request(QueryRequest(0, ("a0", "a1"), "i6", 0.5))
+        assert loop.store.get("i6", "a1") == Censored(100.0)
+        assert [e.charged for e in loop.ledger.entries[base:]] == [100.0]
+        loop._update_pools()
+        assert "i6" not in loop.pools[0]
+
 
 class TestStepping:
     def test_records_are_consistent(self):
@@ -340,8 +355,15 @@ class TestStepping:
         # single pair: exhaustion means every training cell was executed once
         assert loop.ledger.total == pytest.approx(full_cost)
 
-    def test_resolved_pairs_are_truly_settled(self):
-        loop, s = make_loop(n_train=10, n_algorithms=3, initial_size=2, batch_size=4)
+    @pytest.mark.parametrize("dynamic_timeout", [False, True])
+    def test_resolved_pairs_are_truly_settled(self, dynamic_timeout):
+        loop, s = make_loop(
+            n_train=10,
+            n_algorithms=3,
+            initial_size=2,
+            batch_size=4,
+            dynamic_timeout=dynamic_timeout,
+        )
         loop.run(max_steps=5)
         for p, (a, b) in enumerate(loop.pairs):
             for inst in set(loop.train) - loop.pools[p]:

@@ -181,6 +181,21 @@ class TestRunCommand:
         ) == 0
         assert (out / "random" / "fold00_seed7.csv").exists()
 
+    def test_all_ties_is_data_error(self, tmp_path, capsys):
+        # every pair ties on every instance: no pairwise model can be trained
+        rng = np.random.default_rng(0)
+        scenario = build_scenario(np.ones((30, 2)), features=rng.uniform(size=(30, 2)))
+        directory = write_scenario_dir(scenario, tmp_path / "TIES")
+        code = main(
+            ["run", str(directory), "--selection", "random",
+             "--timeout-predictor", "off", "--dynamic-timeout", "off",
+             *RUN_FAST, "--out", str(tmp_path / "res")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: no labelled data" in err
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def _write(self, tmp_path, text):

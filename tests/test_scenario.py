@@ -111,13 +111,8 @@ def test_stats_ordering_random_scenarios():
         assert stats.vbs_time <= stats.sbs_time <= stats.total_time
 
 
-def test_feature_costs_parsed(fixture_dir):
-    (fixture_dir / "feature_costs.arff").write_text(
-        "@relation costs\n"
-        "@attribute instance_id string\n"
-        "@attribute repetition numeric\n"
-        "@attribute group1 numeric\n"
-        "@data\ni0,1,0.5\ni1,1,0.25\ni2,1,?\n"
-    )
-    s = load_scenario(fixture_dir)
-    assert s.feature_costs == {"i0": 0.5, "i1": 0.25, "i2": 0.0}
+def test_instance_index_matches_list_position():
+    s = make_synthetic_scenario(40, 3, seed=0)
+    for k, inst in enumerate(s.instances):
+        assert s.instance_index(inst) == k
+        assert np.array_equal(s.feature_row(inst), s.feature_matrix[k])

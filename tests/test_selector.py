@@ -27,6 +27,15 @@ class TestPairwiseLabel:
         assert pairwise_label(Censored(60), Solved(30)) == "b"
         assert pairwise_label(Solved(30), Censored(60)) == "a"
 
+    def test_solved_against_lower_censor_is_undecided(self):
+        # censored at 10 says nothing about a runtime above or below 30
+        assert pairwise_label(Solved(30), Censored(10)) is None
+        assert pairwise_label(Censored(10), Solved(30)) is None
+
+    def test_solved_at_the_censor_level_wins(self):
+        assert pairwise_label(Solved(10), Censored(10)) == "a"
+        assert pairwise_label(Censored(10), Solved(10)) == "b"
+
     def test_double_censor_uninformative(self):
         assert pairwise_label(Censored(60), Censored(60)) is None
 
