@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .labels import LabelStore
 from .loop import FrugalLoop, LoopConfig, RunOracle
 from .preprocess import FoldSplit, fit_imputer, make_splits
 from .scenario import Scenario
-from .selector import algorithm_pairs, evaluate_selector, train_ensemble
+from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, train_ensemble
 
 FRUGAL_CONFIGS = [
     "uncertainty",
@@ -128,15 +128,14 @@ def full_observation_store(scenario: Scenario, instances) -> tuple[LabelStore, f
     return store, cost
 
 
-def run_passive_baseline(
+def passive_ensemble(
     scenario: Scenario,
     fold: FoldSplit,
-    test_instances,
     seed: int,
     timeout_models: bool = False,
     n_trees: int = 100,
-) -> tuple[float, float]:
-    """Test PAR10 and labelling cost of training on the full fold at cutoff."""
+) -> tuple[SelectorEnsemble, float]:
+    """Selector trained on the full fold at cutoff, and its labelling cost."""
     store, cost = full_observation_store(scenario, fold.train)
     imputer = fit_imputer(scenario, fold.train)
     ensemble = train_ensemble(
@@ -148,6 +147,19 @@ def run_passive_baseline(
         timeout_enabled=timeout_models,
         current_timeout=scenario.cutoff,
     )
+    return ensemble, cost
+
+
+def run_passive_baseline(
+    scenario: Scenario,
+    fold: FoldSplit,
+    test_instances,
+    seed: int,
+    timeout_models: bool = False,
+    n_trees: int = 100,
+) -> tuple[float, float]:
+    """Test PAR10 and labelling cost of training on the full fold at cutoff."""
+    ensemble, cost = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
     return evaluate_selector(ensemble, test_instances, scenario), cost
 
 
@@ -182,9 +194,6 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     scenario = spec.scenario
     plan = make_splits(scenario, seed, n_folds=spec.n_folds)
     fold = plan.folds[fold_index]
-    passive_par10, passive_cost = run_passive_baseline(
-        scenario, fold, plan.test, seed, timeout_models=False, n_trees=spec.n_trees
-    )
 
     common = {
         "config": config_id,
@@ -194,10 +203,16 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     }
     rows: list[dict] = []
     if config_id in PASSIVE_CONFIGS:
-        test_par10, cost = passive_par10, passive_cost
-        if parse_config_id(config_id)["to"]:
-            test_par10, cost = run_passive_baseline(
-                scenario, fold, plan.test, seed, timeout_models=True, n_trees=spec.n_trees
+        # The plain baseline's pairwise forests are the same as those of the
+        # timeout-model ensemble, so one fit serves both.
+        ensemble, cost = passive_ensemble(
+            scenario, fold, seed, parse_config_id(config_id)["to"], spec.n_trees
+        )
+        test_par10 = evaluate_selector(ensemble, plan.test, scenario)
+        passive_par10 = test_par10
+        if ensemble.timeout_models is not None:
+            passive_par10 = evaluate_selector(
+                replace(ensemble, timeout_models=None), plan.test, scenario
             )
         n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
         rows.append(
@@ -214,6 +229,9 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
             }
         )
     else:
+        passive_par10, passive_cost = run_passive_baseline(
+            scenario, fold, plan.test, seed, timeout_models=False, n_trees=spec.n_trees
+        )
         loop = FrugalLoop(scenario, fold, plan.test, spec.loop_config(config_id, seed))
         for rec in loop.run():
             rows.append(

@@ -177,10 +177,10 @@ class FrugalLoop:
         self.imputer = fit_imputer(scenario, self.train)
         self.pairs = algorithm_pairs(scenario.algorithms)
         self._inst_pos = {inst: k for k, inst in enumerate(self.train)}
-        self._imputed = {
-            inst: self.imputer.transform_row(scenario.feature_row(inst))
-            for inst in self.train
-        }
+        # Imputed feature rows of the training instances, in train order.
+        self._train_X = self.imputer.transform(
+            scenario.feature_matrix[[scenario.instance_index(i) for i in self.train]]
+        )
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
         if cfg.dynamic_timeout:
@@ -209,9 +209,12 @@ class FrugalLoop:
 
         self.pools: list[set[str]] = [set(self.train) for _ in self.pairs]
         self.resolved_cells = 0
+        # Instances whose observations changed since the last _update_pools.
+        self._touched: set[str] = set(self.train)
         self._update_pools()
 
-        self.ensemble: SelectorEnsemble = self._retrain()
+        self.ensemble: SelectorEnsemble | None = None
+        self.ensemble = self._retrain()
 
     # -- helpers -------------------------------------------------------------
 
@@ -240,10 +243,13 @@ class FrugalLoop:
             # At a small starting timeout the initial runs can all be censored;
             # an all-abstaining ensemble is valid until labels arrive.
             allow_untrained=True,
+            previous=self.ensemble,
         )
 
-    def _sorted_pool(self, p: int) -> list[str]:
-        return sorted(self.pools[p], key=self._inst_pos.get)
+    def _pool_positions(self, p: int) -> np.ndarray:
+        """Train positions of pool p's instances, ascending."""
+        pool = self.pools[p]
+        return np.sort(np.fromiter(map(self._inst_pos.__getitem__, pool), np.intp, len(pool)))
 
     # -- query selection -----------------------------------------------------
 
@@ -251,30 +257,39 @@ class FrugalLoop:
         """Lowest-confidence requests across all pair tables, merged and sorted.
 
         Pairs whose model is most uncertain naturally contribute more of the
-        selected requests.
+        selected requests. Ties break by pair, then by instance position.
         """
-        entries = []
+        confidences, pair_index, positions = [], [], []
         for p, pm in enumerate(self.ensemble.pairwise):
-            pool = self._sorted_pool(p)
-            if not pool:
+            pos = self._pool_positions(p)
+            if not pos.size:
                 continue
             if pm.model is None:
-                confidences = np.full(len(pool), 0.5)
+                conf = np.full(pos.size, 0.5)
             else:
-                X = np.vstack([self._imputed[inst] for inst in pool])
-                confidences = pm.model.predict_proba(X).max(axis=1)
-            for inst, conf in zip(pool, confidences):
-                entries.append((float(conf), p, self._inst_pos[inst], inst))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
+                conf = pm.model.predict_proba(self._train_X[pos]).max(axis=1)
+            confidences.append(conf)
+            pair_index.append(np.full(pos.size, p))
+            positions.append(pos)
+        if not positions:
+            return []
+        conf = np.concatenate(confidences)
+        pair = np.concatenate(pair_index)
+        pos = np.concatenate(positions)
         return [
-            QueryRequest(pair_index=p, pair=self.pairs[p], instance=inst, confidence=conf)
-            for conf, p, _, inst in entries[:n_requests]
+            QueryRequest(
+                pair_index=int(pair[k]),
+                pair=self.pairs[pair[k]],
+                instance=self.train[pos[k]],
+                confidence=float(conf[k]),
+            )
+            for k in np.lexsort((pos, pair, conf))[:n_requests]
         ]
 
     def select_queries_random(self, n_requests: int) -> list[QueryRequest]:
         """Uniform draw without replacement from the union of all pools."""
         union = [
-            (p, inst) for p in range(len(self.pairs)) for inst in self._sorted_pool(p)
+            (p, self.train[k]) for p in range(len(self.pairs)) for k in self._pool_positions(p)
         ]
         if not union:
             return []
@@ -315,6 +330,7 @@ class FrugalLoop:
             )
             self.store.record(req.instance, algo, new_obs)
             self.ledger.charge(self.step_index, req.instance, algo, charged, new_obs)
+            self._touched.add(req.instance)
         self.requests_executed += 1
 
     def _update_pools(self) -> None:
@@ -322,16 +338,19 @@ class FrugalLoop:
 
         A cell settles once its label is decided or neither side can change
         any more (solved, or censored at the full cutoff): an exact runtime
-        tie or two censors at the cutoff never become informative.
+        tie or two censors at the cutoff never become informative. Only the
+        cells of instances touched since the last call are checked: a cell's
+        state changes only with its instance's observations.
         """
         cutoff = self.scenario.cutoff
+        touched, self._touched = self._touched, set()
 
         def final(obs) -> bool:
             return isinstance(obs, Solved) or obs.at >= cutoff
 
         for p, (a, b) in enumerate(self.pairs):
             done = []
-            for inst in self.pools[p]:
+            for inst in touched & self.pools[p]:
                 obs_a = self.store.get(inst, a)
                 obs_b = self.store.get(inst, b)
                 if obs_a is None or obs_b is None:

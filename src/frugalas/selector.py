@@ -20,10 +20,16 @@ from .scenario import Scenario
 TIMEOUT_CONFIDENCE_THRESHOLD = 0.5
 
 
+# Training labels of one model: one entry per train instance, in train order,
+# None where the instance has no label for that model.
+Labels = tuple[int | None, ...]
+
+
 @dataclass
 class PairwiseModel:
     pair: tuple[str, str]  # (a, b) in portfolio order; class 0 = a faster
     model: RandomForest | None  # None = untrained, abstains from voting
+    labels: Labels | None = None  # what `model` was fit on; None = unknown
 
 
 @dataclass
@@ -31,6 +37,7 @@ class TimeoutModel:
     algorithm: str
     trained_at: float  # timeout level the predictor reflects
     model: RandomForest | None  # class 1 = will time out
+    labels: Labels | None = None
 
 
 @dataclass
@@ -39,6 +46,10 @@ class SelectorEnsemble:
     pairwise: list[PairwiseModel]  # one per unordered pair, portfolio order
     timeout_models: list[TimeoutModel] | None
     imputer: ImputerModel
+    # The training rows and forest settings the models were fit with; a
+    # later train_ensemble reuses models only when both match.
+    train_instances: tuple[str, ...] = ()
+    forest_config: ForestConfig | None = None
 
 
 def algorithm_pairs(algorithms) -> list[tuple[str, str]]:
@@ -66,13 +77,15 @@ def timeout_label(obs, timeout: float) -> int | None:
     return 1 if obs.at >= timeout else None
 
 
-def _pair_class(store: LabelStore, instance: str, a: str, b: str) -> int | None:
+_PAIR_CLASS = {"a": 0, "b": 1}
+
+
+def _pair_class(obs_a, obs_b) -> int | None:
     """Training class of a pairwise row (0 = a faster, 1 = b faster); None
     while either side is unlabelled or the pair is undecided."""
-    obs_a, obs_b = store.get(instance, a), store.get(instance, b)
     if obs_a is None or obs_b is None:
         return None
-    return {"a": 0, "b": 1}.get(pairwise_label(obs_a, obs_b))
+    return _PAIR_CLASS.get(pairwise_label(obs_a, obs_b))
 
 
 def train_ensemble(
@@ -84,59 +97,93 @@ def train_ensemble(
     timeout_enabled: bool = False,
     current_timeout: float | None = None,
     allow_untrained: bool = False,
+    previous: SelectorEnsemble | None = None,
 ) -> SelectorEnsemble:
     """Fit pairwise (and optionally timeout) forests from observed labels.
 
     Row order follows train_instances, so two stores with identical
     observations produce identical ensembles. Raises PreprocessError when no
     pair has a labelled row, unless allow_untrained.
+
+    A forest is a function of its slot's seed and of the imputed rows and
+    labels of the labelled instances. So when `previous` was fit with the
+    same imputer, train instances and forest config, every model whose label
+    vector is unchanged keeps `previous`'s forest, and only the rest refit.
     """
-    train_instances = list(train_instances)
+    train = tuple(train_instances)
     if current_timeout is None:
         current_timeout = scenario.cutoff
-    feature_rows = {
-        i: imputer.transform_row(scenario.feature_row(i)) for i in train_instances
-    }
+    algorithms = list(scenario.algorithms)
+    observations = [[store.get(i, algo) for algo in algorithms] for i in train]
+    observed = [k for k, row in enumerate(observations) if any(o is not None for o in row)]
 
-    def fit(labels, *seed_path) -> RandomForest | None:
-        """Forest on the instances with a label; None when none has one."""
-        rows = [feature_rows[i] for i, y in zip(train_instances, labels) if y is not None]
-        if not rows:
+    def label_vector(label) -> Labels:
+        """label(observations of an instance) for every train instance; an
+        instance without observations has no label."""
+        labels = [None] * len(train)
+        for k in observed:
+            labels[k] = label(observations[k])
+        return tuple(labels)
+
+    matrix_rows = np.array([scenario.instance_index(i) for i in train], dtype=np.intp)
+    reusable = (
+        previous is not None
+        and previous.imputer is imputer
+        and previous.train_instances == train
+        and previous.forest_config == forest_config
+        and previous.algorithms == algorithms
+    )
+
+    def fit(labels, old, *seed_path) -> RandomForest | None:
+        """Forest on the instances with a label, `old`'s forest when fit on
+        the same labels, None when no instance has one."""
+        if old is not None and old.labels == labels:
+            return old.model
+        labelled = np.array([y is not None for y in labels], dtype=bool)
+        if not labelled.any():
             return None
+        X = imputer.transform(scenario.feature_matrix[matrix_rows[labelled]])
         y = np.array([y for y in labels if y is not None])
         cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *seed_path))
-        return fit_forest(np.vstack(rows), y, cfg)
+        return fit_forest(X, y, cfg)
 
-    pairwise = [
-        PairwiseModel(
-            pair=(a, b),
-            model=fit([_pair_class(store, i, a, b) for i in train_instances], 1, p),
+    pairs = algorithm_pairs(range(len(algorithms)))
+    old_pairwise = (reusable and previous.pairwise) or [None] * len(pairs)
+    pairwise = []
+    for p, ((ia, ib), old) in enumerate(zip(pairs, old_pairwise)):
+        labels = label_vector(lambda row: _pair_class(row[ia], row[ib]))
+        pairwise.append(
+            PairwiseModel(
+                pair=(algorithms[ia], algorithms[ib]),
+                model=fit(labels, old, 1, p),
+                labels=labels,
+            )
         )
-        for p, (a, b) in enumerate(algorithm_pairs(scenario.algorithms))
-    ]
     if all(pm.model is None for pm in pairwise) and not allow_untrained:
         raise PreprocessError("no labelled data: every pairwise model would be untrained")
 
     timeout_models = None
     if timeout_enabled:
-        timeout_models = [
-            TimeoutModel(
-                algorithm=algo,
-                trained_at=current_timeout,
-                model=fit(
-                    [timeout_label(store.get(i, algo), current_timeout) for i in train_instances],
-                    2,
-                    k,
-                ),
+        old_timeout = (reusable and previous.timeout_models) or [None] * len(algorithms)
+        timeout_models = []
+        for k, (algo, old) in enumerate(zip(algorithms, old_timeout)):
+            labels = label_vector(lambda row: timeout_label(row[k], current_timeout))
+            timeout_models.append(
+                TimeoutModel(
+                    algorithm=algo,
+                    trained_at=current_timeout,
+                    model=fit(labels, old, 2, k),
+                    labels=labels,
+                )
             )
-            for k, algo in enumerate(scenario.algorithms)
-        ]
 
     return SelectorEnsemble(
-        algorithms=list(scenario.algorithms),
+        algorithms=algorithms,
         pairwise=pairwise,
         timeout_models=timeout_models,
         imputer=imputer,
+        train_instances=train,
+        forest_config=forest_config,
     )
 
 

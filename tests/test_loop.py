@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import build_scenario
-from frugalas.forest import ForestConfig
-from frugalas.labels import Censored, Solved
+from frugalas.forest import ForestConfig, dump_trees
+from frugalas.labels import Censored, Solved, pairwise_label
 from frugalas.loop import (
     DynamicTimeoutController,
     FrugalLoop,
@@ -16,7 +16,7 @@ from frugalas.loop import (
 )
 from frugalas.preprocess import FoldSplit
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
-from frugalas.selector import PairwiseModel, SelectorEnsemble
+from frugalas.selector import PairwiseModel, SelectorEnsemble, train_ensemble
 
 
 class TestUncertaintyScores:
@@ -205,6 +205,25 @@ class TestUncertaintySelection:
             (1, "i0"),
         ]
 
+    def test_matches_a_sort_of_tuples(self):
+        # reference ranking: (confidence, pair, position) tuples sorted in Python
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            pools = [
+                {f"i{k}" for k in range(8) if rng.random() < 0.6} for _ in range(3)
+            ]
+            p_max = [rng.choice([0.5, 0.6, 0.7], size=8) for _ in range(3)]
+            loop = self._loop_with_stub(pools, [_FakeModel(p) for p in p_max])
+            entries = sorted(
+                (float(p_max[p][r]), p, int(inst[1:]))
+                for p, pool in enumerate(pools)
+                for r, inst in enumerate(sorted(pool, key=lambda i: int(i[1:])))
+            )
+            picked = loop.select_queries_uncertainty(7)
+            assert [(r.confidence, r.pair_index, int(r.instance[1:])) for r in picked] == (
+                entries[:7]
+            )
+
     def test_request_cap(self):
         loop = self._loop_with_stub(
             pools=[{"i0", "i1", "i2"}, set(), set()],
@@ -365,15 +384,25 @@ class TestStepping:
             dynamic_timeout=dynamic_timeout,
         )
         loop.run(max_steps=5)
+
+        def final(obs):
+            return isinstance(obs, Solved) or obs.at >= s.cutoff
+
         for p, (a, b) in enumerate(loop.pairs):
+            # open cells are undecided and can still change
+            for inst in loop.pools[p]:
+                obs_a = loop.store.get(inst, a)
+                obs_b = loop.store.get(inst, b)
+                if obs_a is None or obs_b is None:
+                    continue
+                assert pairwise_label(obs_a, obs_b) is None, (p, inst)
+                assert not (final(obs_a) and final(obs_b)), (p, inst)
             for inst in set(loop.train) - loop.pools[p]:
                 obs_a = loop.store.get(inst, a)
                 obs_b = loop.store.get(inst, b)
                 if obs_a is None or obs_b is None:
                     continue  # may still be pending in another pool
                 # removed cells are decisive or permanently uninformative
-                from frugalas.labels import pairwise_label
-
                 side = pairwise_label(obs_a, obs_b)
                 if side is None:
                     both_censored = isinstance(obs_a, Censored) and isinstance(
@@ -402,3 +431,47 @@ class TestStepping:
         assert timeouts[0] == loop.scenario.cutoff / 64
         for e in loop.ledger.entries:
             assert 0.0 <= e.charged <= loop.scenario.cutoff
+
+
+class TestRetrainReuse:
+    def test_reused_forests_equal_a_fresh_fit(self):
+        loop, s = make_loop(
+            n_train=16,
+            n_algorithms=3,
+            initial_size=3,
+            batch_size=2,
+            timeout_predictor=True,
+            dynamic_timeout=True,
+        )
+        reused = refit_on_growth = 0
+        for _ in range(12):
+            before = loop.ensemble
+            if loop.step() is None:
+                break
+            after = loop.ensemble
+            timeout = after.timeout_models[0].trained_at
+            fresh = train_ensemble(
+                s, loop.train, loop.store, loop.imputer, loop.cfg.forest,
+                timeout_enabled=True, current_timeout=timeout, allow_untrained=True,
+            )
+            models = after.pairwise + after.timeout_models
+            # every model equals a from-scratch fit on the same store
+            for new, ref in zip(models, fresh.pairwise + fresh.timeout_models):
+                assert new.labels == ref.labels
+                assert (new.model is None) == (ref.model is None)
+                if new.model is not None:
+                    assert dump_trees(new.model) == dump_trees(ref.model)
+            # a slot keeps its forest object exactly when its labels are unchanged
+            for new, old in zip(models, before.pairwise + before.timeout_models):
+                if new.labels == old.labels:
+                    assert new.model is old.model
+                    reused += new.model is not None
+                elif new.model is not None:
+                    assert new.model is not old.model
+            # after a timeout growth every timeout model is trained at the new
+            # level; those whose labels the growth changed were refit above
+            if timeout > before.timeout_models[0].trained_at:
+                for new, old in zip(after.timeout_models, before.timeout_models):
+                    assert new.trained_at == timeout
+                    refit_on_growth += new.model is not None and new.labels != old.labels
+        assert reused and refit_on_growth

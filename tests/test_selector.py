@@ -187,6 +187,36 @@ class TestTrainEnsemble:
         assert len(ens.timeout_models) == 3
         assert all(tm.trained_at == s.cutoff for tm in ens.timeout_models)
 
+    def test_unchanged_labels_reuse_every_forest(self):
+        s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
+        store = self._store_full(s)
+        imputer = fit_imputer(s, s.instances)
+        cfg = ForestConfig(n_trees=5, seed=0)
+        first = train_ensemble(s, s.instances, store, imputer, cfg, timeout_enabled=True)
+        again = train_ensemble(
+            s, s.instances, store, imputer, cfg, timeout_enabled=True, previous=first
+        )
+        pairs = zip(again.pairwise + again.timeout_models, first.pairwise + first.timeout_models)
+        assert all(new.model is old.model for new, old in pairs)
+
+    def test_previous_from_other_settings_is_refit(self):
+        s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
+        store = self._store_full(s)
+        imputer = fit_imputer(s, s.instances)
+        cfg = ForestConfig(n_trees=5, seed=0)
+        first = train_ensemble(s, s.instances, store, imputer, cfg)
+        for kwargs in (
+            dict(forest_config=ForestConfig(n_trees=5, seed=1)),
+            dict(imputer=fit_imputer(s, s.instances)),
+            dict(train_instances=s.instances[::-1]),
+        ):
+            args = dict(
+                scenario=s, train_instances=s.instances, store=store, imputer=imputer,
+                forest_config=cfg,
+            ) | kwargs
+            other = train_ensemble(**args, previous=first)
+            assert all(new.model is not old.model for new, old in zip(other.pairwise, first.pairwise))
+
     def test_no_labels_raises(self):
         s = build_scenario(np.ones((4, 2)))
         store = LabelStore()
