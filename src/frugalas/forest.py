@@ -1,29 +1,71 @@
 """From-scratch random forest for binary classification.
 
 Hyperparameters follow the fixed configuration used throughout: 100 trees,
-Gini splits, sqrt(n_features) candidates per node, effectively unbounded
-depth, min 2 samples to split, bootstrap resampling. Predictions expose the
-fraction of tree votes as a confidence.
+Gini splits, sqrt(n_features) candidates per node, unbounded depth (a node
+splits until it is pure or no candidate split lowers its impurity) and
+bootstrap resampling. Predictions expose the fraction of tree votes as a
+confidence.
 
-The inner split scan runs in a compiled extension when available and falls
-back to a numpy implementation with identical results.
+Each split node scans all of its candidate features at once in numpy
+(`_scan_split`); there is no compiled kernel.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from ._split import scan_split as _scan_split
+# Recorded by benchmark reports; the split scan has a single numpy
+# implementation.
+KERNEL_IMPL = "pure"
 
-    KERNEL_IMPL = "compiled"
-except ImportError:  # extension not built; numpy fallback
-    from ._split_py import scan_split as _scan_split
 
-    KERNEL_IMPL = "pure"
+def _scan_split(values: np.ndarray, labels: np.ndarray):
+    """Best binary split over a node's candidate features.
+
+    values is a (k, n) block with n >= 2, one row per candidate feature,
+    holding the node's rows; labels is the (n,) int64 class vector of those
+    rows. Returns (row, score, threshold): the chosen candidate row, the sum
+    over both children of n_child * gini(child), and the split threshold, or
+    (-1, inf, 0.0) when every row is constant. Counts are exact integers, each
+    score is formed with the same double operations for every boundary, and
+    ties keep the first minimum: first the earliest row, then the earliest
+    boundary in ascending order.
+    """
+    n = values.shape[1]
+    # Neither sort needs to be stable. A split falls only between two
+    # different values, where the running count covers every tied row in any
+    # order. Equal values differ at most in the sign of a zero, and a
+    # boundary pair holds at most one zero, whose sign leaves the threshold
+    # unchanged.
+    c1l = np.cumsum(labels[np.argsort(values, axis=1)], axis=1)[:, :-1]
+    values = np.sort(values, axis=1)
+    total1 = labels.sum()
+
+    n_l = np.arange(1, n, dtype=np.int64)
+    n_r = n - n_l
+    c0l = n_l - c1l
+    c1r = total1 - c1l
+    c0r = n_r - c1r
+    left = n_l - (c0l * c0l + c1l * c1l) / n_l
+    right = n_r - (c0r * c0r + c1r * c1r) / n_r
+    score = left + right
+    # Only a boundary between two different values is a split.
+    score[values[:, :-1] == values[:, 1:]] = np.inf
+
+    best = int(np.argmin(score))
+    row, j = divmod(best, n - 1)
+    best_score = float(score[row, j])
+    if best_score == np.inf:
+        return -1, np.inf, 0.0
+    lo, hi = float(values[row, j]), float(values[row, j + 1])
+    thr = (lo + hi) / 2.0
+    if thr >= hi:
+        thr = lo
+    return row, best_score, thr
 
 
 def gini(counts) -> float:
@@ -37,8 +79,6 @@ def gini(counts) -> float:
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int = 2**31
-    min_samples_split: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -102,11 +142,10 @@ class RandomForest:
 
 
 class _TreeBuilder:
-    def __init__(self, X, y, max_features, config, rng):
-        self.X = X
-        self.y = y
+    def __init__(self, XT, y, max_features, rng):
+        self.XT = XT  # (n_features, n_rows), one contiguous row per feature
+        self.y = y  # int64
         self.max_features = max_features
-        self.config = config
         self.rng = rng
         self.feature = []
         self.threshold = []
@@ -124,52 +163,33 @@ class _TreeBuilder:
         self.n1.append(0)
         return len(self.feature) - 1
 
-    def build(self, idx: np.ndarray, depth: int) -> int:
+    def build(self, idx: np.ndarray) -> int:
         node = self._add_node()
         labels = self.y[idx]
-        c1 = int(labels.sum())
-        c0 = idx.size - c1
-
-        if (
-            idx.size < self.config.min_samples_split
-            or depth >= self.config.max_depth
-            or c0 == 0
-            or c1 == 0
-        ):
-            self.n0[node], self.n1[node] = c0, c1
-            return node
-
         n = idx.size
-        candidates = self.rng.choice(
-            self.X.shape[1], size=self.max_features, replace=False
-        )
-        parent_score = n - (c0 * c0 + c1 * c1) / n
-        best_score = np.inf
-        best_feature = -1
-        best_thr = 0.0
-        for f in candidates:
-            col = self.X[idx, f]
-            order = np.argsort(col, kind="stable")
-            score, thr, found = _scan_split(
-                np.ascontiguousarray(col[order]),
-                np.ascontiguousarray(labels[order].astype(np.int64)),
-            )
-            if found and score < best_score:
-                best_score = score
-                best_feature = int(f)
-                best_thr = thr
-
-        if best_feature < 0 or not best_score < parent_score:
+        c1 = int(labels.sum())
+        c0 = n - c1
+        # A pure node, including every node of fewer than two rows, is a leaf.
+        if c0 == 0 or c1 == 0:
             self.n0[node], self.n1[node] = c0, c1
             return node
 
-        go_left = self.X[idx, best_feature] <= best_thr
-        left_idx = idx[go_left]
-        right_idx = idx[~go_left]
+        candidates = self.rng.choice(
+            self.XT.shape[0], size=self.max_features, replace=False
+        )
+        block = self.XT.take(candidates, axis=0).take(idx, axis=1)
+        row, score, thr = _scan_split(block, labels)
+        parent_score = n - (c0 * c0 + c1 * c1) / n
+        if row < 0 or not score < parent_score:
+            self.n0[node], self.n1[node] = c0, c1
+            return node
+
+        best_feature = int(candidates[row])
+        go_left = self.XT[best_feature, idx] <= thr
         self.feature[node] = best_feature
-        self.threshold[node] = best_thr
-        self.left[node] = self.build(left_idx, depth + 1)
-        self.right[node] = self.build(right_idx, depth + 1)
+        self.threshold[node] = thr
+        self.left[node] = self.build(idx[go_left])
+        self.right[node] = self.build(idx[~go_left])
         return node
 
     def finish(self) -> DecisionTree:
@@ -203,18 +223,18 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     max_features = max(1, min(n_features, int(math.floor(math.sqrt(n_features)))))
     forest = RandomForest(config=config, n_features=n_features, max_features=max_features)
 
+    XT = np.ascontiguousarray(X.T)
+    y64 = y.astype(np.int64)
     # Per-tree generators are pre-derived so a parallel fit would match the
     # sequential result.
-    import sys
-
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 10000))
     try:
         for t in range(config.n_trees):
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
             sample = rng.integers(0, n, size=n)
-            builder = _TreeBuilder(X, y, max_features, config, rng)
-            builder.build(np.sort(sample), 0)
+            builder = _TreeBuilder(XT, y64, max_features, rng)
+            builder.build(np.sort(sample))
             forest.trees.append(builder.finish())
     finally:
         sys.setrecursionlimit(old_limit)

@@ -151,6 +151,11 @@ class StepRecord:
     test_par10: float
 
 
+def _forests(ensemble: SelectorEnsemble) -> list:
+    """Every forest of the ensemble, pairwise then timeout; None = untrained."""
+    return [m.model for m in ensemble.pairwise + (ensemble.timeout_models or [])]
+
+
 class FrugalLoop:
     """One active-learning run on a single fold.
 
@@ -215,6 +220,8 @@ class FrugalLoop:
 
         self.ensemble: SelectorEnsemble | None = None
         self.ensemble = self._retrain()
+        # (validation, test) PAR10 of the current ensemble, once evaluated.
+        self._par10: tuple[float, float] | None = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -372,13 +379,21 @@ class FrugalLoop:
         for req in requests:
             self.execute_request(req)
         self._update_pools()
+        previous = self.ensemble
         self.ensemble = self._retrain()
 
-        validation_par10 = evaluate_selector(self.ensemble, self.validation, self.scenario)
+        # Only the forests decide what select_batch picks, so a round that
+        # kept every forest object keeps both PAR10 values as well.
+        kept = all(a is b for a, b in zip(_forests(self.ensemble), _forests(previous)))
+        if self._par10 is None or not kept:
+            self._par10 = (
+                evaluate_selector(self.ensemble, self.validation, self.scenario),
+                evaluate_selector(self.ensemble, self.test, self.scenario),
+            )
+        validation_par10, test_par10 = self._par10
         if self.controller is not None:
             # A plateau-triggered increase takes effect from the next step on.
             self.controller.observe(validation_par10)
-        test_par10 = evaluate_selector(self.ensemble, self.test, self.scenario)
         return StepRecord(
             step=self.step_index,
             timeout=timeout_used,

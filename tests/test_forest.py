@@ -1,12 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
-from frugalas import _split_py
 from frugalas.forest import (
-    KERNEL_IMPL,
     ForestConfig,
     RandomForest,
     dump_trees,
+    _scan_split,
     fit_forest,
     gini,
 )
@@ -139,32 +140,74 @@ class TestAccuracy:
         assert accuracy >= 0.9
 
 
-@pytest.mark.skipif(KERNEL_IMPL != "compiled", reason="extension not built")
-class TestKernelEquivalence:
-    def test_scan_split_bit_identical(self):
-        from frugalas._split import scan_split as compiled
+def reference_column_scan(values, labels):
+    """Best split of one column sorted ascending, one boundary at a time.
 
+    The per-column scan the forest used before it scanned all candidates of a
+    node at once; returns (score, threshold, found).
+    """
+    n = values.shape[0]
+    c1 = np.cumsum(labels)
+    boundaries = np.nonzero(values[:-1] != values[1:])[0]
+    if boundaries.size == 0:
+        return np.inf, 0.0, False
+    n_l = boundaries + 1
+    n_r = n - n_l
+    c1l = c1[boundaries]
+    c0l = n_l - c1l
+    c1r = c1[-1] - c1l
+    c0r = n_r - c1r
+    left = n_l - (c0l * c0l + c1l * c1l) / n_l
+    right = n_r - (c0r * c0r + c1r * c1r) / n_r
+    score = left + right
+    k = int(np.argmin(score))
+    j = int(boundaries[k])
+    thr = (values[j] + values[j + 1]) / 2.0
+    if thr >= values[j + 1]:
+        thr = values[j]
+    return float(score[k]), float(thr), True
+
+
+def reference_block_scan(block, labels):
+    """Loop over candidate rows; a later row wins only with a strictly lower score."""
+    best = (-1, np.inf, 0.0)
+    for row in range(block.shape[0]):
+        order = np.argsort(block[row], kind="stable")
+        score, thr, found = reference_column_scan(block[row][order], labels[order])
+        if found and score < best[1]:
+            best = (row, score, thr)
+    return best
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestScanSplit:
+    def test_matches_the_per_column_reference(self):
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            n = int(rng.integers(2, 80))
-            # duplicated values exercise the boundary handling
-            pool = rng.uniform(-5, 5, size=6)
-            values = np.sort(rng.choice(pool, size=n))
+        cross_row_ties = no_split = 0
+        for _ in range(600):
+            k = int(rng.integers(1, 7))
+            n = int(rng.integers(2, 60))
+            # few distinct values, with both zeros, so rows have duplicates
+            pool = np.append(rng.uniform(-5, 5, size=int(rng.integers(1, 7))), [0.0, -0.0])
+            block = rng.choice(pool, size=(k, n))
+            if k > 1 and rng.uniform() < 0.3:
+                block[rng.integers(k)] = pool[0]  # a constant row
+            if k > 1 and rng.uniform() < 0.4:
+                a, b = rng.choice(k, size=2, replace=False)
+                block[b] = rng.permutation(block[a])  # another row, same multiset
             labels = rng.integers(0, 2, size=n).astype(np.int64)
-            assert compiled(np.ascontiguousarray(values), labels) == _split_py.scan_split(
-                values, labels
-            )
 
-    def test_forest_identical_under_either_kernel(self, monkeypatch):
-        import frugalas.forest as forest_mod
-
-        rng = np.random.default_rng(8)
-        X = rng.uniform(size=(60, 4))
-        y = (X[:, 1] > 0.4).astype(int)
-        probe = rng.uniform(size=(25, 4))
-        f_compiled = fit_forest(X, y, ForestConfig(n_trees=15, seed=1))
-        monkeypatch.setattr(forest_mod, "_scan_split", _split_py.scan_split)
-        f_pure = fit_forest(X, y, ForestConfig(n_trees=15, seed=1))
-        assert np.array_equal(
-            f_compiled.predict_proba(probe), f_pure.predict_proba(probe)
-        )
+            row, score, thr = _scan_split(block, labels)
+            ref_row, ref_score, ref_thr = reference_block_scan(block, labels)
+            assert row == ref_row
+            assert _bits(score) == _bits(ref_score)
+            assert _bits(thr) == _bits(ref_thr)
+            if row >= 0:
+                scores = [reference_block_scan(block[r : r + 1], labels)[1] for r in range(k)]
+                cross_row_ties += scores.count(score) > 1
+            else:
+                no_split += 1
+        assert cross_row_ties > 20 and no_split > 5

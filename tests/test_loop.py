@@ -475,3 +475,34 @@ class TestRetrainReuse:
                     assert new.trained_at == timeout
                     refit_on_growth += new.model is not None and new.labels != old.labels
         assert reused and refit_on_growth
+
+
+class TestEvaluationReuse:
+    def test_round_that_refits_nothing_evaluates_nothing(self, monkeypatch):
+        import frugalas.loop as loop_mod
+
+        calls = []
+        evaluate = loop_mod.evaluate_selector
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(loop_mod, "evaluate_selector", counted)
+        loop, s = make_loop(n_train=12, n_algorithms=3, batch_size=2, timeout_predictor=True)
+        first = loop.step()
+        assert len(calls) == 2  # validation and test
+
+        # Requests that run nothing change no label, so no forest is refit.
+        monkeypatch.setattr(loop, "execute_request", lambda req: None)
+        before = loop.ensemble
+        record = loop.step()
+        after = loop.ensemble
+        for new, old in zip(
+            after.pairwise + after.timeout_models, before.pairwise + before.timeout_models
+        ):
+            assert new.model is old.model
+        assert len(calls) == 2
+        assert record.step == first.step + 1
+        assert record.validation_par10 == evaluate(after, loop.validation, s)
+        assert record.test_par10 == evaluate(after, loop.test, s)
