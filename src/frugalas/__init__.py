@@ -2,7 +2,7 @@
 active-learning regime with timeout predictors and dynamic timeouts, replaying
 recorded solver runs as the execution oracle."""
 
-from .forest import KERNEL_IMPL, ForestConfig, RandomForest, fit_forest, gini
+from .forest import KERNEL_IMPL, ForestConfig, RandomForest, fit_forest
 from .loop import FrugalLoop, LoopConfig
 from .preprocess import apply_imputer, fit_imputer, make_splits, par10
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_stats
@@ -13,7 +13,6 @@ __all__ = [
     "ForestConfig",
     "RandomForest",
     "fit_forest",
-    "gini",
     "FrugalLoop",
     "LoopConfig",
     "apply_imputer",

@@ -159,20 +159,23 @@ def cmd_run(args) -> int:
         base_seed = int(env_seed)
 
     scenario = load_scenario(args.scenario)
-    spec = ExperimentSpec(
-        scenario=scenario,
-        out_dir=out,
-        configurations=_expand_configs(selection, to, dt),
-        folds=list(range(n_folds_to_run)),
-        seeds=[base_seed + j for j in range(n_seeds)],
-        n_trees=pick("n_trees", args.n_trees, 100),
-        batch_frac=pick("batch_frac", args.batch_frac, 0.01),
-        dt_initial_frac=pick("dt_initial_frac", None, 1 / 64),
-        dt_growth=pick("dt_growth", None, 2.0),
-        dt_window=pick("dt_window", None, 3),
-        dt_tolerance=pick("dt_tolerance", None, 0.01),
-        jobs=pick("jobs", args.jobs, 1),
-    )
+    try:
+        spec = ExperimentSpec(
+            scenario=scenario,
+            out_dir=out,
+            configurations=_expand_configs(selection, to, dt),
+            folds=list(range(n_folds_to_run)),
+            seeds=[base_seed + j for j in range(n_seeds)],
+            n_trees=pick("n_trees", args.n_trees, 100),
+            batch_frac=pick("batch_frac", args.batch_frac, 0.01),
+            dt_initial_frac=pick("dt_initial_frac", None, 1 / 64),
+            dt_growth=pick("dt_growth", None, 2.0),
+            dt_window=pick("dt_window", None, 3),
+            dt_tolerance=pick("dt_tolerance", None, 0.01),
+            jobs=pick("jobs", args.jobs, 1),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     def progress(config_id, fold, seed, path):
         print(f"done {config_id} fold={fold} seed={seed} -> {path}")

@@ -29,11 +29,11 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     values is a (k, n) block with n >= 2, one row per candidate feature,
     holding the node's rows; labels is the (n,) int64 class vector of those
     rows. Returns (row, score, threshold): the chosen candidate row, the sum
-    over both children of n_child * gini(child), and the split threshold, or
-    (-1, inf, 0.0) when every row is constant. Counts are exact integers, each
-    score is formed with the same double operations for every boundary, and
-    ties keep the first minimum: first the earliest row, then the earliest
-    boundary in ascending order.
+    over both children of n_child times the child's Gini impurity, and the
+    split threshold, or (-1, inf, 0.0) when every row is constant. Counts are
+    exact integers, each score is formed with the same double operations for
+    every boundary, and ties keep the first minimum: first the earliest row,
+    then the earliest boundary in ascending order.
     """
     n = values.shape[1]
     # Neither sort needs to be stable. A split falls only between two
@@ -66,14 +66,6 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     if thr >= hi:
         thr = lo
     return row, best_score, thr
-
-
-def gini(counts) -> float:
-    """Gini impurity of a node given per-class sample counts."""
-    total = sum(counts)
-    if total < 1:
-        raise ValueError("gini needs at least one sample")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,6 @@ class ExperimentSpec:
     configurations: list[str] = field(default_factory=lambda: list(FRUGAL_CONFIGS))
     folds: list[int] = field(default_factory=lambda: list(range(10)))
     seeds: list[int] = field(default_factory=lambda: list(range(5)))
-    n_folds: int = 10
     n_trees: int = 100
     batch_frac: float = 0.01
     dt_initial_frac: float = 1 / 64
@@ -95,6 +94,11 @@ class ExperimentSpec:
             raise ValueError("configurations must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        for fold in self.folds:
+            if fold not in range(10):
+                raise ValueError(f"no fold {fold}: make_splits makes folds 0 to 9")
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
         self.out_dir = Path(self.out_dir)
 
     def loop_config(self, config_id: str, seed: int) -> LoopConfig:
@@ -118,7 +122,7 @@ def full_observation_store(scenario: Scenario, instances) -> tuple[LabelStore, f
     """Observations after running every (instance, algorithm) at full cutoff,
     with the total charged CPU-seconds (the passive labelling cost)."""
     oracle = RunOracle(scenario)
-    store = LabelStore()
+    store = LabelStore(scenario.instances, scenario.algorithms)
     cost = 0.0
     for inst in instances:
         for algo in scenario.algorithms:
@@ -192,7 +196,7 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
         return path
 
     scenario = spec.scenario
-    plan = make_splits(scenario, seed, n_folds=spec.n_folds)
+    plan = make_splits(scenario, seed)
     fold = plan.folds[fold_index]
 
     common = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import ForestConfig
-from .labels import Censored, LabelStore, Observation, Solved, pairwise_label
+from .labels import Censored, LabelStore, Observation, Solved, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
 from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, train_ensemble
@@ -177,15 +177,16 @@ class FrugalLoop:
             raise ValueError("initial set larger than the training set")
 
         self.oracle = RunOracle(scenario)
-        self.store = LabelStore()
+        self.store = LabelStore(scenario.instances, scenario.algorithms)
         self.ledger = CostLedger()
         self.imputer = fit_imputer(scenario, self.train)
         self.pairs = algorithm_pairs(scenario.algorithms)
-        self._inst_pos = {inst: k for k, inst in enumerate(self.train)}
-        # Imputed feature rows of the training instances, in train order.
-        self._train_X = self.imputer.transform(
-            scenario.feature_matrix[[scenario.instance_index(i) for i in self.train]]
-        )
+        # Store columns of the two sides of each pair: (2, n_pairs).
+        columns = algorithm_pairs(range(len(scenario.algorithms)))
+        self._sides = np.array(columns, dtype=np.intp).reshape(-1, 2).T
+        # Scenario rows of the training instances, in train order.
+        self._rows = np.array([scenario.instance_index(i) for i in self.train], dtype=np.intp)
+        self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
         if cfg.dynamic_timeout:
@@ -212,10 +213,8 @@ class FrugalLoop:
                 self.store.record(inst, algo, obs)
                 self.ledger.charge(0, inst, algo, charged, obs)
 
-        self.pools: list[set[str]] = [set(self.train) for _ in self.pairs]
-        self.resolved_cells = 0
-        # Instances whose observations changed since the last _update_pools.
-        self._touched: set[str] = set(self.train)
+        # pool[p, k]: the cell (pair p, train instance k) is still queryable.
+        self.pool = np.ones((len(self.pairs), n), dtype=bool)
         self._update_pools()
 
         self.ensemble: SelectorEnsemble | None = None
@@ -235,8 +234,10 @@ class FrugalLoop:
     def total_cells(self) -> int:
         return len(self.pairs) * len(self.train)
 
-    def pools_empty(self) -> bool:
-        return all(not pool for pool in self.pools)
+    @property
+    def resolved_cells(self) -> int:
+        """(pair, instance) cells no longer queryable."""
+        return self.total_cells - int(self.pool.sum())
 
     def _retrain(self) -> SelectorEnsemble:
         return train_ensemble(
@@ -253,11 +254,6 @@ class FrugalLoop:
             previous=self.ensemble,
         )
 
-    def _pool_positions(self, p: int) -> np.ndarray:
-        """Train positions of pool p's instances, ascending."""
-        pool = self.pools[p]
-        return np.sort(np.fromiter(map(self._inst_pos.__getitem__, pool), np.intp, len(pool)))
-
     # -- query selection -----------------------------------------------------
 
     def select_queries_uncertainty(self, n_requests: int) -> list[QueryRequest]:
@@ -268,7 +264,7 @@ class FrugalLoop:
         """
         confidences, pair_index, positions = [], [], []
         for p, pm in enumerate(self.ensemble.pairwise):
-            pos = self._pool_positions(p)
+            pos = np.flatnonzero(self.pool[p])
             if not pos.size:
                 continue
             if pm.model is None:
@@ -294,22 +290,20 @@ class FrugalLoop:
         ]
 
     def select_queries_random(self, n_requests: int) -> list[QueryRequest]:
-        """Uniform draw without replacement from the union of all pools."""
-        union = [
-            (p, self.train[k]) for p in range(len(self.pairs)) for k in self._pool_positions(p)
-        ]
-        if not union:
+        """Uniform draw without replacement from the open cells of all pools,
+        numbered by pair, then by instance position."""
+        pair, pos = np.nonzero(self.pool)
+        if not pos.size:
             return []
-        k = min(n_requests, len(union))
-        picks = self.rng.choice(len(union), size=k, replace=False)
+        picks = self.rng.choice(pos.size, size=min(n_requests, pos.size), replace=False)
         return [
             QueryRequest(
-                pair_index=union[i][0],
-                pair=self.pairs[union[i][0]],
-                instance=union[i][1],
+                pair_index=int(pair[i]),
+                pair=self.pairs[pair[i]],
+                instance=self.train[pos[i]],
                 confidence=0.5,
             )
-            for i in sorted(picks)
+            for i in np.sort(picks)
         ]
 
     def select_queries(self, n_requests: int) -> list[QueryRequest]:
@@ -337,35 +331,14 @@ class FrugalLoop:
             )
             self.store.record(req.instance, algo, new_obs)
             self.ledger.charge(self.step_index, req.instance, algo, charged, new_obs)
-            self._touched.add(req.instance)
         self.requests_executed += 1
 
     def _update_pools(self) -> None:
-        """Drop settled cells; the only place a cell leaves its pool.
-
-        A cell settles once its label is decided or neither side can change
-        any more (solved, or censored at the full cutoff): an exact runtime
-        tie or two censors at the cutoff never become informative. Only the
-        cells of instances touched since the last call are checked: a cell's
-        state changes only with its instance's observations.
-        """
-        cutoff = self.scenario.cutoff
-        touched, self._touched = self._touched, set()
-
-        def final(obs) -> bool:
-            return isinstance(obs, Solved) or obs.at >= cutoff
-
-        for p, (a, b) in enumerate(self.pairs):
-            done = []
-            for inst in touched & self.pools[p]:
-                obs_a = self.store.get(inst, a)
-                obs_b = self.store.get(inst, b)
-                if obs_a is None or obs_b is None:
-                    continue
-                if pairwise_label(obs_a, obs_b) is not None or (final(obs_a) and final(obs_b)):
-                    done.append(inst)
-            self.pools[p].difference_update(done)
-            self.resolved_cells += len(done)
+        """Drop settled cells (`labels.settled`); the only place a cell
+        leaves its pool."""
+        solved, censored = self.store.solved[self._rows], self.store.censored[self._rows]
+        a, b = self._sides
+        self.pool &= ~settled(solved, censored, a, b, self.scenario.cutoff).T
 
     # -- stepping ------------------------------------------------------------
 

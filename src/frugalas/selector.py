@@ -13,23 +13,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .forest import ForestConfig, RandomForest, fit_forest
-from .labels import LabelStore, Solved, pairwise_label
+from .labels import LabelStore, pair_classes, timeout_classes
 from .preprocess import ImputerModel, PreprocessError, par10
 from .scenario import Scenario
 
 TIMEOUT_CONFIDENCE_THRESHOLD = 0.5
 
 
-# Training labels of one model: one entry per train instance, in train order,
-# None where the instance has no label for that model.
-Labels = tuple[int | None, ...]
-
-
 @dataclass
 class PairwiseModel:
     pair: tuple[str, str]  # (a, b) in portfolio order; class 0 = a faster
     model: RandomForest | None  # None = untrained, abstains from voting
-    labels: Labels | None = None  # what `model` was fit on; None = unknown
+    # What `model` was fit on: int8, one class per train instance in train
+    # order, -1 where the instance has no label; None = unknown.
+    labels: np.ndarray | None = None
 
 
 @dataclass
@@ -37,7 +34,7 @@ class TimeoutModel:
     algorithm: str
     trained_at: float  # timeout level the predictor reflects
     model: RandomForest | None  # class 1 = will time out
-    labels: Labels | None = None
+    labels: np.ndarray | None = None
 
 
 @dataclass
@@ -64,30 +61,6 @@ def _sub_seed(base_seed: int, *path: int) -> int:
     return int(np.random.SeedSequence((base_seed, *path)).generate_state(1)[0])
 
 
-def timeout_label(obs, timeout: float) -> int | None:
-    """Training label for a timeout predictor at the given level.
-
-    None marks an absent or undetermined observation (censored below the
-    level).
-    """
-    if obs is None:
-        return None
-    if isinstance(obs, Solved):
-        return 0 if obs.runtime <= timeout else 1
-    return 1 if obs.at >= timeout else None
-
-
-_PAIR_CLASS = {"a": 0, "b": 1}
-
-
-def _pair_class(obs_a, obs_b) -> int | None:
-    """Training class of a pairwise row (0 = a faster, 1 = b faster); None
-    while either side is unlabelled or the pair is undecided."""
-    if obs_a is None or obs_b is None:
-        return None
-    return _PAIR_CLASS.get(pairwise_label(obs_a, obs_b))
-
-
 def train_ensemble(
     scenario: Scenario,
     train_instances,
@@ -101,8 +74,9 @@ def train_ensemble(
 ) -> SelectorEnsemble:
     """Fit pairwise (and optionally timeout) forests from observed labels.
 
-    Row order follows train_instances, so two stores with identical
-    observations produce identical ensembles. Raises PreprocessError when no
+    `store`'s rows and columns follow `scenario.instances` and
+    `scenario.algorithms`. Row order follows train_instances, so two stores
+    with identical observations produce identical ensembles. Raises PreprocessError when no
     pair has a labelled row, unless allow_untrained.
 
     A forest is a function of its slot's seed and of the imputed rows and
@@ -114,18 +88,8 @@ def train_ensemble(
     if current_timeout is None:
         current_timeout = scenario.cutoff
     algorithms = list(scenario.algorithms)
-    observations = [[store.get(i, algo) for algo in algorithms] for i in train]
-    observed = [k for k, row in enumerate(observations) if any(o is not None for o in row)]
-
-    def label_vector(label) -> Labels:
-        """label(observations of an instance) for every train instance; an
-        instance without observations has no label."""
-        labels = [None] * len(train)
-        for k in observed:
-            labels[k] = label(observations[k])
-        return tuple(labels)
-
     matrix_rows = np.array([scenario.instance_index(i) for i in train], dtype=np.intp)
+    solved, censored = store.solved[matrix_rows], store.censored[matrix_rows]
     reusable = (
         previous is not None
         and previous.imputer is imputer
@@ -137,13 +101,13 @@ def train_ensemble(
     def fit(labels, old, *seed_path) -> RandomForest | None:
         """Forest on the instances with a label, `old`'s forest when fit on
         the same labels, None when no instance has one."""
-        if old is not None and old.labels == labels:
+        if old is not None and np.array_equal(old.labels, labels):
             return old.model
-        labelled = np.array([y is not None for y in labels], dtype=bool)
+        labelled = labels >= 0
         if not labelled.any():
             return None
         X = imputer.transform(scenario.feature_matrix[matrix_rows[labelled]])
-        y = np.array([y for y in labels if y is not None])
+        y = labels[labelled]
         cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *seed_path))
         return fit_forest(X, y, cfg)
 
@@ -151,7 +115,7 @@ def train_ensemble(
     old_pairwise = (reusable and previous.pairwise) or [None] * len(pairs)
     pairwise = []
     for p, ((ia, ib), old) in enumerate(zip(pairs, old_pairwise)):
-        labels = label_vector(lambda row: _pair_class(row[ia], row[ib]))
+        labels = pair_classes(solved, censored, ia, ib)
         pairwise.append(
             PairwiseModel(
                 pair=(algorithms[ia], algorithms[ib]),
@@ -167,7 +131,7 @@ def train_ensemble(
         old_timeout = (reusable and previous.timeout_models) or [None] * len(algorithms)
         timeout_models = []
         for k, (algo, old) in enumerate(zip(algorithms, old_timeout)):
-            labels = label_vector(lambda row: timeout_label(row[k], current_timeout))
+            labels = timeout_classes(solved, censored, k, current_timeout)
             timeout_models.append(
                 TimeoutModel(
                     algorithm=algo,

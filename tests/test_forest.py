@@ -9,23 +9,7 @@ from frugalas.forest import (
     dump_trees,
     _scan_split,
     fit_forest,
-    gini,
 )
-
-
-class TestGini:
-    def test_pure_node(self):
-        assert gini((4, 0)) == 0.0
-
-    def test_symmetric(self):
-        assert gini((5, 5)) == 0.5
-
-    def test_three_one(self):
-        assert gini((3, 1)) == pytest.approx(0.375)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            gini((0, 0))
 
 
 class TestFit:

@@ -1,3 +1,5 @@
+from itertools import compress
+
 import numpy as np
 import pytest
 
@@ -121,15 +123,14 @@ class TestInitialPhase:
         loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=5, batch_size=2)
         assert len(loop.ledger.entries) == 5 * 3  # instances x algorithms
         assert loop.resolved_cells == 3 * 5  # pairs x initial instances
-        for pool in loop.pools:
-            assert len(pool) == 8 - 5
+        assert loop.pool.sum(axis=1).tolist() == [8 - 5] * 3
         assert loop.requests_executed == 0
 
     def test_same_seed_same_state(self):
         l1, _ = make_loop(initial_size=3, batch_size=2, seed=5)
         l2, _ = make_loop(initial_size=3, batch_size=2, seed=5)
         assert l1.ledger.entries == l2.ledger.entries
-        assert l1.pools == l2.pools
+        assert np.array_equal(l1.pool, l2.pool)
 
     def test_different_seed_differs(self):
         l1, _ = make_loop(n_train=20, initial_size=3, seed=1)
@@ -157,7 +158,7 @@ class _FakeModel:
 class TestUncertaintySelection:
     def _loop_with_stub(self, pools, models):
         loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=2, batch_size=2)
-        loop.pools = [set(p) for p in pools]
+        loop.pool = np.array([[inst in p for inst in loop.train] for p in pools])
         loop.ensemble = SelectorEnsemble(
             s.algorithms,
             [PairwiseModel(pair, m) for pair, m in zip(loop.pairs, models)],
@@ -236,7 +237,7 @@ class TestUncertaintySelection:
 class TestRandomSelection:
     def test_oversized_request_returns_whole_pool(self):
         loop, _ = make_loop(n_train=8, n_algorithms=3, initial_size=2, selection="random")
-        union = {(p, i) for p in range(3) for i in loop.pools[p]}
+        union = {(p, loop.train[k]) for p, k in zip(*np.nonzero(loop.pool))}
         picked = loop.select_queries_random(10_000)
         assert {(r.pair_index, r.instance) for r in picked} == union
 
@@ -249,7 +250,7 @@ class TestRandomSelection:
 
     def test_draws_are_roughly_uniform(self):
         loop, _ = make_loop(n_train=8, initial_size=2, selection="random", seed=4)
-        union = [(p, i) for p in range(len(loop.pairs)) for i in sorted(loop.pools[p])]
+        union = [(p, loop.train[k]) for p, k in zip(*np.nonzero(loop.pool))]
         counts = {cell: 0 for cell in union}
         n_draws = 6000
         for _ in range(n_draws):
@@ -281,8 +282,8 @@ class TestExecution:
             forest=ForestConfig(n_trees=5, seed=0),
         )
         loop = FrugalLoop(s, fold, s.instances[10:], cfg)
-        loop.store.state.pop(("i6", "a0"), None)
-        loop.store.state.pop(("i6", "a1"), None)
+        row = s.instance_index("i6")
+        loop.store.solved[row] = loop.store.censored[row] = np.nan
         return loop, len(loop.ledger.entries)
 
     def test_rerun_from_scratch_charges_both_attempts(self):
@@ -323,16 +324,17 @@ class TestExecution:
         loop, base = self._manual_loop()
         loop.store.record("i6", "a0", Solved(90.0))
         loop.store.record("i6", "a1", Censored(60.0))
-        loop.pools[0].add("i6")
+        k = loop.train.index("i6")
+        loop.pool[0, k] = True
         loop._update_pools()
-        assert "i6" in loop.pools[0]  # 90 s solved vs censored at 60 s: undecided
+        assert loop.pool[0, k]  # 90 s solved vs censored at 60 s: undecided
 
         loop.controller.current = 100.0
         loop.execute_request(QueryRequest(0, ("a0", "a1"), "i6", 0.5))
         assert loop.store.get("i6", "a1") == Censored(100.0)
         assert [e.charged for e in loop.ledger.entries[base:]] == [100.0]
         loop._update_pools()
-        assert "i6" not in loop.pools[0]
+        assert not loop.pool[0, k]
 
 
 class TestStepping:
@@ -351,16 +353,19 @@ class TestStepping:
     def test_exhaustion_terminates(self):
         loop, _ = make_loop(n_train=8, initial_size=2, batch_size=4)
         loop.run()
-        assert loop.pools_empty()
+        assert not loop.pool.any()
         assert loop.step() is None
 
     def test_pool_accounting_invariant(self):
         loop, _ = make_loop(n_train=10, n_algorithms=3, initial_size=2, batch_size=5)
         for _ in range(6):
-            if loop.step() is None:
+            before = loop.pool.copy()
+            record = loop.step()
+            if record is None:
                 break
-            open_cells = sum(len(p) for p in loop.pools)
-            assert loop.resolved_cells + open_cells == loop.total_cells
+            open_cells = int(loop.pool.sum())
+            assert record.resolved_cells + open_cells == loop.total_cells
+            assert not (loop.pool & ~before).any()  # a cell never re-enters a pool
 
     def test_static_timeout_cost_never_exceeds_full_labelling(self):
         loop, s = make_loop(n_train=8, n_algorithms=2, initial_size=2, batch_size=2)
@@ -390,14 +395,14 @@ class TestStepping:
 
         for p, (a, b) in enumerate(loop.pairs):
             # open cells are undecided and can still change
-            for inst in loop.pools[p]:
+            for inst in compress(loop.train, loop.pool[p]):
                 obs_a = loop.store.get(inst, a)
                 obs_b = loop.store.get(inst, b)
                 if obs_a is None or obs_b is None:
                     continue
                 assert pairwise_label(obs_a, obs_b) is None, (p, inst)
                 assert not (final(obs_a) and final(obs_b)), (p, inst)
-            for inst in set(loop.train) - loop.pools[p]:
+            for inst in compress(loop.train, ~loop.pool[p]):
                 obs_a = loop.store.get(inst, a)
                 obs_b = loop.store.get(inst, b)
                 if obs_a is None or obs_b is None:
@@ -457,13 +462,13 @@ class TestRetrainReuse:
             models = after.pairwise + after.timeout_models
             # every model equals a from-scratch fit on the same store
             for new, ref in zip(models, fresh.pairwise + fresh.timeout_models):
-                assert new.labels == ref.labels
+                assert np.array_equal(new.labels, ref.labels)
                 assert (new.model is None) == (ref.model is None)
                 if new.model is not None:
                     assert dump_trees(new.model) == dump_trees(ref.model)
             # a slot keeps its forest object exactly when its labels are unchanged
             for new, old in zip(models, before.pairwise + before.timeout_models):
-                if new.labels == old.labels:
+                if np.array_equal(new.labels, old.labels):
                     assert new.model is old.model
                     reused += new.model is not None
                 elif new.model is not None:
@@ -473,7 +478,9 @@ class TestRetrainReuse:
             if timeout > before.timeout_models[0].trained_at:
                 for new, old in zip(after.timeout_models, before.timeout_models):
                     assert new.trained_at == timeout
-                    refit_on_growth += new.model is not None and new.labels != old.labels
+                    refit_on_growth += new.model is not None and not np.array_equal(
+                        new.labels, old.labels
+                    )
         assert reused and refit_on_growth
 
 

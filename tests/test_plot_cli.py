@@ -197,6 +197,36 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
+class TestRunUsageErrors:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--folds", "11"], "no fold 10"),
+            (["--n-trees", "0"], "n_trees must be >= 1"),
+        ],
+    )
+    def test_out_of_range_value_exits_with_usage(self, scenario_dir, tmp_path, capsys, flags,
+                                                  message):
+        out = tmp_path / "res"
+        argv = ["run", str(scenario_dir), "--selection", "random",
+                "--timeout-predictor", "off", "--dynamic-timeout", "off",
+                *RUN_FAST, *flags, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before any cell ran
+
+    def test_spec_rejects_folds_outside_the_ten(self):
+        scenario = make_synthetic_scenario(40, 2, seed=0)
+        for folds in ([10], [-1], [0, 3, 12]):
+            with pytest.raises(ValueError, match="no fold"):
+                ExperimentSpec(scenario, "out", folds=folds)
+        with pytest.raises(ValueError, match="n_trees"):
+            ExperimentSpec(scenario, "out", n_trees=0)
+        assert ExperimentSpec(scenario, "out", folds=[0, 9], n_trees=1).folds == [0, 9]
+
+
 class TestConfigFile:
     def _write(self, tmp_path, text):
         path = tmp_path / "exp.conf"

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import build_scenario
 from frugalas.forest import ForestConfig, fit_forest
-from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
+from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeout_label
 from frugalas.preprocess import fit_imputer
 from frugalas.scenario import OK, TIMEOUT, par1
 from frugalas.selector import (
@@ -13,7 +13,6 @@ from frugalas.selector import (
     algorithm_pairs,
     evaluate_selector,
     select_algorithm,
-    timeout_label,
     train_ensemble,
 )
 
@@ -160,7 +159,7 @@ class TestVoting:
 
 class TestTrainEnsemble:
     def _store_full(self, scenario):
-        store = LabelStore()
+        store = LabelStore(scenario.instances, scenario.algorithms)
         for (inst, algo), rec in scenario.runs.items():
             if rec.status == OK:
                 store.record(inst, algo, Solved(rec.runtime))
@@ -219,7 +218,7 @@ class TestTrainEnsemble:
 
     def test_no_labels_raises(self):
         s = build_scenario(np.ones((4, 2)))
-        store = LabelStore()
+        store = LabelStore(s.instances, s.algorithms)
         imputer = fit_imputer(s, s.instances)
         with pytest.raises(ValueError):
             train_ensemble(s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0))
