@@ -156,7 +156,10 @@ def cmd_run(args) -> int:
 
     env_seed = os.environ.get("FRUGAL_SEED")
     if env_seed is not None:
-        base_seed = int(env_seed)
+        try:
+            base_seed = int(env_seed)
+        except ValueError:
+            raise UsageError(f"FRUGAL_SEED must be an integer, got {env_seed!r}") from None
 
     scenario = load_scenario(args.scenario)
     try:

@@ -7,7 +7,9 @@ bootstrap resampling. Predictions expose the fraction of tree votes as a
 confidence.
 
 Each split node scans all of its candidate features at once in numpy
-(`_scan_split`); there is no compiled kernel.
+(`_scan_split`); there is no compiled kernel. A forest keeps the nodes of all
+its trees in one set of flat arrays, and `forest_votes` walks every (forest,
+tree, row) lane of any list of forests at once, one numpy pass per level.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class ForestConfig:
 
 @dataclass
 class DecisionTree:
-    """Flat-array binary tree; feature == -1 marks a leaf."""
+    """Flat-array binary tree; feature == -1 marks a leaf, and `left` and
+    `right` count from the tree's root."""
 
     feature: np.ndarray  # int32
     threshold: np.ndarray  # float64
@@ -90,17 +93,8 @@ class DecisionTree:
     n1: np.ndarray
     leaf_class: np.ndarray  # int8, majority with ties toward class 0
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            feat = self.feature[idx]
-            rows = np.nonzero(feat >= 0)[0]
-            if rows.size == 0:
-                break
-            at = idx[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold[at]
-            idx[rows] = np.where(go_left, self.left[at], self.right[at])
-        return self.leaf_class[idx]
+    def view(self, start: int, stop: int) -> DecisionTree:
+        return DecisionTree(**{k: v[start:stop] for k, v in vars(self).items()})
 
 
 @dataclass
@@ -108,24 +102,19 @@ class RandomForest:
     config: ForestConfig
     n_features: int
     max_features: int
-    trees: list[DecisionTree] = field(default_factory=list)
+    nodes: DecisionTree  # every tree's nodes, tree after tree
+    roots: np.ndarray  # (n_trees,) int64 position of each tree's root in `nodes`
+    depth: int  # edges on the longest root-to-leaf path of any tree
+    trees: list[DecisionTree] = field(init=False, repr=False)  # views into `nodes`
+
+    def __post_init__(self):
+        stops = np.append(self.roots[1:], self.nodes.feature.shape[0])
+        self.trees = [self.nodes.view(a, b) for a, b in zip(self.roots, stops)]
 
     def predict_proba(self, X) -> np.ndarray:
         """(n, 2) array of class probabilities from hard tree votes."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} features, got {X.shape[1]}"
-            )
-        if np.isnan(X).any():
-            raise ValueError("missing values must be imputed before prediction")
-        votes1 = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes1 += tree.predict(X)
-        n = len(self.trees)
-        p1 = votes1 / n
-        p0 = (n - votes1) / n
-        return np.column_stack([p0, p1])
+        p0, p1 = forest_proba([self], X)
+        return np.column_stack([p0[0], p1[0]])
 
     def predict_label(self, X) -> np.ndarray:
         """0/1 labels; a (0.5, 0.5) tie resolves to class 0."""
@@ -133,18 +122,73 @@ class RandomForest:
         return (proba[:, 1] > proba[:, 0]).astype(np.int8)
 
 
+def forest_votes(forests, X) -> np.ndarray:
+    """Class-1 tree votes: (len(forests), n) int64, one row per forest.
+
+    The forests' nodes are laid end to end, leaves made to point at
+    themselves, and every (forest, tree, row) lane steps one level down per
+    numpy pass, so the number of passes is the deepest tree's depth. Rows
+    with `feature <= threshold` go left, as in each tree's own walk.
+    """
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    n, n_features = X.shape
+    for forest in forests:
+        if n_features != forest.n_features:
+            raise ValueError(f"expected {forest.n_features} features, got {n_features}")
+    if np.isnan(X).any():
+        raise ValueError("missing values must be imputed before prediction")
+    if not forests:
+        return np.zeros((0, n), dtype=np.int64)
+
+    nodes = [forest.nodes for forest in forests]
+    sizes = [t.feature.shape[0] for t in nodes]
+    offsets = np.cumsum([0] + sizes[:-1])
+    roots = np.concatenate([f.roots + off for f, off in zip(forests, offsets)])
+    feature = np.concatenate([t.feature for t in nodes])
+    threshold = np.concatenate([t.threshold for t in nodes])
+    leaf_class = np.concatenate([t.leaf_class for t in nodes])
+    # Children as positions in the joined arrays; a leaf is its own child.
+    own = np.arange(feature.shape[0])
+    tree_root = np.repeat(roots, np.diff(np.append(roots, own.shape[0])))
+    leaf = feature < 0
+    children = np.empty(2 * own.shape[0], dtype=np.intp)
+    children[0::2] = np.where(leaf, own, np.concatenate([t.left for t in nodes]) + tree_root)
+    children[1::2] = np.where(leaf, own, np.concatenate([t.right for t in nodes]) + tree_root)
+    column = np.where(leaf, 0, feature)
+
+    values = X.ravel()
+    node = np.repeat(roots, n)
+    row_start = np.tile(np.arange(n) * n_features, roots.shape[0])
+    for _ in range(max(forest.depth for forest in forests)):
+        go_right = values.take(row_start + column.take(node)) > threshold.take(node)
+        node = children.take(2 * node + go_right)
+
+    tree_votes = leaf_class.take(node).reshape(roots.shape[0], n)
+    first_tree = np.cumsum([0] + [len(f.trees) for f in forests[:-1]])
+    return np.add.reduceat(tree_votes, first_tree, axis=0, dtype=np.int64)
+
+
+def forest_proba(forests, X) -> tuple[np.ndarray, np.ndarray]:
+    """(p0, p1): each forest's class probabilities on each row, both
+    (len(forests), n) float64, from `k` trees with `v` class-1 votes as
+    `(k - v) / k` and `v / k`."""
+    votes = forest_votes(forests, X)
+    k = np.array([len(forest.trees) for forest in forests]).reshape(-1, 1)
+    return (k - votes) / k, votes / k
+
+
 class _TreeBuilder:
-    def __init__(self, XT, y, max_features, rng):
+    """Grows one tree into the node lists it shares with the forest's other
+    trees; child indices count from the tree's root."""
+
+    def __init__(self, XT, y, max_features, rng, nodes):
         self.XT = XT  # (n_features, n_rows), one contiguous row per feature
         self.y = y  # int64
         self.max_features = max_features
         self.rng = rng
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.n0 = []
-        self.n1 = []
+        (self.feature, self.threshold, self.left, self.right, self.n0, self.n1) = nodes
+        self.root = len(self.feature)
+        self.depth = 0
 
     def _add_node(self):
         self.feature.append(-1)
@@ -153,17 +197,19 @@ class _TreeBuilder:
         self.right.append(-1)
         self.n0.append(0)
         self.n1.append(0)
-        return len(self.feature) - 1
+        return len(self.feature) - 1 - self.root
 
-    def build(self, idx: np.ndarray) -> int:
+    def build(self, idx: np.ndarray, depth: int = 0) -> int:
+        self.depth = max(self.depth, depth)
         node = self._add_node()
+        at = self.root + node
         labels = self.y[idx]
         n = idx.size
         c1 = int(labels.sum())
         c0 = n - c1
         # A pure node, including every node of fewer than two rows, is a leaf.
         if c0 == 0 or c1 == 0:
-            self.n0[node], self.n1[node] = c0, c1
+            self.n0[at], self.n1[at] = c0, c1
             return node
 
         candidates = self.rng.choice(
@@ -173,30 +219,16 @@ class _TreeBuilder:
         row, score, thr = _scan_split(block, labels)
         parent_score = n - (c0 * c0 + c1 * c1) / n
         if row < 0 or not score < parent_score:
-            self.n0[node], self.n1[node] = c0, c1
+            self.n0[at], self.n1[at] = c0, c1
             return node
 
         best_feature = int(candidates[row])
         go_left = self.XT[best_feature, idx] <= thr
-        self.feature[node] = best_feature
-        self.threshold[node] = thr
-        self.left[node] = self.build(idx[go_left])
-        self.right[node] = self.build(idx[~go_left])
+        self.feature[at] = best_feature
+        self.threshold[at] = thr
+        self.left[at] = self.build(idx[go_left], depth + 1)
+        self.right[at] = self.build(idx[~go_left], depth + 1)
         return node
-
-    def finish(self) -> DecisionTree:
-        n0 = np.array(self.n0, dtype=np.int64)
-        n1 = np.array(self.n1, dtype=np.int64)
-        return DecisionTree(
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            n0=n0,
-            n1=n1,
-            leaf_class=(n1 > n0).astype(np.int8),
-        )
-
 
 def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     """Train a forest; (seed, data) fully determine the result."""
@@ -213,24 +245,44 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
 
     n, n_features = X.shape
     max_features = max(1, min(n_features, int(math.floor(math.sqrt(n_features)))))
-    forest = RandomForest(config=config, n_features=n_features, max_features=max_features)
 
     XT = np.ascontiguousarray(X.T)
     y64 = y.astype(np.int64)
     # Per-tree generators are pre-derived so a parallel fit would match the
     # sequential result.
+    nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, n0, n1
+    roots, depth = [], 0
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 10000))
     try:
         for t in range(config.n_trees):
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
             sample = rng.integers(0, n, size=n)
-            builder = _TreeBuilder(XT, y64, max_features, rng)
+            builder = _TreeBuilder(XT, y64, max_features, rng, nodes)
             builder.build(np.sort(sample))
-            forest.trees.append(builder.finish())
+            roots.append(builder.root)
+            depth = max(depth, builder.depth)
     finally:
         sys.setrecursionlimit(old_limit)
-    return forest
+    feature, threshold, left, right, n0, n1 = nodes
+    n0 = np.array(n0, dtype=np.int64)
+    n1 = np.array(n1, dtype=np.int64)
+    return RandomForest(
+        config=config,
+        n_features=n_features,
+        max_features=max_features,
+        nodes=DecisionTree(
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            n0=n0,
+            n1=n1,
+            leaf_class=(n1 > n0).astype(np.int8),
+        ),
+        roots=np.array(roots, dtype=np.int64),
+        depth=depth,
+    )
 
 
 def dump_trees(forest: RandomForest) -> str:

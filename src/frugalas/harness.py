@@ -90,8 +90,9 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.configurations:
-            raise ValueError("configurations must be nonempty")
+        for name in ("configurations", "folds", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         for fold in self.folds:

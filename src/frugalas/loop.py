@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forest import ForestConfig
+from .forest import ForestConfig, forest_proba
 from .labels import Censored, LabelStore, Observation, Solved, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
@@ -151,6 +151,16 @@ class StepRecord:
     test_par10: float
 
 
+def rank_queries(confidence: np.ndarray, pool: np.ndarray, n_requests: int):
+    """(pair, position, confidence) arrays of the `n_requests` open cells of
+    `pool` with the lowest `confidence`, both (n_pairs, n_train); ties break
+    by pair, then by position."""
+    pair, pos = np.nonzero(pool)
+    conf = confidence[pair, pos]
+    order = np.lexsort((pos, pair, conf))[:n_requests]
+    return pair[order], pos[order], conf[order]
+
+
 def _forests(ensemble: SelectorEnsemble) -> list:
     """Every forest of the ensemble, pairwise then timeout; None = untrained."""
     return [m.model for m in ensemble.pairwise + (ensemble.timeout_models or [])]
@@ -186,6 +196,7 @@ class FrugalLoop:
         self._sides = np.array(columns, dtype=np.intp).reshape(-1, 2).T
         # Scenario rows of the training instances, in train order.
         self._rows = np.array([scenario.instance_index(i) for i in self.train], dtype=np.intp)
+        self._train_pos = {inst: k for k, inst in enumerate(self.train)}
         self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
@@ -256,37 +267,31 @@ class FrugalLoop:
 
     # -- query selection -----------------------------------------------------
 
+    def pair_confidences(self) -> np.ndarray:
+        """(n_pairs, n_train) max posterior of each pair's model on every
+        training instance, from one walk over all trained pair forests; an
+        abstaining (untrained) pair scores 0.5."""
+        confidence = np.full(self.pool.shape, 0.5)
+        trained = [p for p, pm in enumerate(self.ensemble.pairwise) if pm.model is not None]
+        p0, p1 = forest_proba([self.ensemble.pairwise[p].model for p in trained], self._train_X)
+        confidence[trained] = np.maximum(p0, p1)
+        return confidence
+
     def select_queries_uncertainty(self, n_requests: int) -> list[QueryRequest]:
         """Lowest-confidence requests across all pair tables, merged and sorted.
 
         Pairs whose model is most uncertain naturally contribute more of the
         selected requests. Ties break by pair, then by instance position.
         """
-        confidences, pair_index, positions = [], [], []
-        for p, pm in enumerate(self.ensemble.pairwise):
-            pos = np.flatnonzero(self.pool[p])
-            if not pos.size:
-                continue
-            if pm.model is None:
-                conf = np.full(pos.size, 0.5)
-            else:
-                conf = pm.model.predict_proba(self._train_X[pos]).max(axis=1)
-            confidences.append(conf)
-            pair_index.append(np.full(pos.size, p))
-            positions.append(pos)
-        if not positions:
-            return []
-        conf = np.concatenate(confidences)
-        pair = np.concatenate(pair_index)
-        pos = np.concatenate(positions)
+        pair, pos, conf = rank_queries(self.pair_confidences(), self.pool, n_requests)
         return [
             QueryRequest(
-                pair_index=int(pair[k]),
-                pair=self.pairs[pair[k]],
-                instance=self.train[pos[k]],
-                confidence=float(conf[k]),
+                pair_index=p,
+                pair=self.pairs[p],
+                instance=self.train[k],
+                confidence=c,
             )
-            for k in np.lexsort((pos, pair, conf))[:n_requests]
+            for p, k, c in zip(pair.tolist(), pos.tolist(), conf.tolist())
         ]
 
     def select_queries_random(self, n_requests: int) -> list[QueryRequest]:
@@ -333,12 +338,15 @@ class FrugalLoop:
             self.ledger.charge(self.step_index, req.instance, algo, charged, new_obs)
         self.requests_executed += 1
 
-    def _update_pools(self) -> None:
-        """Drop settled cells (`labels.settled`); the only place a cell
-        leaves its pool."""
-        solved, censored = self.store.solved[self._rows], self.store.censored[self._rows]
+    def _update_pools(self, positions=slice(None)) -> None:
+        """Drop the settled cells (`labels.settled`) of the training instances
+        at `positions`, by default all; the only place a cell leaves its
+        pool. A cell's settlement changes only with its instance's
+        observations."""
+        rows = self._rows[positions]
+        solved, censored = self.store.solved[rows], self.store.censored[rows]
         a, b = self._sides
-        self.pool &= ~settled(solved, censored, a, b, self.scenario.cutoff).T
+        self.pool[:, positions] &= ~settled(solved, censored, a, b, self.scenario.cutoff).T
 
     # -- stepping ------------------------------------------------------------
 
@@ -351,7 +359,7 @@ class FrugalLoop:
         timeout_used = self.current_timeout
         for req in requests:
             self.execute_request(req)
-        self._update_pools()
+        self._update_pools(np.unique([self._train_pos[req.instance] for req in requests]))
         previous = self.ensemble
         self.ensemble = self._retrain()
 

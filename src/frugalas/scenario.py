@@ -41,6 +41,8 @@ class Scenario:
     runs: dict[tuple[str, str], RunRecord]
     cutoff: float
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # (instances, algorithms) PAR10 table, filled by `selector.par10_table`.
+    par10_cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {inst: k for k, inst in enumerate(self.instances)}

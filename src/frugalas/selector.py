@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forest import ForestConfig, RandomForest, fit_forest
+from .forest import ForestConfig, RandomForest, fit_forest, forest_proba
 from .labels import LabelStore, pair_classes, timeout_classes
 from .preprocess import ImputerModel, PreprocessError, par10
 from .scenario import Scenario
@@ -152,54 +152,63 @@ def train_ensemble(
 
 
 def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:
-    """Pick an algorithm for each raw (unimputed) feature vector."""
+    """Pick an algorithm for each raw (unimputed) feature vector.
+
+    Timeout models predicting a timeout exclude their algorithm, unless that
+    would exclude every algorithm; each pair with both sides admitted votes
+    for its predicted winner; the earliest algorithm wins a tie.
+    """
     X = ensemble.imputer.transform(np.atleast_2d(np.asarray(raw_rows, dtype=np.float64)))
     n = X.shape[0]
+    column = {a: k for k, a in enumerate(ensemble.algorithms)}
+    pairs = [pm for pm in ensemble.pairwise if pm.model is not None]
+    timeouts = [tm for tm in ensemble.timeout_models or [] if tm.model is not None]
+    p0, p1 = forest_proba([m.model for m in pairs + timeouts], X)
 
-    pair_votes_for_b = [
-        pm.model.predict_label(X) if pm.model is not None else None
-        for pm in ensemble.pairwise
-    ]
-    timeout_pred: dict[str, np.ndarray] = {}
-    if ensemble.timeout_models is not None:
-        for tm in ensemble.timeout_models:
-            if tm.model is not None:
-                timeout_pred[tm.algorithm] = (
-                    tm.model.predict_proba(X)[:, 1] > TIMEOUT_CONFIDENCE_THRESHOLD
-                )
+    excluded = np.zeros((len(column), n), dtype=bool)
+    excluded[[column[tm.algorithm] for tm in timeouts]] = (
+        p1[len(pairs):] > TIMEOUT_CONFIDENCE_THRESHOLD
+    )
+    # All predicted to time out: fall back to the full portfolio.
+    excluded[:, excluded.all(axis=0)] = False
 
-    chosen: list[str] = []
-    for r in range(n):
-        excluded = {a for a, pred in timeout_pred.items() if pred[r]}
-        if excluded == set(ensemble.algorithms):
-            # All predicted to time out: fall back to the full portfolio.
-            excluded = set()
-        candidates = [a for a in ensemble.algorithms if a not in excluded]
-
-        votes = {a: 0 for a in candidates}
-        for pm, labels in zip(ensemble.pairwise, pair_votes_for_b):
-            a, b = pm.pair
-            if labels is None or a not in votes or b not in votes:
-                continue
-            votes[b if labels[r] == 1 else a] += 1
-
-        # Ties resolve to the earliest algorithm in portfolio order.
-        chosen.append(max(candidates, key=lambda a: (votes[a], -candidates.index(a))))
-    return chosen
+    sides = np.array([[column[a] for a in pm.pair] for pm in pairs], dtype=np.intp)
+    sides = sides.reshape(-1, 2)
+    winner = np.where(p1[: len(pairs)] > p0[: len(pairs)], sides[:, 1:], sides[:, :1])
+    admitted = ~excluded[sides[:, 0]] & ~excluded[sides[:, 1]]
+    cell = winner * n + np.arange(n)
+    counts = np.bincount(cell[admitted], minlength=len(column) * n).reshape(len(column), n)
+    counts[excluded] = -1
+    return [ensemble.algorithms[k] for k in counts.argmax(axis=0).tolist()]
 
 
 def select_algorithm(ensemble: SelectorEnsemble, raw_row) -> str:
     return select_batch(ensemble, np.asarray(raw_row, dtype=np.float64).reshape(1, -1))[0]
 
 
+def par10_table(scenario: Scenario) -> np.ndarray:
+    """(instances, algorithms) PAR10 of every recorded run, in scenario order;
+    built on first use and kept on the scenario."""
+    if scenario.par10_cache is None:
+        table = np.empty((len(scenario.instances), len(scenario.algorithms)))
+        for r, inst in enumerate(scenario.instances):
+            for c, algo in enumerate(scenario.algorithms):
+                rec = scenario.run(inst, algo)
+                table[r, c] = par10(rec.runtime, rec.status, scenario.cutoff)
+        scenario.par10_cache = table
+    return scenario.par10_cache
+
+
 def evaluate_selector(ensemble: SelectorEnsemble, instances, scenario: Scenario) -> float:
-    """Total PAR10 of the selected algorithms' true recorded runs."""
+    """Total PAR10 of the selected algorithms' true recorded runs, summed
+    left to right."""
     instances = list(instances)
     if not instances:
         return 0.0
-    rows = np.vstack([scenario.feature_row(i) for i in instances])
+    rows = [scenario.instance_index(i) for i in instances]
+    column = {a: k for k, a in enumerate(scenario.algorithms)}
+    columns = [column[a] for a in select_batch(ensemble, scenario.feature_matrix[rows])]
     total = 0.0
-    for inst, algo in zip(instances, select_batch(ensemble, rows)):
-        rec = scenario.run(inst, algo)
-        total += par10(rec.runtime, rec.status, scenario.cutoff)
+    for score in par10_table(scenario)[rows, columns].tolist():
+        total += score
     return total

@@ -35,6 +35,36 @@ def build_scenario(runtimes, statuses=None, cutoff=100.0, features=None, scenari
     )
 
 
+def reference_tree_predict(tree, X):
+    """Leaf class of each row of X, walking one tree at a time; rows with
+    `feature <= threshold` go left. The forest's own predictions come from
+    `forest_votes`, which must equal this walk."""
+    idx = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        feat = tree.feature[idx]
+        rows = np.nonzero(feat >= 0)[0]
+        if rows.size == 0:
+            break
+        at = idx[rows]
+        go_left = X[rows, feat[rows]] <= tree.threshold[at]
+        idx[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.leaf_class[idx]
+
+
+def reference_votes(forest, X):
+    """Class-1 tree votes of one forest, one tree walk after another."""
+    votes1 = np.zeros(X.shape[0], dtype=np.int64)
+    for tree in forest.trees:
+        votes1 += reference_tree_predict(tree, X)
+    return votes1
+
+
+def reference_proba(forest, X):
+    votes1 = reference_votes(forest, X)
+    n = len(forest.trees)
+    return np.column_stack([(n - votes1) / n, votes1 / n])
+
+
 @pytest.fixture
 def two_by_two():
     # runtimes [[1,10],[10,1]]: total 22s, VBS 2s, SBS 11s at cutoff 100

@@ -3,12 +3,13 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import reference_proba, reference_votes
 from frugalas.forest import (
     ForestConfig,
-    RandomForest,
     dump_trees,
     _scan_split,
     fit_forest,
+    forest_votes,
 )
 
 
@@ -108,6 +109,90 @@ def _oracle_proba(trees, row):
         votes1 += 1 if n1 > n0 else 0  # leaf ties resolve toward class 0
     n = len(trees)
     return [(n - votes1) / n, votes1 / n]
+
+
+def golden_forests():
+    """The forests of `test_golden.test_trees_match_golden_digest`, with
+    their training rows, grouped by feature count."""
+    rng = np.random.default_rng(12345)
+    groups = []
+    for n_features in range(1, 36):
+        group = []
+        for kind in ("continuous", "duplicates", "mixed"):
+            n = int(rng.integers(2, 120))
+            if kind == "continuous":
+                X = rng.normal(size=(n, n_features))
+            elif kind == "duplicates":
+                X = rng.integers(0, 4, size=(n, n_features)).astype(float)
+            else:
+                X = rng.normal(size=(n, n_features))
+                X[:, ::2] = np.round(X[:, ::2])
+                X[:, 0] = 1.0
+            y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(int)
+            forest = fit_forest(X, y, ForestConfig(n_trees=7, seed=int(rng.integers(1000))))
+            group.append((forest, X))
+        groups.append(group)
+    return groups
+
+
+def on_threshold_rows(forest, X):
+    """One copy of a training row per internal node, with the node's feature
+    set exactly to its threshold."""
+    rows = []
+    for tree in forest.trees:
+        for node in np.flatnonzero(tree.feature >= 0):
+            row = X[node % X.shape[0]].copy()
+            row[tree.feature[node]] = tree.threshold[node]
+            rows.append(row)
+    return np.array(rows).reshape(-1, X.shape[1])
+
+
+class TestForestVotes:
+    def test_matches_the_per_tree_walk_on_the_golden_forests(self):
+        on_threshold = 0
+        for group in golden_forests():
+            forests = [forest for forest, _ in group]
+            probe = np.vstack(
+                [X for _, X in group] + [on_threshold_rows(f, X) for f, X in group]
+            )
+            votes = forest_votes(forests, probe)
+            assert votes.dtype == np.int64 and votes.shape == (len(forests), len(probe))
+            for forest, row in zip(forests, votes):
+                assert np.array_equal(row, reference_votes(forest, probe))
+                assert forest.predict_proba(probe).tobytes() == (
+                    reference_proba(forest, probe).tobytes()
+                )
+            on_threshold += sum(len(on_threshold_rows(f, X)) for f, X in group)
+        assert on_threshold > 1000
+
+    def test_a_row_on_the_threshold_goes_left(self):
+        X = np.arange(20.0).reshape(-1, 1)
+        forest = fit_forest(X, (X[:, 0] >= 10).astype(int), ForestConfig(n_trees=1, seed=0))
+        assert forest.depth == 1  # one split, two pure leaves
+        thr = forest.trees[0].threshold[0]
+        assert forest_votes([forest], [[thr], [np.nextafter(thr, 20.0)]]).tolist() == [[0, 1]]
+
+    def test_trees_are_views_of_one_node_store(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 3))
+        forest = fit_forest(X, (X[:, 0] > 0).astype(int), ForestConfig(n_trees=4, seed=1))
+        stops = list(forest.roots[1:]) + [forest.nodes.feature.shape[0]]
+        for tree, start, stop in zip(forest.trees, forest.roots, stops):
+            assert np.shares_memory(tree.feature, forest.nodes.feature)
+            assert np.array_equal(tree.threshold, forest.nodes.threshold[start:stop])
+        assert sum(t.feature.shape[0] for t in forest.trees) == forest.nodes.feature.shape[0]
+
+    def test_empty_inputs(self):
+        forest = fit_forest(np.array([[0.0], [1.0]]), np.array([0, 1]))
+        assert forest_votes([forest, forest], np.empty((0, 1))).shape == (2, 0)
+        assert forest_votes([], np.zeros((3, 1))).shape == (0, 3)
+
+    def test_feature_mismatch_and_missing_values(self):
+        forest = fit_forest(np.array([[0.0], [1.0]]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="expected 1 features"):
+            forest_votes([forest], [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="imputed"):
+            forest_votes([forest], [[np.nan]])
 
 
 class TestAccuracy:

@@ -3,7 +3,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from conftest import build_scenario
+from conftest import build_scenario, reference_proba
 from frugalas.forest import ForestConfig, dump_trees
 from frugalas.labels import Censored, Solved, pairwise_label
 from frugalas.loop import (
@@ -144,34 +144,34 @@ class TestInitialPhase:
             make_loop(n_train=4, initial_size=5)
 
 
-class _FakeModel:
-    """predict_proba stub returning preset top-class probabilities row by row."""
-
-    def __init__(self, p_max_by_row):
-        self.p_max = np.asarray(p_max_by_row, dtype=np.float64)
-
-    def predict_proba(self, X):
-        p = self.p_max[: X.shape[0]]
-        return np.column_stack([p, 1.0 - p])
-
-
 class TestUncertaintySelection:
-    def _loop_with_stub(self, pools, models):
+    def _loop_with_stub(self, pools, p_max):
+        """Loop whose pair p has the top-class probability p_max[p][j] on the
+        j-th instance of its pool in train order; a None (or missing) entry
+        leaves the pair untrained. Preset values reach the query through
+        `pair_confidences`, the one place it predicts."""
         loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=2, batch_size=2)
         loop.pool = np.array([[inst in p for inst in loop.train] for p in pools])
         loop.ensemble = SelectorEnsemble(
             s.algorithms,
-            [PairwiseModel(pair, m) for pair, m in zip(loop.pairs, models)],
+            [PairwiseModel(pair, None) for pair in loop.pairs],
             None,
             loop.imputer,
         )
+        confidence = loop.pair_confidences()  # all untrained: the real abstain score
+        for p, preset in enumerate(p_max):
+            if preset is not None:
+                pos = np.flatnonzero(loop.pool[p])
+                top = np.asarray(preset, dtype=np.float64)[: pos.size]
+                confidence[p, pos] = np.maximum(top, 1.0 - top)
+        loop.pair_confidences = lambda: confidence
         return loop
 
     def test_most_uncertain_pair_dominates_batch(self):
         # pair 0 confidences {0.51, 0.52} both beat pair 1's 0.99
         loop = self._loop_with_stub(
             pools=[{"i0", "i1"}, {"i2"}, set()],
-            models=[_FakeModel([0.51, 0.52]), _FakeModel([0.99]), None],
+            p_max=[[0.51, 0.52], [0.99], None],
         )
         picked = loop.select_queries_uncertainty(2)
         assert [(r.pair_index, r.instance) for r in picked] == [(0, "i0"), (0, "i1")]
@@ -180,7 +180,7 @@ class TestUncertaintySelection:
     def test_ascending_merge_across_pairs(self):
         loop = self._loop_with_stub(
             pools=[{"i0"}, {"i1"}, {"i2"}],
-            models=[_FakeModel([0.9]), _FakeModel([0.6]), _FakeModel([0.7])],
+            p_max=[[0.9], [0.6], [0.7]],
         )
         picked = loop.select_queries_uncertainty(3)
         assert [r.pair_index for r in picked] == [1, 2, 0]
@@ -188,7 +188,7 @@ class TestUncertaintySelection:
     def test_abstaining_model_scores_half(self):
         loop = self._loop_with_stub(
             pools=[{"i0"}, {"i0"}, set()],
-            models=[_FakeModel([0.5001]), None],
+            p_max=[[0.5001], None],
         )
         picked = loop.select_queries_uncertainty(2)
         # an abstaining pair counts as maximally uncertain (0.5) and goes first
@@ -197,7 +197,7 @@ class TestUncertaintySelection:
     def test_tie_breaks_by_pair_then_instance_position(self):
         loop = self._loop_with_stub(
             pools=[{"i3", "i1"}, {"i0"}, set()],
-            models=[_FakeModel([0.8, 0.8]), _FakeModel([0.8])],
+            p_max=[[0.8, 0.8], [0.8]],
         )
         picked = loop.select_queries_uncertainty(3)
         assert [(r.pair_index, r.instance) for r in picked] == [
@@ -214,7 +214,7 @@ class TestUncertaintySelection:
                 {f"i{k}" for k in range(8) if rng.random() < 0.6} for _ in range(3)
             ]
             p_max = [rng.choice([0.5, 0.6, 0.7], size=8) for _ in range(3)]
-            loop = self._loop_with_stub(pools, [_FakeModel(p) for p in p_max])
+            loop = self._loop_with_stub(pools, p_max)
             entries = sorted(
                 (float(p_max[p][r]), p, int(inst[1:]))
                 for p, pool in enumerate(pools)
@@ -225,10 +225,24 @@ class TestUncertaintySelection:
                 entries[:7]
             )
 
+    def test_pair_confidences_match_each_forest(self):
+        loop, _ = make_loop(n_train=20, n_algorithms=3, initial_size=6, batch_size=2)
+        loop.run(max_steps=3)
+        loop.ensemble.pairwise[1].model = None  # an untrained pair abstains
+        confidence = loop.pair_confidences()
+        assert confidence.shape == loop.pool.shape
+        assert any(pm.model is not None for pm in loop.ensemble.pairwise)
+        for p, pm in enumerate(loop.ensemble.pairwise):
+            if pm.model is None:
+                expected = np.full(len(loop.train), 0.5)
+            else:
+                expected = reference_proba(pm.model, loop._train_X).max(axis=1)
+            assert confidence[p].tobytes() == expected.tobytes()
+
     def test_request_cap(self):
         loop = self._loop_with_stub(
             pools=[{"i0", "i1", "i2"}, set(), set()],
-            models=[_FakeModel([0.7, 0.8, 0.9]), None, None],
+            p_max=[[0.7, 0.8, 0.9], None, None],
         )
         assert len(loop.select_queries_uncertainty(2)) == 2
         assert len(loop.select_queries_uncertainty(100)) == 3
@@ -366,6 +380,18 @@ class TestStepping:
             open_cells = int(loop.pool.sum())
             assert record.resolved_cells + open_cells == loop.total_cells
             assert not (loop.pool & ~before).any()  # a cell never re-enters a pool
+
+    @pytest.mark.parametrize("dynamic_timeout", [False, True])
+    def test_resettling_touched_instances_equals_a_full_resettle(self, dynamic_timeout):
+        loop, _ = make_loop(n_train=12, n_algorithms=3, initial_size=2, batch_size=3,
+                            dynamic_timeout=dynamic_timeout)
+        settled_any = False
+        while loop.step() is not None:
+            kept = loop.pool.copy()
+            loop._update_pools()  # every instance
+            assert np.array_equal(loop.pool, kept)
+            settled_any |= not kept.all()
+        assert settled_any and not loop.pool.any()
 
     def test_static_timeout_cost_never_exceeds_full_labelling(self):
         loop, s = make_loop(n_train=8, n_algorithms=2, initial_size=2, batch_size=2)

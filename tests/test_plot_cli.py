@@ -203,6 +203,8 @@ class TestRunUsageErrors:
         [
             (["--folds", "11"], "no fold 10"),
             (["--n-trees", "0"], "n_trees must be >= 1"),
+            (["--folds", "0"], "folds must be nonempty"),
+            (["--seeds", "0"], "seeds must be nonempty"),
         ],
     )
     def test_out_of_range_value_exits_with_usage(self, scenario_dir, tmp_path, capsys, flags,
@@ -216,6 +218,26 @@ class TestRunUsageErrors:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()  # rejected before any cell ran
+
+    def test_non_integer_seed_variable_exits_with_usage(self, scenario_dir, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("FRUGAL_SEED", "abc")
+        out = tmp_path / "res"
+        argv = ["run", str(scenario_dir), "--selection", "random",
+                "--timeout-predictor", "off", "--dynamic-timeout", "off",
+                *RUN_FAST, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: FRUGAL_SEED must be an integer, got 'abc'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_spec_rejects_empty_folds_and_seeds(self):
+        scenario = make_synthetic_scenario(40, 2, seed=0)
+        with pytest.raises(ValueError, match="folds must be nonempty"):
+            ExperimentSpec(scenario, "out", folds=[])
+        with pytest.raises(ValueError, match="seeds must be nonempty"):
+            ExperimentSpec(scenario, "out", seeds=[])
 
     def test_spec_rejects_folds_outside_the_ten(self):
         scenario = make_synthetic_scenario(40, 2, seed=0)

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_scenario
-from frugalas.forest import ForestConfig, fit_forest
+from conftest import build_scenario, reference_proba
+from frugalas.forest import (
+    DecisionTree,
+    ForestConfig,
+    RandomForest,
+    fit_forest,
+    forest_votes,
+)
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeout_label
-from frugalas.preprocess import fit_imputer
+from frugalas.preprocess import ImputerModel, fit_imputer, par10
 from frugalas.scenario import OK, TIMEOUT, par1
 from frugalas.selector import (
     PairwiseModel,
@@ -12,7 +20,9 @@ from frugalas.selector import (
     TimeoutModel,
     algorithm_pairs,
     evaluate_selector,
+    par10_table,
     select_algorithm,
+    select_batch,
     train_ensemble,
 )
 
@@ -157,6 +167,133 @@ class TestVoting:
         assert select_algorithm(ens, s.feature_row("i0")) == "a0"
 
 
+def preset_forest(tree_classes):
+    """Forest over one feature whose tree t predicts tree_classes[t][r] on
+    the value r. Each tree is a chain in preorder: node 2j splits at j + 0.5,
+    its left child 2j + 1 is the leaf of value j, and 2(n - 1) is the last
+    value's leaf."""
+    tree_classes = np.asarray(tree_classes, dtype=np.int64)
+    k, n = tree_classes.shape
+    feature, threshold, left, right, n1 = [], [], [], [], []
+    for classes in tree_classes:
+        for j in range(n):
+            if j < n - 1:
+                feature.append(0)
+                threshold.append(j + 0.5)
+                left.append(2 * j + 1)
+                right.append(2 * j + 2)
+                n1.append(0)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            n1.append(int(classes[j]))
+    feature = np.array(feature, dtype=np.int32)
+    n1 = np.array(n1, dtype=np.int64)
+    n0 = np.where(feature >= 0, 0, 1 - n1)
+    return RandomForest(
+        config=ForestConfig(n_trees=k),
+        n_features=1,
+        max_features=1,
+        nodes=DecisionTree(
+            feature=feature,
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            n0=n0,
+            n1=n1,
+            leaf_class=(n1 > n0).astype(np.int8),
+        ),
+        roots=np.arange(k, dtype=np.int64) * (2 * n - 1),
+        depth=n - 1,
+    )
+
+
+def reference_select_batch(ensemble, raw_rows):
+    """The per-row vote loop `select_batch` replaced, on per-tree walks."""
+    X = ensemble.imputer.transform(np.atleast_2d(np.asarray(raw_rows, dtype=np.float64)))
+    n = X.shape[0]
+    pair_votes_for_b = []
+    for pm in ensemble.pairwise:
+        if pm.model is None:
+            pair_votes_for_b.append(None)
+        else:
+            proba = reference_proba(pm.model, X)
+            pair_votes_for_b.append((proba[:, 1] > proba[:, 0]).astype(np.int8))
+    timeout_pred = {}
+    if ensemble.timeout_models is not None:
+        for tm in ensemble.timeout_models:
+            if tm.model is not None:
+                timeout_pred[tm.algorithm] = reference_proba(tm.model, X)[:, 1] > 0.5
+
+    chosen = []
+    for r in range(n):
+        excluded = {a for a, pred in timeout_pred.items() if pred[r]}
+        if excluded == set(ensemble.algorithms):
+            excluded = set()
+        candidates = [a for a in ensemble.algorithms if a not in excluded]
+        votes = {a: 0 for a in candidates}
+        for pm, labels in zip(ensemble.pairwise, pair_votes_for_b):
+            a, b = pm.pair
+            if labels is None or a not in votes or b not in votes:
+                continue
+            votes[b if labels[r] == 1 else a] += 1
+        chosen.append(max(candidates, key=lambda a: (votes[a], -candidates.index(a))))
+    return chosen
+
+
+def _maybe_forest(draw, n):
+    """None (untrained) or a preset forest of 1-4 trees on n rows."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return None
+    k = draw(st.integers(1, 4))
+    classes = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                            min_size=k, max_size=k))
+    return preset_forest(classes)
+
+
+class TestSelectBatch:
+    def test_preset_forest_predicts_its_classes(self):
+        classes = [[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 0]]
+        forest = preset_forest(classes)
+        rows = np.arange(4.0).reshape(-1, 1)
+        assert forest_votes([forest], rows)[0].tolist() == [2, 1, 3, 1]
+        assert reference_proba(forest, rows)[:, 1].tolist() == [2 / 3, 1 / 3, 1.0, 1 / 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_row_loop(self, data):
+        draw = data.draw
+        m = draw(st.integers(2, 5))
+        n = draw(st.integers(1, 6))
+        algorithms = [f"a{k}" for k in range(m)]
+        pairwise = [PairwiseModel(pair, _maybe_forest(draw, n))
+                    for pair in algorithm_pairs(algorithms)]
+        timeout_models = None
+        if draw(st.booleans()):
+            timeout_models = [TimeoutModel(a, 1.0, _maybe_forest(draw, n)) for a in algorithms]
+        imputer = ImputerModel(["f0"], np.array([0]), np.array([0.0]))
+        ensemble = SelectorEnsemble(algorithms, pairwise, timeout_models, imputer)
+        rows = np.arange(float(n)).reshape(-1, 1)
+        assert select_batch(ensemble, rows) == reference_select_batch(ensemble, rows)
+
+    def test_the_cases_the_property_needs_occur(self):
+        # every timeout model fires on row 0 and none on row 1; pair (a0, a1)
+        # is tied 1-1 (a0 wins), (a0, a2) abstains
+        fire = preset_forest([[1, 0]])
+        ensemble = SelectorEnsemble(
+            ["a0", "a1", "a2"],
+            [PairwiseModel(("a0", "a1"), preset_forest([[1, 1], [0, 0]])),
+             PairwiseModel(("a0", "a2"), None),
+             PairwiseModel(("a1", "a2"), preset_forest([[1, 1]]))],
+            [TimeoutModel(a, 1.0, fire) for a in ["a0", "a1", "a2"]],
+            ImputerModel(["f0"], np.array([0]), np.array([0.0])),
+        )
+        rows = np.array([[0.0], [1.0]])
+        assert select_batch(ensemble, rows) == reference_select_batch(ensemble, rows)
+        assert select_batch(ensemble, rows) == ["a0", "a0"]
+
+
 class TestTrainEnsemble:
     def _store_full(self, scenario):
         store = LabelStore(scenario.instances, scenario.algorithms)
@@ -261,3 +398,26 @@ class TestEvaluate:
         )
         ens = _ensemble(s, {("a0", "a1"): "b"})  # picks a1 everywhere
         assert evaluate_selector(ens, s.instances, s) == 3.0 + 8.0 + 9.0
+
+    def test_total_is_a_left_to_right_sum(self):
+        # ten runs of 0.1 s: 0.1 + 0.1 + ... gives 0.9999999999999999, while
+        # np.sum (pairwise) and math.fsum give 1.0
+        s = build_scenario(np.column_stack([np.full(10, 0.1), np.full(10, 5.0)]))
+        ens = _ensemble(s, {("a0", "a1"): "a"})  # picks a0 everywhere
+        total = evaluate_selector(ens, s.instances, s)
+        assert type(total) is float
+        assert repr(total) == "0.9999999999999999"
+        assert total != float(np.sum(np.full(10, 0.1)))
+
+    def test_par10_table_is_built_on_first_use(self):
+        s = build_scenario(
+            [[10.0, 3.0], [100.0, 8.0], [2.0, 9.0]],
+            statuses=[[OK, OK], [TIMEOUT, OK], [OK, OK]],
+        )
+        assert s.par10_cache is None
+        table = par10_table(s)
+        assert table.shape == (3, 2) and par10_table(s) is table
+        for r, inst in enumerate(s.instances):
+            for c, algo in enumerate(s.algorithms):
+                rec = s.run(inst, algo)
+                assert table[r, c] == par10(rec.runtime, rec.status, s.cutoff)
