@@ -13,7 +13,9 @@ from pathlib import Path
 
 from .arff import ArffError
 from .harness import (
+    FRUGAL_CONFIGS,
     ExperimentSpec,
+    parse_config_id,
     read_step_logs,
     read_summary,
     run_grid,
@@ -100,21 +102,18 @@ def parse_config_file(path) -> dict:
 
 
 def _expand_configs(selection: str, to: str, dt: str) -> list[str]:
-    selections = ["uncertainty", "random"] if selection == "both" else [selection]
-    tos = [True, False] if to == "both" else [to == "on"]
-    dts = [True, False] if dt == "both" else [dt == "on"]
+    """The `FRUGAL_CONFIGS` ids, in grid order, that match the selection
+    strategy and the on/off timeout-predictor and dynamic-timeout choices;
+    'both' matches either."""
     configs = []
-    for sel in selections:
-        for use_to in (True, False):
-            for use_dt in (True, False):
-                if use_to not in tos or use_dt not in dts:
-                    continue
-                config_id = sel
-                if use_to:
-                    config_id += "-to"
-                if use_dt:
-                    config_id += "-dt"
-                configs.append(config_id)
+    for config_id in FRUGAL_CONFIGS:
+        flags = parse_config_id(config_id)
+        if (
+            selection in ("both", flags["selection"])
+            and to in ("both", "on" if flags["to"] else "off")
+            and dt in ("both", "on" if flags["dt"] else "off")
+        ):
+            configs.append(config_id)
     return configs
 
 

@@ -7,15 +7,16 @@ bootstrap resampling. Predictions expose the fraction of tree votes as a
 confidence.
 
 Each split node scans all of its candidate features at once in numpy
-(`_scan_split`); there is no compiled kernel. A forest keeps the nodes of all
-its trees in one set of flat arrays, and `forest_votes` walks every (forest,
-tree, row) lane of any list of forests at once, one numpy pass per level.
+(`_scan_split`); there is no compiled kernel. Each tree grows from an
+explicit preorder stack, with no recursion limit to meet or raise. A forest
+keeps the nodes of all its trees in one set of flat arrays, and
+`forest_votes` walks every (forest, tree, row) lane of any list of forests at
+once, one numpy pass per level.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,58 +178,47 @@ def forest_proba(forests, X) -> tuple[np.ndarray, np.ndarray]:
     return (k - votes) / k, votes / k
 
 
-class _TreeBuilder:
-    """Grows one tree into the node lists it shares with the forest's other
-    trees; child indices count from the tree's root."""
+def _grow_tree(XT, y, sample, max_features, rng, nodes) -> int:
+    """Grow one tree on the rows `sample` into the node lists it shares with
+    the forest's other trees; returns the tree's depth.
 
-    def __init__(self, XT, y, max_features, rng, nodes):
-        self.XT = XT  # (n_features, n_rows), one contiguous row per feature
-        self.y = y  # int64
-        self.max_features = max_features
-        self.rng = rng
-        (self.feature, self.threshold, self.left, self.right, self.n0, self.n1) = nodes
-        self.root = len(self.feature)
-        self.depth = 0
-
-    def _add_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.n0.append(0)
-        self.n1.append(0)
-        return len(self.feature) - 1 - self.root
-
-    def build(self, idx: np.ndarray, depth: int = 0) -> int:
-        self.depth = max(self.depth, depth)
-        node = self._add_node()
-        at = self.root + node
-        labels = self.y[idx]
+    XT is (n_features, n_rows), one contiguous row per feature, and y the
+    int64 labels. Nodes are numbered in preorder as they leave an explicit
+    stack, child indices count from the tree's root, and each impure node
+    draws its candidate features from `rng` in that order.
+    """
+    feature, threshold, left, right, n0, n1 = nodes
+    root = len(feature)
+    depth = 0
+    # (rows, depth, (child list, parent position) to point at the node).
+    stack = [(sample, 0, None)]
+    while stack:
+        idx, level, slot = stack.pop()
+        depth = max(depth, level)
+        at = len(feature)
+        if slot is not None:
+            children, parent = slot
+            children[parent] = at - root
+        labels = y[idx]
         n = idx.size
         c1 = int(labels.sum())
         c0 = n - c1
         # A pure node, including every node of fewer than two rows, is a leaf.
-        if c0 == 0 or c1 == 0:
-            self.n0[at], self.n1[at] = c0, c1
-            return node
+        node = (-1, 0.0, -1, -1, c0, c1)
+        if c0 and c1:
+            candidates = rng.choice(XT.shape[0], size=max_features, replace=False)
+            block = XT.take(candidates, axis=0).take(idx, axis=1)
+            row, score, thr = _scan_split(block, labels)
+            if row >= 0 and score < n - (c0 * c0 + c1 * c1) / n:
+                best_feature = int(candidates[row])
+                go_left = XT[best_feature, idx] <= thr
+                node = (best_feature, thr, -1, -1, 0, 0)
+                stack.append((idx[~go_left], level + 1, (right, at)))
+                stack.append((idx[go_left], level + 1, (left, at)))
+        for column, value in zip(nodes, node):
+            column.append(value)
+    return depth
 
-        candidates = self.rng.choice(
-            self.XT.shape[0], size=self.max_features, replace=False
-        )
-        block = self.XT.take(candidates, axis=0).take(idx, axis=1)
-        row, score, thr = _scan_split(block, labels)
-        parent_score = n - (c0 * c0 + c1 * c1) / n
-        if row < 0 or not score < parent_score:
-            self.n0[at], self.n1[at] = c0, c1
-            return node
-
-        best_feature = int(candidates[row])
-        go_left = self.XT[best_feature, idx] <= thr
-        self.feature[at] = best_feature
-        self.threshold[at] = thr
-        self.left[at] = self.build(idx[go_left], depth + 1)
-        self.right[at] = self.build(idx[~go_left], depth + 1)
-        return node
 
 def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     """Train a forest; (seed, data) fully determine the result."""
@@ -252,18 +242,11 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     # sequential result.
     nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, n0, n1
     roots, depth = [], 0
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000))
-    try:
-        for t in range(config.n_trees):
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
-            sample = rng.integers(0, n, size=n)
-            builder = _TreeBuilder(XT, y64, max_features, rng, nodes)
-            builder.build(np.sort(sample))
-            roots.append(builder.root)
-            depth = max(depth, builder.depth)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    for t in range(config.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
+        sample = rng.integers(0, n, size=n)
+        roots.append(len(nodes[0]))
+        depth = max(depth, _grow_tree(XT, y64, np.sort(sample), max_features, rng, nodes))
     feature, threshold, left, right, n0, n1 = nodes
     n0 = np.array(n0, dtype=np.int64)
     n1 = np.array(n1, dtype=np.int64)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -268,21 +269,14 @@ def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
         for fold in spec.folds
         for seed in spec.seeds
     ]
+    parallel = spec.jobs > 1
     paths = []
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            for (s, config_id, fold, seed), path in zip(
-                cells, pool.map(_run_cell_star, cells)
-            ):
-                paths.append(path)
-                if progress:
-                    progress(config_id, fold, seed, path)
-    else:
-        for cell in cells:
-            path = run_cell(*cell)
+    with ProcessPoolExecutor(max_workers=spec.jobs) if parallel else nullcontext() as pool:
+        results = (pool.map if parallel else map)(_run_cell_star, cells)
+        for (_, config_id, fold, seed), path in zip(cells, results):
             paths.append(path)
             if progress:
-                progress(cell[1], cell[2], cell[3], path)
+                progress(config_id, fold, seed, path)
     return paths
 
 

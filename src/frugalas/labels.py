@@ -108,13 +108,17 @@ def timeout_label(obs: Observation | None, timeout: float) -> int | None:
     return 1 if obs.at >= timeout else None
 
 
+def _wins(solved, censored, a, b):
+    """(a_wins, b_wins): where column a, or column b, is known faster."""
+    sa, sb = solved[:, a], solved[:, b]
+    return (sa < sb) | (sa <= censored[:, b]), (sb < sa) | (sb <= censored[:, a])
+
+
 def pair_classes(solved, censored, a, b) -> np.ndarray:
     """`pairwise_label` of columns a and b as int8: 0 = a faster, 1 = b
     faster, -1 = no label (either side unlabelled, or undecided). With index
     arrays a and b, one column per pair."""
-    sa, sb = solved[:, a], solved[:, b]
-    a_wins = (sa < sb) | (sa <= censored[:, b])
-    b_wins = (sb < sa) | (sb <= censored[:, a])
+    a_wins, b_wins = _wins(solved, censored, a, b)
     return np.where(a_wins, 0, np.where(b_wins, 1, -1)).astype(np.int8)
 
 
@@ -130,5 +134,6 @@ def settled(solved, censored, a, b, cutoff: float) -> np.ndarray:
     `pair_classes`: the label is decided, or both sides are final (solved,
     or censored at the cutoff), as an exact runtime tie or two censors at
     the cutoff never become informative."""
+    a_wins, b_wins = _wins(solved, censored, a, b)
     final = ~np.isnan(solved) | (censored >= cutoff)
-    return (pair_classes(solved, censored, a, b) >= 0) | (final[:, a] & final[:, b])
+    return a_wins | b_wins | (final[:, a] & final[:, b])

@@ -86,7 +86,6 @@ class DynamicTimeoutController:
                  plateau_tolerance=0.01):
         if initial <= 0 or cap <= 0 or initial > cap:
             raise ValueError("need 0 < initial <= cap")
-        self.initial = initial
         self.current = initial
         self.cap = cap
         self.growth_factor = growth_factor
@@ -219,10 +218,7 @@ class FrugalLoop:
         picks = self.rng.choice(n, size=initial, replace=False)
         initial_set = [self.train[i] for i in sorted(picks)]
         for inst in initial_set:
-            for algo in scenario.algorithms:
-                obs, charged = self.oracle.simulate(inst, algo, self.current_timeout)
-                self.store.record(inst, algo, obs)
-                self.ledger.charge(0, inst, algo, charged, obs)
+            self._run(inst, scenario.algorithms)
 
         # pool[p, k]: the cell (pair p, train instance k) is still queryable.
         self.pool = np.ones((len(self.pairs), n), dtype=bool)
@@ -318,24 +314,26 @@ class FrugalLoop:
 
     # -- execution -----------------------------------------------------------
 
-    def execute_request(self, req: QueryRequest) -> None:
-        """Run both sides of the pair at the current timeout, reusing the cache.
+    def _run(self, instance: str, algorithms) -> None:
+        """Run `instance` on each of `algorithms` at the current timeout,
+        charged at the current step.
 
         A side already solved, or censored at a level >= the current timeout,
-        costs nothing. A censored side below the current timeout is rerun from
-        scratch and the whole new attempt is charged.
+        is skipped and costs nothing. A censored side below the current
+        timeout is rerun from scratch and the whole new attempt is charged.
         """
-        for algo in req.pair:
-            obs = self.store.get(req.instance, algo)
-            if isinstance(obs, Solved):
+        timeout = self.current_timeout
+        for algo in algorithms:
+            obs = self.store.get(instance, algo)
+            if isinstance(obs, Solved) or (isinstance(obs, Censored) and obs.at >= timeout):
                 continue
-            if isinstance(obs, Censored) and obs.at >= self.current_timeout:
-                continue
-            new_obs, charged = self.oracle.simulate(
-                req.instance, algo, self.current_timeout
-            )
-            self.store.record(req.instance, algo, new_obs)
-            self.ledger.charge(self.step_index, req.instance, algo, charged, new_obs)
+            new_obs, charged = self.oracle.simulate(instance, algo, timeout)
+            self.store.record(instance, algo, new_obs)
+            self.ledger.charge(self.step_index, instance, algo, charged, new_obs)
+
+    def execute_request(self, req: QueryRequest) -> None:
+        """Run both sides of the pair, reusing the cache (see `_run`)."""
+        self._run(req.instance, req.pair)
         self.requests_executed += 1
 
     def _update_pools(self, positions=slice(None)) -> None:

@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +194,43 @@ class TestForestVotes:
             forest_votes([forest], [[1.0, 2.0]])
         with pytest.raises(ValueError, match="imputed"):
             forest_votes([forest], [[np.nan]])
+
+
+def longest_path(tree):
+    """Edges on the longest root-to-leaf path, level by level from the root;
+    also checks that the walk reaches every node exactly once."""
+    depth, level, reached = 0, [0], 1
+    while True:
+        inner = [i for i in level if tree.feature[i] >= 0]
+        if not inner:
+            assert reached == tree.feature.shape[0]
+            return depth
+        level = [int(c) for i in inner for c in (tree.left[i], tree.right[i])]
+        reached += len(level)
+        depth += 1
+
+
+class TestGrowTree:
+    def test_leaves_the_recursion_limit_alone(self, monkeypatch):
+        limit = sys.getrecursionlimit()
+
+        def refuse(_):
+            raise AssertionError("fit_forest changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        # Each split of the identity matrix peels off one row: a chain.
+        X = np.eye(300)
+        forest = fit_forest(X, np.arange(300) % 2, ForestConfig(n_trees=2, seed=0))
+        assert forest.depth > 100
+        assert sys.getrecursionlimit() == limit
+
+    def test_depth_is_the_longest_path_and_nodes_are_in_preorder(self):
+        for group in golden_forests():
+            for forest, _ in group:
+                assert forest.depth == max(longest_path(t) for t in forest.trees)
+                for tree in forest.trees:
+                    inner = np.flatnonzero(tree.feature >= 0)
+                    assert np.array_equal(tree.left[inner], inner + 1)
 
 
 class TestAccuracy:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import build_scenario
-from frugalas.cli import main
+from frugalas.cli import _expand_configs, main
 from frugalas.harness import (
+    FRUGAL_CONFIGS,
     ExperimentSpec,
     read_step_logs,
     run_grid,
@@ -195,6 +198,27 @@ class TestRunCommand:
         assert code == 2
         assert "error: no labelled data" in err
         assert "Traceback" not in err
+
+
+class TestExpandConfigs:
+    @pytest.mark.parametrize(
+        "selection, to, dt",
+        itertools.product(
+            ["uncertainty", "random", "both"], ["on", "off", "both"], ["on", "off", "both"]
+        ),
+    )
+    def test_choices_pick_the_matching_grid_configs(self, selection, to, dt):
+        selections = ["uncertainty", "random"] if selection == "both" else [selection]
+        suffixes = {"on": [True], "off": [False], "both": [True, False]}
+        expected = {
+            sel + ("-to" if use_to else "") + ("-dt" if use_dt else "")
+            for sel in selections
+            for use_to in suffixes[to]
+            for use_dt in suffixes[dt]
+        }
+        configs = _expand_configs(selection, to, dt)
+        assert set(configs) == expected
+        assert configs == [c for c in FRUGAL_CONFIGS if c in expected]
 
 
 class TestRunUsageErrors:
