@@ -15,6 +15,7 @@ from .arff import ArffError
 from .harness import (
     FRUGAL_CONFIGS,
     ExperimentSpec,
+    ResultsError,
     parse_config_id,
     read_step_logs,
     read_summary,
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArffError, ScenarioError, PreprocessError, FileNotFoundError) as exc:
+    except (ArffError, ScenarioError, PreprocessError, ResultsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

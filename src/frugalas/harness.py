@@ -2,8 +2,11 @@
 aggregation of per-step logs into cost-vs-performance curves.
 
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
-columns listed in STEP_COLUMNS. Completed cells are skipped on rerun, so an
-interrupted grid resumes where it stopped.
+columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
+cell one per labelling round, and one row builder turns either into rows. Step
+logs and summaries are written atomically (a temporary file, then a rename),
+so completed cells are skipped on rerun and an interrupted grid resumes where
+it stopped.
 """
 
 from __future__ import annotations
@@ -177,11 +180,12 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
+def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=STEP_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
     tmp.replace(path)
@@ -201,59 +205,48 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     plan = make_splits(scenario, seed)
     fold = plan.folds[fold_index]
 
-    common = {
-        "config": config_id,
-        "scenario": scenario.id,
-        "fold": fold_index,
-        "seed": seed,
-    }
-    rows: list[dict] = []
+    # Records are (step, timeout, labels, cost, data fraction, test PAR10).
     if config_id in PASSIVE_CONFIGS:
         # The plain baseline's pairwise forests are the same as those of the
         # timeout-model ensemble, so one fit serves both.
-        ensemble, cost = passive_ensemble(
+        ensemble, passive_cost = passive_ensemble(
             scenario, fold, seed, parse_config_id(config_id)["to"], spec.n_trees
         )
-        test_par10 = evaluate_selector(ensemble, plan.test, scenario)
-        passive_par10 = test_par10
-        if ensemble.timeout_models is not None:
-            passive_par10 = evaluate_selector(
-                replace(ensemble, timeout_models=None), plan.test, scenario
-            )
-        n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
-        rows.append(
-            common
-            | {
-                "step": 1,
-                "timeout_s": repr(scenario.cutoff),
-                "labels": n_cells,
-                "cost_s": repr(cost),
-                "cost_frac": repr(1.0),
-                "data_frac": repr(1.0),
-                "test_par10_s": repr(test_par10),
-                "perf_ratio": repr(_ratio(test_par10, passive_par10)),
-            }
+        passive_par10 = evaluate_selector(
+            replace(ensemble, timeout_models=None), plan.test, scenario
         )
+        test_par10 = passive_par10
+        if ensemble.timeout_models is not None:
+            test_par10 = evaluate_selector(ensemble, plan.test, scenario)
+        n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
+        records = [(1, scenario.cutoff, n_cells, passive_cost, 1.0, test_par10)]
     else:
         passive_par10, passive_cost = run_passive_baseline(
             scenario, fold, plan.test, seed, timeout_models=False, n_trees=spec.n_trees
         )
         loop = FrugalLoop(scenario, fold, plan.test, spec.loop_config(config_id, seed))
-        for rec in loop.run():
-            rows.append(
-                common
-                | {
-                    "step": rec.step,
-                    "timeout_s": repr(rec.timeout),
-                    "labels": rec.requests,
-                    "cost_s": repr(rec.cost),
-                    "cost_frac": repr(_ratio(rec.cost, passive_cost)),
-                    "data_frac": repr(rec.data_frac),
-                    "test_par10_s": repr(rec.test_par10),
-                    "perf_ratio": repr(_ratio(rec.test_par10, passive_par10)),
-                }
-            )
-    _write_rows(path, rows)
+        records = [
+            (r.step, r.timeout, r.requests, r.cost, r.data_frac, r.test_par10)
+            for r in loop.run()
+        ]
+    rows = [
+        {
+            "config": config_id,
+            "scenario": scenario.id,
+            "fold": fold_index,
+            "seed": seed,
+            "step": step,
+            "timeout_s": repr(timeout),
+            "labels": labels,
+            "cost_s": repr(cost),
+            "cost_frac": repr(_ratio(cost, passive_cost)),
+            "data_frac": repr(data_frac),
+            "test_par10_s": repr(test_par10),
+            "perf_ratio": repr(_ratio(test_par10, passive_par10)),
+        }
+        for step, timeout, labels, cost, data_frac, test_par10 in records
+    ]
+    _write_csv(path, STEP_COLUMNS, rows)
     return path
 
 
@@ -280,13 +273,40 @@ def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
     return paths
 
 
+class ResultsError(ValueError):
+    """A step log or summary CSV that lacks one of its columns or holds
+    something other than a number in a number column."""
+
+
+_INTEGER_COLUMNS = {"fold", "seed", "step", "labels", "n_runs"}
+
+
+def _read_csv(path, columns: list[str]) -> list[dict]:
+    """Rows of a CSV file as strings, once it has every one of `columns` and
+    each of them but `config` and `scenario` holds a number in every row."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ResultsError(f"{path}: no column {', '.join(missing)}")
+    numbers = [c for c in columns if c not in ("config", "scenario")]
+    for line, row in enumerate(rows, start=2):
+        for column in numbers:
+            try:
+                (int if column in _INTEGER_COLUMNS else float)(row[column])
+            except (TypeError, ValueError):
+                raise ResultsError(f"{path}, line {line}: {column} is not a number") from None
+    return rows
+
+
 def read_step_logs(log_dir) -> list[dict]:
-    log_dir = Path(log_dir)
+    """Rows of every step log under `log_dir`, read from the grid's layout
+    `<log_dir>/<config>/foldNN_seedS.csv` only, so a summary or any other CSV
+    beside them is never taken for a step log."""
     rows = []
-    for path in sorted(log_dir.rglob("*.csv")):
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append(row)
+    for path in sorted(Path(log_dir).glob("*/fold[0-9][0-9]_seed*.csv")):
+        rows.extend(_read_csv(path, STEP_COLUMNS))
     return rows
 
 
@@ -348,14 +368,8 @@ def summarize(step_rows: list[dict]) -> list[dict]:
 
 
 def write_summary(rows: list[dict], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def read_summary(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+    return _read_csv(path, SUMMARY_COLUMNS)

@@ -195,7 +195,6 @@ class FrugalLoop:
         self._sides = np.array(columns, dtype=np.intp).reshape(-1, 2).T
         # Scenario rows of the training instances, in train order.
         self._rows = np.array([scenario.instance_index(i) for i in self.train], dtype=np.intp)
-        self._train_pos = {inst: k for k, inst in enumerate(self.train)}
         self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
@@ -279,16 +278,7 @@ class FrugalLoop:
         Pairs whose model is most uncertain naturally contribute more of the
         selected requests. Ties break by pair, then by instance position.
         """
-        pair, pos, conf = rank_queries(self.pair_confidences(), self.pool, n_requests)
-        return [
-            QueryRequest(
-                pair_index=p,
-                pair=self.pairs[p],
-                instance=self.train[k],
-                confidence=c,
-            )
-            for p, k, c in zip(pair.tolist(), pos.tolist(), conf.tolist())
-        ]
+        return self._requests(*rank_queries(self.pair_confidences(), self.pool, n_requests))
 
     def select_queries_random(self, n_requests: int) -> list[QueryRequest]:
         """Uniform draw without replacement from the open cells of all pools,
@@ -296,15 +286,15 @@ class FrugalLoop:
         pair, pos = np.nonzero(self.pool)
         if not pos.size:
             return []
-        picks = self.rng.choice(pos.size, size=min(n_requests, pos.size), replace=False)
+        picks = np.sort(self.rng.choice(pos.size, size=min(n_requests, pos.size), replace=False))
+        return self._requests(pair[picks], pos[picks], np.full(picks.size, 0.5))
+
+    def _requests(self, pair, pos, confidence) -> list[QueryRequest]:
+        """One request per (pair index, train position, confidence) of the
+        three arrays, in their order."""
         return [
-            QueryRequest(
-                pair_index=int(pair[i]),
-                pair=self.pairs[pair[i]],
-                instance=self.train[pos[i]],
-                confidence=0.5,
-            )
-            for i in np.sort(picks)
+            QueryRequest(pair_index=p, pair=self.pairs[p], instance=self.train[k], confidence=c)
+            for p, k, c in zip(pair.tolist(), pos.tolist(), confidence.tolist())
         ]
 
     def select_queries(self, n_requests: int) -> list[QueryRequest]:
@@ -336,15 +326,12 @@ class FrugalLoop:
         self._run(req.instance, req.pair)
         self.requests_executed += 1
 
-    def _update_pools(self, positions=slice(None)) -> None:
-        """Drop the settled cells (`labels.settled`) of the training instances
-        at `positions`, by default all; the only place a cell leaves its
-        pool. A cell's settlement changes only with its instance's
-        observations."""
-        rows = self._rows[positions]
-        solved, censored = self.store.solved[rows], self.store.censored[rows]
+    def _update_pools(self) -> None:
+        """Drop the settled cells (`labels.settled`) from the pools; the only
+        place a cell leaves its pool."""
+        solved, censored = self.store.solved[self._rows], self.store.censored[self._rows]
         a, b = self._sides
-        self.pool[:, positions] &= ~settled(solved, censored, a, b, self.scenario.cutoff).T
+        self.pool &= ~settled(solved, censored, a, b, self.scenario.cutoff).T
 
     # -- stepping ------------------------------------------------------------
 
@@ -357,7 +344,7 @@ class FrugalLoop:
         timeout_used = self.current_timeout
         for req in requests:
             self.execute_request(req)
-        self._update_pools(np.unique([self._train_pos[req.instance] for req in requests]))
+        self._update_pools()
         previous = self.ensemble
         self.ensemble = self._retrain()
 

@@ -1,4 +1,4 @@
-"""Feature filtering and imputation, PAR10 scoring, and the split protocol.
+"""Feature filtering and imputation, and the split protocol.
 
 Features with a training missing-rate above 20% are dropped; remaining gaps
 are filled with the training median. Splits carve a 10% test set, partition
@@ -9,11 +9,11 @@ training portion as a validation set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import OK, Scenario
+from .scenario import Scenario, par10  # par10 is re-exported
 
 MISSING_RATE_THRESHOLD = 0.20
 
@@ -73,13 +73,6 @@ def fit_imputer(scenario: Scenario, train_instances) -> ImputerModel:
 
 def apply_imputer(model: ImputerModel, row) -> np.ndarray:
     return model.transform_row(np.asarray(row, dtype=np.float64))
-
-
-def par10(runtime: float, status: str, cutoff: float) -> float:
-    """PAR10 score: solved runs score their runtime, unsolved 10x the cutoff."""
-    if status == OK:
-        return runtime
-    return 10.0 * cutoff
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ single repetition are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,6 @@ class Scenario:
     runs: dict[tuple[str, str], RunRecord]
     cutoff: float
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    # (instances, algorithms) PAR10 table, filled by `selector.par10_table`.
-    par10_cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {inst: k for k, inst in enumerate(self.instances)}
@@ -55,6 +54,15 @@ class Scenario:
 
     def run(self, instance: str, algorithm: str) -> RunRecord:
         return self.runs[(instance, algorithm)]
+
+    @cached_property
+    def par10(self) -> np.ndarray:
+        """(instances, algorithms) PAR10 of every recorded run, in scenario
+        order; built on first read and read-only, since every caller shares it."""
+        runs = [[self.runs[(i, a)] for a in self.algorithms] for i in self.instances]
+        table = np.array([[par10(r.runtime, r.status, self.cutoff) for r in row] for row in runs])
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,13 @@ def load_scenario(directory) -> Scenario:
 def par1(record: RunRecord, cutoff: float) -> float:
     """Runtime with unsolved runs counted at the cutoff."""
     return min(record.runtime, cutoff) if record.status == OK else cutoff
+
+
+def par10(runtime: float, status: str, cutoff: float) -> float:
+    """PAR10 score: solved runs score their runtime, unsolved 10x the cutoff."""
+    if status == OK:
+        return runtime
+    return 10.0 * cutoff
 
 
 def scenario_stats(s: Scenario) -> ScenarioStats:

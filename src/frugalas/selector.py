@@ -14,7 +14,7 @@ import numpy as np
 
 from .forest import ForestConfig, RandomForest, fit_forest, forest_proba
 from .labels import LabelStore, pair_classes, timeout_classes
-from .preprocess import ImputerModel, PreprocessError, par10
+from .preprocess import ImputerModel, PreprocessError
 from .scenario import Scenario
 
 TIMEOUT_CONFIDENCE_THRESHOLD = 0.5
@@ -186,19 +186,6 @@ def select_algorithm(ensemble: SelectorEnsemble, raw_row) -> str:
     return select_batch(ensemble, np.asarray(raw_row, dtype=np.float64).reshape(1, -1))[0]
 
 
-def par10_table(scenario: Scenario) -> np.ndarray:
-    """(instances, algorithms) PAR10 of every recorded run, in scenario order;
-    built on first use and kept on the scenario."""
-    if scenario.par10_cache is None:
-        table = np.empty((len(scenario.instances), len(scenario.algorithms)))
-        for r, inst in enumerate(scenario.instances):
-            for c, algo in enumerate(scenario.algorithms):
-                rec = scenario.run(inst, algo)
-                table[r, c] = par10(rec.runtime, rec.status, scenario.cutoff)
-        scenario.par10_cache = table
-    return scenario.par10_cache
-
-
 def evaluate_selector(ensemble: SelectorEnsemble, instances, scenario: Scenario) -> float:
     """Total PAR10 of the selected algorithms' true recorded runs, summed
     left to right."""
@@ -209,6 +196,6 @@ def evaluate_selector(ensemble: SelectorEnsemble, instances, scenario: Scenario)
     column = {a: k for k, a in enumerate(scenario.algorithms)}
     columns = [column[a] for a in select_batch(ensemble, scenario.feature_matrix[rows])]
     total = 0.0
-    for score in par10_table(scenario)[rows, columns].tolist():
+    for score in scenario.par10[rows, columns].tolist():
         total += score
     return total

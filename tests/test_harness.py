@@ -173,6 +173,23 @@ class TestGrid:
             assert float(row["test_par10_s"]) == 0.0
             assert float(row["perf_ratio"]) == 1.0
 
+    def test_zero_cost_cells_have_unit_fractions(self, tmp_path):
+        # every run takes 0 s, so the passive cost is 0: a passive row's own
+        # cost fraction is 0 / 0, and an exhausted frugal run reaches it too
+        rng = np.random.default_rng(0)
+        scenario = build_scenario(
+            [[0.0, 0.0]] * 30, statuses=[[OK, TIMEOUT]] * 30, features=rng.uniform(size=(30, 2))
+        )
+        spec = _small_spec(
+            tmp_path, scenario=scenario, configurations=["passive", "passive-to", "uncertainty"],
+            n_trees=3,
+        )
+        run_grid(spec)
+        rows = read_step_logs(spec.out_dir)
+        assert {r["config"] for r in rows} == {"passive", "passive-to", "uncertainty"}
+        for row in rows:
+            assert (row["cost_s"], row["cost_frac"], row["perf_ratio"]) == ("0.0", "1.0", "1.0")
+
     def test_passive_cell_is_single_row(self, tmp_path):
         spec = _small_spec(tmp_path, configurations=["passive", "passive-to"])
         run_grid(spec)

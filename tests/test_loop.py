@@ -381,18 +381,6 @@ class TestStepping:
             assert record.resolved_cells + open_cells == loop.total_cells
             assert not (loop.pool & ~before).any()  # a cell never re-enters a pool
 
-    @pytest.mark.parametrize("dynamic_timeout", [False, True])
-    def test_resettling_touched_instances_equals_a_full_resettle(self, dynamic_timeout):
-        loop, _ = make_loop(n_train=12, n_algorithms=3, initial_size=2, batch_size=3,
-                            dynamic_timeout=dynamic_timeout)
-        settled_any = False
-        while loop.step() is not None:
-            kept = loop.pool.copy()
-            loop._update_pools()  # every instance
-            assert np.array_equal(loop.pool, kept)
-            settled_any |= not kept.all()
-        assert settled_any and not loop.pool.any()
-
     def test_static_timeout_cost_never_exceeds_full_labelling(self):
         loop, s = make_loop(n_train=8, n_algorithms=2, initial_size=2, batch_size=2)
         loop.run()

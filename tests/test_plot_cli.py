@@ -352,6 +352,45 @@ class TestSummarizeAndPlotCommands:
         ) == 0
         assert ">DT off</text>" in dest.read_text()
 
+    def test_summarize_reads_step_logs_only(self, tmp_path, capsys):
+        # the first summary lands beside the step logs; the second run must
+        # not take it for one
+        directory = write_scenario_dir(make_synthetic_scenario(40, 3), tmp_path / "SYN3")
+        out = tmp_path / "res"
+        assert main(
+            ["run", str(directory), "--selection", "random",
+             "--timeout-predictor", "off", "--dynamic-timeout", "off",
+             "--folds", "1", "--seeds", "1", "--n-trees", "2", "--out", str(out)]
+        ) == 0
+        assert main(["summarize", str(out)]) == 0
+        first = (out / "summary.csv").read_bytes()
+        assert main(["summarize", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == first
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            ("plot", "summary.csv", "a,b\n1,2\n"),
+            ("plot", "summary.csv", "config,ratio,mean_cost_frac,stderr_cost_frac,"
+             "mean_data_frac,stderr_data_frac,n_runs\nrandom,abc,0.5,0.0,0.5,0.0,1\n"),
+            ("summarize", "random/fold00_seed0.csv", "config,fold\nrandom,0\n"),
+            ("summarize", "random/fold00_seed0.csv", "config,scenario,fold,seed,step,"
+             "timeout_s,labels,cost_s,cost_frac,data_frac,test_par10_s,perf_ratio\n"
+             "random,SYN,0,0,1,100.0,1,5.0,0.5,0.5,50.0,abc\n"),
+        ],
+        ids=["plot-no-columns", "plot-text-ratio", "summarize-no-seed", "summarize-text-ratio"],
+    )
+    def test_malformed_csv_is_data_error(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / "res" / name
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        target = path if command == "plot" else tmp_path / "res"
+        assert main([command, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_summarize_empty_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

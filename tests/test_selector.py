@@ -20,7 +20,6 @@ from frugalas.selector import (
     TimeoutModel,
     algorithm_pairs,
     evaluate_selector,
-    par10_table,
     select_algorithm,
     select_batch,
     train_ensemble,
@@ -414,9 +413,10 @@ class TestEvaluate:
             [[10.0, 3.0], [100.0, 8.0], [2.0, 9.0]],
             statuses=[[OK, OK], [TIMEOUT, OK], [OK, OK]],
         )
-        assert s.par10_cache is None
-        table = par10_table(s)
-        assert table.shape == (3, 2) and par10_table(s) is table
+        assert "par10" not in vars(s)
+        table = s.par10
+        assert table.shape == (3, 2) and s.par10 is table
+        assert not table.flags.writeable
         for r, inst in enumerate(s.instances):
             for c, algo in enumerate(s.algorithms):
                 rec = s.run(inst, algo)
