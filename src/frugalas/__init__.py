@@ -4,7 +4,7 @@ recorded solver runs as the execution oracle."""
 
 from .forest import KERNEL_IMPL, ForestConfig, RandomForest, fit_forest
 from .loop import FrugalLoop, LoopConfig
-from .preprocess import apply_imputer, fit_imputer, make_splits, par10
+from .preprocess import fit_imputer, make_splits, par10
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_stats
 from .selector import evaluate_selector, select_algorithm, train_ensemble
 
@@ -15,7 +15,6 @@ __all__ = [
     "fit_forest",
     "FrugalLoop",
     "LoopConfig",
-    "apply_imputer",
     "fit_imputer",
     "make_splits",
     "par10",

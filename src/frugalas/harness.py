@@ -22,7 +22,7 @@ import numpy as np
 
 from .forest import ForestConfig
 from .labels import LabelStore
-from .loop import FrugalLoop, LoopConfig, RunOracle
+from .loop import CostLedger, FrugalLoop, LoopConfig
 from .preprocess import FoldSplit, fit_imputer, make_splits
 from .scenario import Scenario
 from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, train_ensemble
@@ -104,6 +104,10 @@ class ExperimentSpec:
                 raise ValueError(f"no fold {fold}: make_splits makes folds 0 to 9")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if not 0 < self.dt_initial_frac <= 1:
+            raise ValueError(f"dt_initial_frac must be in (0, 1], got {self.dt_initial_frac}")
+        # LoopConfig checks the loop settings; fail here, before any cell runs.
+        self.loop_config("uncertainty-dt", self.seeds[0])
         self.out_dir = Path(self.out_dir)
 
     def loop_config(self, config_id: str, seed: int) -> LoopConfig:
@@ -123,40 +127,30 @@ class ExperimentSpec:
         )
 
 
-def full_observation_store(scenario: Scenario, instances) -> tuple[LabelStore, float]:
-    """Observations after running every (instance, algorithm) at full cutoff,
-    with the total charged CPU-seconds (the passive labelling cost)."""
-    oracle = RunOracle(scenario)
-    store = LabelStore(scenario.instances, scenario.algorithms)
-    cost = 0.0
-    for inst in instances:
-        for algo in scenario.algorithms:
-            obs, charged = oracle.simulate(inst, algo, scenario.cutoff)
-            store.record(inst, algo, obs)
-            cost += charged
-    return store, cost
-
-
 def passive_ensemble(
     scenario: Scenario,
     fold: FoldSplit,
     seed: int,
     timeout_models: bool = False,
     n_trees: int = 100,
-) -> tuple[SelectorEnsemble, float]:
-    """Selector trained on the full fold at cutoff, and its labelling cost."""
-    store, cost = full_observation_store(scenario, fold.train)
+) -> tuple[SelectorEnsemble, CostLedger]:
+    """Selector trained on the full fold at cutoff, and the ledger that
+    charged its labelling: every training instance run on every algorithm at
+    the cutoff, before any model exists (step 0)."""
+    ledger = CostLedger(scenario, LabelStore(scenario.instances, scenario.algorithms))
+    for inst in fold.train:
+        ledger.run(0, inst, scenario.algorithms, scenario.cutoff)
     imputer = fit_imputer(scenario, fold.train)
     ensemble = train_ensemble(
         scenario,
         fold.train,
-        store,
+        ledger.store,
         imputer,
         ForestConfig(n_trees=n_trees, seed=seed),
         timeout_enabled=timeout_models,
         current_timeout=scenario.cutoff,
     )
-    return ensemble, cost
+    return ensemble, ledger
 
 
 def run_passive_baseline(
@@ -168,8 +162,8 @@ def run_passive_baseline(
     n_trees: int = 100,
 ) -> tuple[float, float]:
     """Test PAR10 and labelling cost of training on the full fold at cutoff."""
-    ensemble, cost = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
-    return evaluate_selector(ensemble, test_instances, scenario), cost
+    ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
+    return evaluate_selector(ensemble, test_instances, scenario), ledger.total
 
 
 def _ratio(num: float, den: float) -> float:
@@ -209,9 +203,10 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     if config_id in PASSIVE_CONFIGS:
         # The plain baseline's pairwise forests are the same as those of the
         # timeout-model ensemble, so one fit serves both.
-        ensemble, passive_cost = passive_ensemble(
+        ensemble, ledger = passive_ensemble(
             scenario, fold, seed, parse_config_id(config_id)["to"], spec.n_trees
         )
+        passive_cost = ledger.total
         passive_par10 = evaluate_selector(
             replace(ensemble, timeout_models=None), plan.test, scenario
         )

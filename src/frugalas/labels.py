@@ -2,7 +2,8 @@
 
 `pairwise_label` and `timeout_label` state each rule for one cell;
 `pair_classes`, `timeout_classes` and `settled` apply the same rules to whole
-columns of a `LabelStore`'s arrays, where NaN (absent) compares false.
+columns of a `LabelStore`'s arrays, where NaN (absent) compares false;
+`final` takes one cell or arrays alike.
 """
 
 from __future__ import annotations
@@ -31,20 +32,21 @@ class LabelStore:
 
     `solved[i, j]` is the runtime of a solved run and `censored[i, j]` the
     censor level of a censored run; each is NaN otherwise, so a cell that is
-    NaN in both is unlabelled.
+    NaN in both is unlabelled. `row[instance]` and `column[algorithm]` index
+    both arrays.
 
     Observations only improve: a censored entry may be replaced by a censored
     entry at a higher timeout or by a solved entry; solved entries are final.
     """
 
     def __init__(self, instances, algorithms):
-        self._row = {inst: i for i, inst in enumerate(instances)}
-        self._col = {algo: j for j, algo in enumerate(algorithms)}
-        self.solved = np.full((len(self._row), len(self._col)), np.nan)
+        self.row = {inst: i for i, inst in enumerate(instances)}
+        self.column = {algo: j for j, algo in enumerate(algorithms)}
+        self.solved = np.full((len(self.row), len(self.column)), np.nan)
         self.censored = np.full_like(self.solved, np.nan)
 
     def get(self, instance: str, algorithm: str) -> Observation | None:
-        cell = self._row[instance], self._col[algorithm]
+        cell = self.row[instance], self.column[algorithm]
         runtime, at = self.solved[cell], self.censored[cell]
         if not math.isnan(runtime):
             return Solved(float(runtime))
@@ -53,7 +55,7 @@ class LabelStore:
         return None
 
     def record(self, instance: str, algorithm: str, obs: Observation) -> None:
-        cell = self._row[instance], self._col[algorithm]
+        cell = self.row[instance], self.column[algorithm]
         if not math.isnan(self.solved[cell]):
             raise ValueError(f"{(instance, algorithm)} already solved; observation is final")
         old_at = self.censored[cell]
@@ -129,11 +131,18 @@ def timeout_classes(solved, censored, k: int, timeout: float) -> np.ndarray:
     return np.where(s <= timeout, 0, np.where(will_time_out, 1, -1)).astype(np.int8)
 
 
+def final(solved, censored, timeout):
+    """Where no run at `timeout` can change a side: it is solved, or censored
+    at or above `timeout`. Takes floats or arrays; NaN (absent) is unequal
+    to itself and compares false."""
+    return (solved == solved) | (censored >= timeout)
+
+
 def settled(solved, censored, a, b, cutoff: float) -> np.ndarray:
     """Cells of pair (a, b) that no further run can change, shaped like
-    `pair_classes`: the label is decided, or both sides are final (solved,
-    or censored at the cutoff), as an exact runtime tie or two censors at
-    the cutoff never become informative."""
+    `pair_classes`: the label is decided, or both sides are final at the
+    cutoff, as an exact runtime tie or two censors at the cutoff never
+    become informative."""
     a_wins, b_wins = _wins(solved, censored, a, b)
-    final = ~np.isnan(solved) | (censored >= cutoff)
-    return a_wins | b_wins | (final[:, a] & final[:, b])
+    done = final(solved, censored, cutoff)
+    return a_wins | b_wins | (done[:, a] & done[:, b])

@@ -1,9 +1,10 @@
 """Active-learning engine for frugal algorithm selection.
 
 Maintains one candidate pool per algorithm pair, picks queries either by
-prediction uncertainty or at random, replays recorded runtimes as a simulated
-execution oracle with per-second cost accounting, and optionally grows the
-execution timeout when validation performance plateaus.
+prediction uncertainty or at random, and optionally grows the execution
+timeout when validation performance plateaus. `CostLedger.run` is the one
+place a cell runs, for the loop and the passive baseline alike: it replays
+the recorded run, records the observation and charges its CPU-seconds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import ForestConfig, forest_proba
-from .labels import Censored, LabelStore, Observation, Solved, settled
+from .labels import Censored, LabelStore, Observation, Solved, final, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
 from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, train_ensemble
@@ -45,21 +46,6 @@ def entropy_score(p_max):
 # --- components -------------------------------------------------------------
 
 
-@dataclass
-class RunOracle:
-    """Replays recorded runs as if executing the solver with a timeout."""
-
-    scenario: Scenario
-
-    def simulate(self, instance: str, algorithm: str, timeout: float):
-        """Observation and charged CPU-seconds for one attempt at `timeout`."""
-        rec = self.scenario.run(instance, algorithm)
-        if rec.status == OK and rec.runtime <= timeout:
-            return Solved(rec.runtime), rec.runtime
-        # Failure runs stop when the solver gives up, never past the timeout.
-        return Censored(timeout), min(rec.runtime, timeout)
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
     step: int
@@ -70,13 +56,35 @@ class LedgerEntry:
 
 
 class CostLedger:
-    def __init__(self):
+    """Runs cells by replaying `scenario`'s recorded runs, records what they
+    observe in `store` and charges every simulated CPU-second."""
+
+    def __init__(self, scenario: Scenario, store: LabelStore):
+        self.scenario = scenario
+        self.store = store
         self.entries: list[LedgerEntry] = []
         self.total = 0.0
 
-    def charge(self, step, instance, algorithm, seconds, state):
-        self.entries.append(LedgerEntry(step, instance, algorithm, seconds, state))
-        self.total += seconds
+    def run(self, step: int, instance: str, algorithms, timeout: float) -> None:
+        """Run `instance` on each of `algorithms` at `timeout`, charged at
+        `step`; a side `final` at `timeout` is skipped and costs nothing. A
+        run solves if recorded OK within `timeout`, else it is censored at
+        `timeout` and charged min(runtime, timeout): failures stop early."""
+        store = self.store
+        row = store.row[instance]
+        solved, censored = store.solved[row].tolist(), store.censored[row].tolist()
+        for algo in algorithms:
+            j = store.column[algo]
+            if final(solved[j], censored[j], timeout):
+                continue
+            rec = self.scenario.run(instance, algo)
+            if rec.status == OK and rec.runtime <= timeout:
+                obs, charged = Solved(rec.runtime), rec.runtime
+            else:
+                obs, charged = Censored(timeout), min(rec.runtime, timeout)
+            store.record(instance, algo, obs)
+            self.entries.append(LedgerEntry(step, instance, algo, charged, obs))
+            self.total += charged
 
 
 class DynamicTimeoutController:
@@ -136,6 +144,19 @@ class LoopConfig:
     def __post_init__(self):
         if self.selection not in ("uncertainty", "random"):
             raise ValueError(f"unknown selection strategy '{self.selection}'")
+        # Positive ranges, so NaN fails each. A timeout that cannot reach the
+        # cutoff (growth <= 1, or a plateau test that never passes) would
+        # leave censored cells unsettled and the loop running forever.
+        ranges = {
+            "batch_frac": ("in (0, 1]", 0 < self.batch_frac <= 1),
+            "dt_growth": ("> 1", self.dt_growth > 1),
+            "dt_window": (">= 1", self.dt_window >= 1),
+            "dt_tolerance": ("> 0", self.dt_tolerance > 0),
+            "dt_initial": ("> 0", self.dt_initial is None or self.dt_initial > 0),
+        }
+        for name, (rule, ok) in ranges.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -185,9 +206,8 @@ class FrugalLoop:
         if initial > n:
             raise ValueError("initial set larger than the training set")
 
-        self.oracle = RunOracle(scenario)
         self.store = LabelStore(scenario.instances, scenario.algorithms)
-        self.ledger = CostLedger()
+        self.ledger = CostLedger(scenario, self.store)
         self.imputer = fit_imputer(scenario, self.train)
         self.pairs = algorithm_pairs(scenario.algorithms)
         # Store columns of the two sides of each pair: (2, n_pairs).
@@ -217,7 +237,7 @@ class FrugalLoop:
         picks = self.rng.choice(n, size=initial, replace=False)
         initial_set = [self.train[i] for i in sorted(picks)]
         for inst in initial_set:
-            self._run(inst, scenario.algorithms)
+            self.ledger.run(0, inst, scenario.algorithms, self.current_timeout)
 
         # pool[p, k]: the cell (pair p, train instance k) is still queryable.
         self.pool = np.ones((len(self.pairs), n), dtype=bool)
@@ -304,26 +324,10 @@ class FrugalLoop:
 
     # -- execution -----------------------------------------------------------
 
-    def _run(self, instance: str, algorithms) -> None:
-        """Run `instance` on each of `algorithms` at the current timeout,
-        charged at the current step.
-
-        A side already solved, or censored at a level >= the current timeout,
-        is skipped and costs nothing. A censored side below the current
-        timeout is rerun from scratch and the whole new attempt is charged.
-        """
-        timeout = self.current_timeout
-        for algo in algorithms:
-            obs = self.store.get(instance, algo)
-            if isinstance(obs, Solved) or (isinstance(obs, Censored) and obs.at >= timeout):
-                continue
-            new_obs, charged = self.oracle.simulate(instance, algo, timeout)
-            self.store.record(instance, algo, new_obs)
-            self.ledger.charge(self.step_index, instance, algo, charged, new_obs)
-
     def execute_request(self, req: QueryRequest) -> None:
-        """Run both sides of the pair, reusing the cache (see `_run`)."""
-        self._run(req.instance, req.pair)
+        """Run both sides of the pair at the current timeout, charged at the
+        current step; a side that is already final costs nothing."""
+        self.ledger.run(self.step_index, req.instance, req.pair, self.current_timeout)
         self.requests_executed += 1
 
     def _update_pools(self) -> None:

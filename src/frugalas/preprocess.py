@@ -28,12 +28,6 @@ class ImputerModel:
     kept_idx: np.ndarray  # indices into the scenario feature order
     medians: np.ndarray  # per kept feature
 
-    def transform_row(self, row: np.ndarray) -> np.ndarray:
-        out = np.asarray(row, dtype=np.float64)[self.kept_idx].copy()
-        mask = np.isnan(out)
-        out[mask] = self.medians[mask]
-        return out
-
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         out = np.asarray(matrix, dtype=np.float64)[:, self.kept_idx].copy()
         mask = np.isnan(out)
@@ -69,10 +63,6 @@ def fit_imputer(scenario: Scenario, train_instances) -> ImputerModel:
         kept_idx=kept_idx,
         medians=np.array(medians, dtype=np.float64),
     )
-
-
-def apply_imputer(model: ImputerModel, row) -> np.ndarray:
-    return model.transform_row(np.asarray(row, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from frugalas.harness import (
     RATIO_GRID,
     STEP_COLUMNS,
     ExperimentSpec,
-    full_observation_store,
     parse_config_id,
+    passive_ensemble,
     read_step_logs,
     read_summary,
     run_cell,
@@ -20,7 +20,7 @@ from frugalas.harness import (
     write_summary,
 )
 from frugalas.labels import Censored, Solved
-from frugalas.preprocess import make_splits
+from frugalas.preprocess import FoldSplit, make_splits
 from frugalas.scenario import OK, TIMEOUT
 from frugalas.synthetic import make_synthetic_scenario
 
@@ -41,20 +41,41 @@ class TestConfigIds:
             parse_config_id("greedy-to")
 
 
+def _passive_ledger(scenario):
+    """The ledger of a passive baseline trained on every instance."""
+    fold = FoldSplit(train=list(scenario.instances), validation=[])
+    _, ledger = passive_ensemble(scenario, fold, seed=0, n_trees=3)
+    return ledger
+
+
 class TestPassiveBaseline:
     def test_full_store_cost_two_by_two(self, two_by_two):
-        store, cost = full_observation_store(two_by_two, two_by_two.instances)
-        assert cost == 22.0
-        assert len(store) == 4
-        assert store.get("i0", "a0") == Solved(1.0)
+        ledger = _passive_ledger(two_by_two)
+        assert ledger.total == 22.0
+        assert len(ledger.store) == 4
+        assert ledger.store.get("i0", "a0") == Solved(1.0)
 
     def test_full_store_censors_timeouts(self):
         s = build_scenario(
             [[5.0, 130.0]], statuses=[[OK, TIMEOUT]]
         )  # recorded failure time past the cutoff is clamped
-        store, cost = full_observation_store(s, s.instances)
-        assert store.get("i0", "a1") == Censored(100.0)
-        assert cost == 5.0 + 100.0
+        ledger = _passive_ledger(s)
+        assert ledger.store.get("i0", "a1") == Censored(100.0)
+        assert ledger.total == 5.0 + 100.0
+
+    def test_passive_cost_is_the_sum_of_its_ledger(self):
+        s = make_synthetic_scenario(40, 3, seed=2)
+        plan = make_splits(s, seed=0)
+        fold = plan.folds[0]
+        _, ledger = passive_ensemble(s, fold, seed=0, n_trees=3)
+        # one entry per (train instance, algorithm), in that order, at step 0
+        assert [(e.instance, e.algorithm) for e in ledger.entries] == [
+            (i, a) for i in fold.train for a in s.algorithms
+        ]
+        assert {e.step for e in ledger.entries} == {0}
+        assert ledger.total == sum(e.charged for e in ledger.entries)
+        _, cost = run_passive_baseline(s, fold, plan.test, seed=0, n_trees=3)
+        assert cost == ledger.total
 
     def _dominant_scenario(self, n=50):
         rng = np.random.default_rng(0)

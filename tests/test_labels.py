@@ -1,5 +1,5 @@
-"""The vector label rules equal the scalar ones cell for cell, and a
-LabelStore's observations only improve."""
+"""The vector label rules equal the scalar ones cell for cell, `final` agrees
+on floats and arrays, and a LabelStore's observations only improve."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from frugalas.labels import (
     Censored,
     LabelStore,
     Solved,
+    final,
     pair_classes,
     pairwise_label,
     settled,
@@ -45,8 +46,9 @@ def store_of(table) -> LabelStore:
     return store
 
 
-def final(obs) -> bool:
-    return isinstance(obs, Solved) or obs.at >= CUTOFF
+def is_final(obs, timeout=CUTOFF) -> bool:
+    """The object rule: no run at `timeout` can change `obs`."""
+    return isinstance(obs, Solved) or obs.at >= timeout
 
 
 # One row per boundary case, on algorithms (a0, a1, a2).
@@ -75,7 +77,7 @@ def test_pair_classes_and_settlement_equal_the_scalar_rules(table):
                     continue
                 side = pairwise_label(obs_a, obs_b)
                 assert classes[i] == {"a": 0, "b": 1, None: -1}[side]
-                assert done[i] == (side is not None or (final(obs_a) and final(obs_b)))
+                assert done[i] == (side is not None or (is_final(obs_a) and is_final(obs_b)))
 
 
 @given(tables(), runtimes)
@@ -89,6 +91,21 @@ def test_timeout_classes_equal_the_scalar_rule(table, timeout):
         for i, row in enumerate(table):
             label = timeout_label(row[k], timeout)
             assert classes[i] == (-1 if label is None else label)
+
+
+@given(tables(), runtimes)
+@example(BOUNDARY_TABLE, 10.0)
+@example(BOUNDARY_TABLE, CUTOFF)
+def test_final_on_floats_and_arrays_equals_the_object_rule(table, timeout):
+    # timeouts are drawn like runtimes, so they often equal a censor level
+    store = store_of(table)
+    on_arrays = final(store.solved, store.censored, timeout)
+    for i, row in enumerate(table):
+        solved, censored = store.solved[i].tolist(), store.censored[i].tolist()
+        for j, obs in enumerate(row):
+            want = obs is not None and is_final(obs, timeout)
+            assert final(solved[j], censored[j], timeout) is want
+            assert on_arrays[i, j] == want
 
 
 def test_boundary_rows_are_labelled_as_documented():

@@ -5,13 +5,14 @@ import pytest
 
 from conftest import build_scenario, reference_proba
 from frugalas.forest import ForestConfig, dump_trees
-from frugalas.labels import Censored, Solved, pairwise_label
+from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
 from frugalas.loop import (
+    CostLedger,
     DynamicTimeoutController,
     FrugalLoop,
+    LedgerEntry,
     LoopConfig,
     QueryRequest,
-    RunOracle,
     entropy_score,
     least_confidence_score,
     margin_score,
@@ -78,31 +79,60 @@ class TestController:
             DynamicTimeoutController(initial=0.0, cap=50.0)
 
 
+def replay(scenario, timeout, instance="i0", algorithm="a0"):
+    """The one ledger entry of running one cell at `timeout` on a fresh store."""
+    ledger = CostLedger(scenario, LabelStore(scenario.instances, scenario.algorithms))
+    ledger.run(3, instance, [algorithm], timeout)
+    (entry,) = ledger.entries
+    assert ledger.total == entry.charged
+    assert ledger.store.get(instance, algorithm) == entry.state
+    return entry.state, entry.charged
+
+
 class TestRunOracle:
+    """`CostLedger.run` replays a recorded run as if executing the solver
+    with a timeout."""
+
     def test_solved_within_timeout(self):
         s = build_scenario([[30.0]])
-        obs, charged = RunOracle(s).simulate("i0", "a0", 60.0)
+        obs, charged = replay(s, 60.0)
         assert obs == Solved(30.0) and charged == 30.0
 
     def test_solvable_but_over_timeout(self):
         s = build_scenario([[90.0]])
-        obs, charged = RunOracle(s).simulate("i0", "a0", 60.0)
+        obs, charged = replay(s, 60.0)
         assert obs == Censored(60.0) and charged == 60.0
 
     def test_recorded_timeout(self):
         s = build_scenario([[100.0]], statuses=[[TIMEOUT]])
-        obs, charged = RunOracle(s).simulate("i0", "a0", 60.0)
+        obs, charged = replay(s, 60.0)
         assert obs == Censored(60.0) and charged == 60.0
 
     def test_early_failure_charges_only_recorded_time(self):
         s = build_scenario([[10.0]], statuses=[[OTHER]])
-        obs, charged = RunOracle(s).simulate("i0", "a0", 60.0)
+        obs, charged = replay(s, 60.0)
         assert obs == Censored(60.0) and charged == 10.0
 
     def test_exact_boundary_solves(self):
         s = build_scenario([[60.0]])
-        obs, charged = RunOracle(s).simulate("i0", "a0", 60.0)
+        obs, charged = replay(s, 60.0)
         assert obs == Solved(60.0) and charged == 60.0
+
+    def test_entries_follow_the_algorithms_and_skip_final_sides(self):
+        # a0 solves, a1 is censored at 60 and a2 fails early; a second pass at
+        # 60 runs nothing, and a pass at 100 reruns only the censored a1
+        s = build_scenario([[30.0, 90.0, 10.0]], statuses=[[OK, OK, OTHER]])
+        ledger = CostLedger(s, LabelStore(s.instances, s.algorithms))
+        ledger.run(1, "i0", ["a0", "a1", "a2"], 60.0)
+        ledger.run(2, "i0", ["a2", "a1", "a0"], 60.0)
+        ledger.run(3, "i0", ["a0", "a1"], 100.0)
+        assert ledger.entries == [
+            LedgerEntry(1, "i0", "a0", 30.0, Solved(30.0)),
+            LedgerEntry(1, "i0", "a1", 60.0, Censored(60.0)),
+            LedgerEntry(1, "i0", "a2", 10.0, Censored(60.0)),
+            LedgerEntry(3, "i0", "a1", 90.0, Solved(90.0)),
+        ]
+        assert ledger.total == 30.0 + 60.0 + 10.0 + 90.0
 
 
 def make_loop(n_train=8, n_algorithms=2, seed=0, **cfg_kwargs):

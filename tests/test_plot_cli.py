@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import build_scenario
+from frugalas import cli
 from frugalas.cli import _expand_configs, main
 from frugalas.harness import (
     FRUGAL_CONFIGS,
@@ -13,7 +15,9 @@ from frugalas.harness import (
     summarize,
     write_summary,
 )
+from frugalas.loop import FrugalLoop
 from frugalas.plotsvg import emit_plot
+from frugalas.preprocess import make_splits
 from frugalas.synthetic import make_synthetic_scenario, write_scenario_dir
 
 
@@ -133,6 +137,16 @@ class TestArgumentErrors:
 RUN_FAST = ["--folds", "1", "--seeds", "1", "--n-trees", "5"]
 
 
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """The specs `frugalas run` hands to `run_grid`, which runs nothing; so a
+    setting that the spec lets through fails an assertion at once instead of
+    running a grid that may never stop."""
+    calls = []
+    monkeypatch.setattr(cli, "run_grid", lambda spec, progress=None: calls.append(spec))
+    return calls
+
+
 class TestRunCommand:
     def test_single_config_run(self, scenario_dir, tmp_path, capsys):
         out = tmp_path / "res"
@@ -243,6 +257,36 @@ class TestRunUsageErrors:
         assert "Traceback" not in err
         assert not out.exists()  # rejected before any cell ran
 
+    @pytest.mark.parametrize(
+        "setting, flags, message",
+        [
+            ("batch_frac = 2", [], "batch_frac must be in (0, 1]"),
+            ("batch_frac = nan", [], "batch_frac must be in (0, 1]"),
+            ("batch_frac = inf", [], "batch_frac must be in (0, 1]"),
+            ("", ["--batch-frac", "2"], "batch_frac must be in (0, 1]"),
+            ("dt_initial_frac = 2", [], "dt_initial_frac must be in (0, 1]"),
+            ("dt_growth = 1", [], "dt_growth must be > 1"),
+            ("dt_growth = 0.5", [], "dt_growth must be > 1"),
+            ("dt_tolerance = nan", [], "dt_tolerance must be > 0"),
+            ("dt_window = 0", [], "dt_window must be >= 1"),
+        ],
+        ids=["batch_frac=2", "batch_frac=nan", "batch_frac=inf", "--batch-frac=2",
+             "dt_initial_frac=2", "dt_growth=1", "dt_growth=0.5", "dt_tolerance=nan",
+             "dt_window=0"],
+    )
+    def test_loop_setting_out_of_range_exits_with_usage(self, scenario_dir, tmp_path, capsys,
+                                                        grid_calls, setting, flags, message):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(setting + "\n")
+        argv = ["run", str(scenario_dir), "--config", str(conf), "--selection", "random",
+                "--timeout-predictor", "off", "--dynamic-timeout", "on",
+                *RUN_FAST, *flags, "--out", str(tmp_path / "res")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert grid_calls == []  # rejected before any cell ran
+
     def test_non_integer_seed_variable_exits_with_usage(self, scenario_dir, tmp_path, capsys,
                                                         monkeypatch):
         monkeypatch.setenv("FRUGAL_SEED", "abc")
@@ -294,6 +338,27 @@ class TestConfigFile:
         )
         assert main(["run", str(scenario_dir), "--config", str(conf)]) == 0
         assert (out / "random" / "fold00_seed0.csv").exists()
+
+    def test_loop_settings_reach_the_loop(self, scenario_dir, tmp_path, grid_calls):
+        conf = self._write(
+            tmp_path,
+            "batch_frac = 0.1\ndt_initial_frac = 0.125\ndt_growth = 3\n"
+            "dt_window = 4\ndt_tolerance = 0.05\n",
+        )
+        argv = ["run", str(scenario_dir), "--config", str(conf), *RUN_FAST,
+                "--out", str(tmp_path / "res")]
+        assert main(argv) == 0
+        (spec,) = grid_calls
+        scenario = spec.scenario
+        plan = make_splits(scenario, seed=0)
+        fold = plan.folds[0]
+        loop = FrugalLoop(scenario, fold, plan.test, spec.loop_config("uncertainty-dt", 0))
+        assert loop.batch == math.ceil(0.1 * len(fold.train))
+        controller = loop.controller
+        assert controller.current == scenario.cutoff / 8
+        assert controller.growth_factor == 3.0
+        assert controller.plateau_window == 4
+        assert controller.plateau_tolerance == 0.05
 
     def test_unknown_key_rejected(self, scenario_dir, tmp_path, capsys):
         conf = self._write(tmp_path, "tree_count = 5\n")

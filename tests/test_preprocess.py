@@ -4,7 +4,6 @@ import pytest
 from conftest import build_scenario
 from frugalas.preprocess import (
     PreprocessError,
-    apply_imputer,
     fit_imputer,
     make_splits,
     par10,
@@ -52,15 +51,15 @@ class TestImputer:
         features = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         s = scenario_with_features(features)
         model = fit_imputer(s, s.instances)
-        out = apply_imputer(model, np.array([7.0, 8.0]))
-        assert np.array_equal(out, [7.0, 8.0])
+        out = model.transform(np.array([[7.0, 8.0]]))
+        assert np.array_equal(out, [[7.0, 8.0]])
 
     def test_apply_all_missing_gives_medians(self):
         features = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 20.0]])
         s = scenario_with_features(features)
         model = fit_imputer(s, s.instances)
-        out = apply_imputer(model, np.array([NAN, NAN]))
-        assert np.array_equal(out, [3.0, 20.0])
+        out = model.transform(np.array([[NAN, NAN]]))
+        assert np.array_equal(out, [[3.0, 20.0]])
 
     def test_apply_mixed_row(self):
         rng = np.random.default_rng(1)
@@ -70,10 +69,11 @@ class TestImputer:
         features[:5, 3] = NAN  # dropped
         s = scenario_with_features(features)
         model = fit_imputer(s, s.instances)
-        row = np.array([0.5, NAN, 0.25, 0.75])
-        out = apply_imputer(model, row)
+        row = np.array([[0.5, NAN, 0.25, 0.75]])
+        out = model.transform(row)
         med1 = np.median(features[2:, 1])
-        assert np.array_equal(out, [0.5, med1, 0.25])
+        assert np.array_equal(out, [[0.5, med1, 0.25]])
+        assert np.isnan(row[0, 1])  # the input is left as it was
 
     def test_imputation_idempotent_on_dense(self):
         rng = np.random.default_rng(2)
@@ -81,9 +81,10 @@ class TestImputer:
         s = scenario_with_features(features)
         model = fit_imputer(s, s.instances)
         for row in features:
-            once = apply_imputer(model, row)
-            # re-inflating a dense output and re-imputing changes nothing
-            assert np.array_equal(apply_imputer(model, row), once)
+            once = model.transform(row.reshape(1, -1))
+            # a dense row comes back unchanged, however often it is imputed
+            assert np.array_equal(once, row.reshape(1, -1))
+            assert np.array_equal(model.transform(once), once)
 
     def test_all_dropped_is_error(self):
         features = np.full((10, 1), NAN)
