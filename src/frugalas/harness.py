@@ -1,6 +1,9 @@
 """Experiment orchestration: passive baselines, the configuration grid, and
 aggregation of per-step logs into cost-vs-performance curves.
 
+The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
+the loop is the one engine that labels and trains for every configuration.
+
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
 columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
 cell one per labelling round, and one row builder turns either into rows. Step
@@ -21,11 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .forest import ForestConfig
-from .labels import LabelStore
 from .loop import CostLedger, FrugalLoop, LoopConfig
-from .preprocess import FoldSplit, fit_imputer, make_splits
+from .preprocess import FoldSplit, PreprocessError, make_splits
 from .scenario import Scenario
-from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, train_ensemble
+from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector
+
+# perfbench/tracing.py wraps these two names here as well as in `loop`.
+from .preprocess import fit_imputer
+from .selector import train_ensemble
 
 FRUGAL_CONFIGS = [
     "uncertainty",
@@ -68,9 +74,10 @@ RATIO_GRID = [round(1.0 + 0.02 * k, 2) for k in range(51)]
 
 
 def parse_config_id(config_id: str) -> dict:
-    parts = config_id.split("-")
-    if parts[0] not in ("uncertainty", "random", "passive"):
+    """Selection rule and timeout flags of one of the ten configuration ids."""
+    if config_id not in FRUGAL_CONFIGS + PASSIVE_CONFIGS:
         raise ValueError(f"unknown configuration id '{config_id}'")
+    parts = config_id.split("-")
     return {
         "selection": parts[0],
         "to": "to" in parts[1:],
@@ -106,7 +113,10 @@ class ExperimentSpec:
             raise ValueError("n_trees must be >= 1")
         if not 0 < self.dt_initial_frac <= 1:
             raise ValueError(f"dt_initial_frac must be in (0, 1], got {self.dt_initial_frac}")
-        # LoopConfig checks the loop settings; fail here, before any cell runs.
+        # Unknown ids and the loop settings (LoopConfig checks them) fail
+        # here, before any cell runs.
+        for config_id in self.configurations:
+            parse_config_id(config_id)
         self.loop_config("uncertainty-dt", self.seeds[0])
         self.out_dir = Path(self.out_dir)
 
@@ -135,22 +145,19 @@ def passive_ensemble(
     n_trees: int = 100,
 ) -> tuple[SelectorEnsemble, CostLedger]:
     """Selector trained on the full fold at cutoff, and the ledger that
-    charged its labelling: every training instance run on every algorithm at
-    the cutoff, before any model exists (step 0)."""
-    ledger = CostLedger(scenario, LabelStore(scenario.instances, scenario.algorithms))
-    for inst in fold.train:
-        ledger.run(0, inst, scenario.algorithms, scenario.cutoff)
-    imputer = fit_imputer(scenario, fold.train)
-    ensemble = train_ensemble(
-        scenario,
-        fold.train,
-        ledger.store,
-        imputer,
-        ForestConfig(n_trees=n_trees, seed=seed),
-        timeout_enabled=timeout_models,
-        current_timeout=scenario.cutoff,
+    charged its labelling: `FrugalLoop`'s initial phase over the whole fold,
+    which runs every training instance on every algorithm at the cutoff,
+    in fold order, before any model exists (step 0)."""
+    cfg = LoopConfig(
+        timeout_predictor=timeout_models,
+        initial_size=len(fold.train),
+        seed=seed,
+        forest=ForestConfig(n_trees=n_trees, seed=seed),
     )
-    return ensemble, ledger
+    loop = FrugalLoop(scenario, fold, (), cfg)
+    if all(pm.model is None for pm in loop.ensemble.pairwise):
+        raise PreprocessError("no labelled data: every pairwise model would be untrained")
+    return loop.ensemble, loop.ledger
 
 
 def run_passive_baseline(

@@ -2,9 +2,11 @@
 
 Maintains one candidate pool per algorithm pair, picks queries either by
 prediction uncertainty or at random, and optionally grows the execution
-timeout when validation performance plateaus. `CostLedger.run` is the one
-place a cell runs, for the loop and the passive baseline alike: it replays
-the recorded run, records the observation and charges its CPU-seconds.
+timeout when validation performance plateaus. `FrugalLoop` is the one engine
+that labels and trains: the passive baseline is its initial phase over the
+whole fold, and a static timeout is a controller that starts at its cap, the
+cutoff. `CostLedger.run` is the one place a cell runs: it replays the
+recorded run, records the observation and charges its CPU-seconds.
 """
 
 from __future__ import annotations
@@ -157,6 +159,9 @@ class LoopConfig:
         for name, (rule, ok) in ranges.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        # A window slices the score history, so it must be a whole number.
+        if not isinstance(self.dt_window, (int, np.integer)):
+            raise ValueError(f"dt_window must be an integer, got {self.dt_window}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +205,8 @@ class FrugalLoop:
         self.validation = list(fold.validation)
         self.test = list(test_instances)
         n = len(self.train)
+        # An empty fold fails here, with PreprocessError.
+        self.imputer = fit_imputer(scenario, self.train)
 
         self.batch = cfg.batch_size or max(1, math.ceil(cfg.batch_frac * n))
         initial = cfg.initial_size or self.batch
@@ -208,7 +215,6 @@ class FrugalLoop:
 
         self.store = LabelStore(scenario.instances, scenario.algorithms)
         self.ledger = CostLedger(scenario, self.store)
-        self.imputer = fit_imputer(scenario, self.train)
         self.pairs = algorithm_pairs(scenario.algorithms)
         # Store columns of the two sides of each pair: (2, n_pairs).
         columns = algorithm_pairs(range(len(scenario.algorithms)))
@@ -218,26 +224,28 @@ class FrugalLoop:
         self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
+        # A static timeout is a controller parked at its cap, the cutoff: it
+        # never grows and records nothing.
+        start = scenario.cutoff
         if cfg.dynamic_timeout:
-            self.controller = DynamicTimeoutController(
-                initial=cfg.dt_initial if cfg.dt_initial is not None else scenario.cutoff / 64,
-                cap=scenario.cutoff,
-                growth_factor=cfg.dt_growth,
-                plateau_window=cfg.dt_window,
-                plateau_tolerance=cfg.dt_tolerance,
-            )
-        else:
-            self.controller = None
+            start = cfg.dt_initial if cfg.dt_initial is not None else scenario.cutoff / 64
+        self.controller = DynamicTimeoutController(
+            initial=start,
+            cap=scenario.cutoff,
+            growth_factor=cfg.dt_growth,
+            plateau_window=cfg.dt_window,
+            plateau_tolerance=cfg.dt_tolerance,
+        )
 
         self.step_index = 0
         self.requests_executed = 0
 
         # Initial phase: a seeded uniform sample of instances, run on every
-        # algorithm at the starting timeout.
+        # algorithm at the starting timeout. Over the whole fold the sorted
+        # picks are the fold in order: that is the passive baseline.
         picks = self.rng.choice(n, size=initial, replace=False)
-        initial_set = [self.train[i] for i in sorted(picks)]
-        for inst in initial_set:
-            self.ledger.run(0, inst, scenario.algorithms, self.current_timeout)
+        for i in sorted(picks):
+            self.ledger.run(0, self.train[i], scenario.algorithms, start)
 
         # pool[p, k]: the cell (pair p, train instance k) is still queryable.
         self.pool = np.ones((len(self.pairs), n), dtype=bool)
@@ -249,12 +257,6 @@ class FrugalLoop:
         self._par10: tuple[float, float] | None = None
 
     # -- helpers -------------------------------------------------------------
-
-    @property
-    def current_timeout(self) -> float:
-        if self.controller is not None:
-            return self.controller.current
-        return self.scenario.cutoff
 
     @property
     def total_cells(self) -> int:
@@ -272,11 +274,7 @@ class FrugalLoop:
             self.store,
             self.imputer,
             self.cfg.forest,
-            timeout_enabled=self.cfg.timeout_predictor,
-            current_timeout=self.current_timeout,
-            # At a small starting timeout the initial runs can all be censored;
-            # an all-abstaining ensemble is valid until labels arrive.
-            allow_untrained=True,
+            timeout_at=self.controller.current if self.cfg.timeout_predictor else None,
             previous=self.ensemble,
         )
 
@@ -327,7 +325,7 @@ class FrugalLoop:
     def execute_request(self, req: QueryRequest) -> None:
         """Run both sides of the pair at the current timeout, charged at the
         current step; a side that is already final costs nothing."""
-        self.ledger.run(self.step_index, req.instance, req.pair, self.current_timeout)
+        self.ledger.run(self.step_index, req.instance, req.pair, self.controller.current)
         self.requests_executed += 1
 
     def _update_pools(self) -> None:
@@ -345,7 +343,7 @@ class FrugalLoop:
         if not requests:
             return None
         self.step_index += 1
-        timeout_used = self.current_timeout
+        timeout_used = self.controller.current
         for req in requests:
             self.execute_request(req)
         self._update_pools()
@@ -361,9 +359,8 @@ class FrugalLoop:
                 evaluate_selector(self.ensemble, self.test, self.scenario),
             )
         validation_par10, test_par10 = self._par10
-        if self.controller is not None:
-            # A plateau-triggered increase takes effect from the next step on.
-            self.controller.observe(validation_par10)
+        # A plateau-triggered increase takes effect from the next step on.
+        self.controller.observe(validation_par10)
         return StepRecord(
             step=self.step_index,
             timeout=timeout_used,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .forest import ForestConfig, RandomForest, fit_forest, forest_proba
 from .labels import LabelStore, pair_classes, timeout_classes
-from .preprocess import ImputerModel, PreprocessError
+from .preprocess import ImputerModel
 from .scenario import Scenario
 
 TIMEOUT_CONFIDENCE_THRESHOLD = 0.5
@@ -67,17 +67,16 @@ def train_ensemble(
     store: LabelStore,
     imputer: ImputerModel,
     forest_config: ForestConfig,
-    timeout_enabled: bool = False,
-    current_timeout: float | None = None,
-    allow_untrained: bool = False,
+    timeout_at: float | None = None,
     previous: SelectorEnsemble | None = None,
 ) -> SelectorEnsemble:
-    """Fit pairwise (and optionally timeout) forests from observed labels.
+    """Fit pairwise forests, and timeout forests labelled at `timeout_at`
+    unless it is None, from observed labels.
 
     `store`'s rows and columns follow `scenario.instances` and
     `scenario.algorithms`. Row order follows train_instances, so two stores
-    with identical observations produce identical ensembles. Raises PreprocessError when no
-    pair has a labelled row, unless allow_untrained.
+    with identical observations produce identical ensembles. A model with no
+    labelled row stays untrained and abstains.
 
     A forest is a function of its slot's seed and of the imputed rows and
     labels of the labelled instances. So when `previous` was fit with the
@@ -85,8 +84,6 @@ def train_ensemble(
     vector is unchanged keeps `previous`'s forest, and only the rest refit.
     """
     train = tuple(train_instances)
-    if current_timeout is None:
-        current_timeout = scenario.cutoff
     algorithms = list(scenario.algorithms)
     matrix_rows = np.array([scenario.instance_index(i) for i in train], dtype=np.intp)
     solved, censored = store.solved[matrix_rows], store.censored[matrix_rows]
@@ -123,19 +120,16 @@ def train_ensemble(
                 labels=labels,
             )
         )
-    if all(pm.model is None for pm in pairwise) and not allow_untrained:
-        raise PreprocessError("no labelled data: every pairwise model would be untrained")
-
     timeout_models = None
-    if timeout_enabled:
+    if timeout_at is not None:
         old_timeout = (reusable and previous.timeout_models) or [None] * len(algorithms)
         timeout_models = []
         for k, (algo, old) in enumerate(zip(algorithms, old_timeout)):
-            labels = timeout_classes(solved, censored, k, current_timeout)
+            labels = timeout_classes(solved, censored, k, timeout_at)
             timeout_models.append(
                 TimeoutModel(
                     algorithm=algo,
-                    trained_at=current_timeout,
+                    trained_at=timeout_at,
                     model=fit(labels, old, 2, k),
                     labels=labels,
                 )

@@ -126,6 +126,7 @@ def _first_reach_cost_frac(scenario, selection, seed):
             return rec.cost / passive_cost
 
 
+@pytest.mark.slow
 def test_criterion_04_synthetic_frugality():
     scenario = make_synthetic_scenario(200, 3, seed=0, timeout_frac=0.3)
     means = {}

@@ -19,9 +19,12 @@ from frugalas.harness import (
     summarize,
     write_summary,
 )
-from frugalas.labels import Censored, Solved
-from frugalas.preprocess import FoldSplit, make_splits
+from frugalas.forest import ForestConfig, dump_trees
+from frugalas.labels import Censored, LabelStore, Solved
+from frugalas.loop import CostLedger
+from frugalas.preprocess import FoldSplit, PreprocessError, fit_imputer, make_splits
 from frugalas.scenario import OK, TIMEOUT
+from frugalas.selector import train_ensemble
 from frugalas.synthetic import make_synthetic_scenario
 
 
@@ -37,8 +40,9 @@ class TestConfigIds:
         assert len(set(FRUGAL_CONFIGS)) == 8
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_id("greedy-to")
+        for config_id in ("greedy-to", "uncertainty-tdo", "passive-dt", "bogus"):
+            with pytest.raises(ValueError, match="unknown configuration id"):
+                parse_config_id(config_id)
 
 
 def _passive_ledger(scenario):
@@ -76,6 +80,39 @@ class TestPassiveBaseline:
         assert ledger.total == sum(e.charged for e in ledger.entries)
         _, cost = run_passive_baseline(s, fold, plan.test, seed=0, n_trees=3)
         assert cost == ledger.total
+
+    @pytest.mark.parametrize("timeout_models", [False, True])
+    def test_matches_labelling_every_cell_then_training(self, timeout_models):
+        # the reference: run every training cell at the cutoff in fold order,
+        # then fit the imputer and train once on the full store
+        s = make_synthetic_scenario(60, 3, seed=0)
+        fold = make_splits(s, seed=0).folds[0]
+        ledger = CostLedger(s, LabelStore(s.instances, s.algorithms))
+        for inst in fold.train:
+            ledger.run(0, inst, s.algorithms, s.cutoff)
+        reference = train_ensemble(
+            s, fold.train, ledger.store, fit_imputer(s, fold.train),
+            ForestConfig(n_trees=3, seed=4),
+            timeout_at=s.cutoff if timeout_models else None,
+        )
+        ensemble, passive = passive_ensemble(s, fold, 4, timeout_models, n_trees=3)
+        assert passive.entries == ledger.entries
+        assert passive.total.hex() == ledger.total.hex()
+        assert (ensemble.timeout_models is None) == (not timeout_models)
+        models = ensemble.pairwise + (ensemble.timeout_models or [])
+        expected = reference.pairwise + (reference.timeout_models or [])
+        assert len(models) == len(expected)
+        for got, ref in zip(models, expected):
+            assert dump_trees(got.model) == dump_trees(ref.model)
+
+    def test_no_labels_raises(self):
+        # every run ties, so no pair has a label; an empty fold has no rows
+        s = build_scenario(np.ones((4, 2)))
+        fold = FoldSplit(train=list(s.instances), validation=[])
+        with pytest.raises(PreprocessError, match="no labelled data"):
+            passive_ensemble(s, fold, seed=0, n_trees=3)
+        with pytest.raises(PreprocessError, match="empty training set"):
+            passive_ensemble(s, FoldSplit(train=[], validation=[]), seed=0, n_trees=3)
 
     def _dominant_scenario(self, n=50):
         rng = np.random.default_rng(0)
@@ -352,3 +389,8 @@ class TestSpecValidation:
     def test_empty_configurations_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             _small_spec(tmp_path, configurations=[])
+
+    @pytest.mark.parametrize("config_id", ["uncertainty-tdo", "passive-dt", "bogus"])
+    def test_unknown_configuration_rejected(self, tmp_path, config_id):
+        with pytest.raises(ValueError, match="unknown configuration id"):
+            _small_spec(tmp_path, configurations=["random", config_id])

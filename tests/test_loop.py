@@ -173,6 +173,11 @@ class TestInitialPhase:
         with pytest.raises(ValueError):
             make_loop(n_train=4, initial_size=5)
 
+    def test_fractional_dt_window_rejected(self):
+        # a window slices the validation history, so it must be whole
+        with pytest.raises(ValueError, match="dt_window must be an integer"):
+            LoopConfig(dt_window=2.5)
+
 
 class TestUncertaintySelection:
     def _loop_with_stub(self, pools, p_max):
@@ -391,8 +396,10 @@ class TestStepping:
         assert costs == sorted(costs)
         for r in records:
             assert 0.0 <= r.data_frac <= 1.0
-            assert r.timeout == loop.scenario.cutoff  # static without controller
+            assert r.timeout == loop.scenario.cutoff  # static: parked at the cutoff
         assert records[-1].data_frac == 1.0
+        assert loop.controller.current == loop.scenario.cutoff
+        assert loop.controller.history == []
 
     def test_exhaustion_terminates(self):
         loop, _ = make_loop(n_train=8, initial_size=2, batch_size=4)
@@ -501,7 +508,7 @@ class TestRetrainReuse:
             timeout = after.timeout_models[0].trained_at
             fresh = train_ensemble(
                 s, loop.train, loop.store, loop.imputer, loop.cfg.forest,
-                timeout_enabled=True, current_timeout=timeout, allow_untrained=True,
+                timeout_at=timeout,
             )
             models = after.pairwise + after.timeout_models
             # every model equals a from-scratch fit on the same store

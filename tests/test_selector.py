@@ -317,7 +317,7 @@ class TestTrainEnsemble:
         imputer = fit_imputer(s, s.instances)
         ens = train_ensemble(
             s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0),
-            timeout_enabled=True,
+            timeout_at=s.cutoff,
         )
         assert len(ens.timeout_models) == 3
         assert all(tm.trained_at == s.cutoff for tm in ens.timeout_models)
@@ -327,9 +327,9 @@ class TestTrainEnsemble:
         store = self._store_full(s)
         imputer = fit_imputer(s, s.instances)
         cfg = ForestConfig(n_trees=5, seed=0)
-        first = train_ensemble(s, s.instances, store, imputer, cfg, timeout_enabled=True)
+        first = train_ensemble(s, s.instances, store, imputer, cfg, timeout_at=s.cutoff)
         again = train_ensemble(
-            s, s.instances, store, imputer, cfg, timeout_enabled=True, previous=first
+            s, s.instances, store, imputer, cfg, timeout_at=s.cutoff, previous=first
         )
         pairs = zip(again.pairwise + again.timeout_models, first.pairwise + first.timeout_models)
         assert all(new.model is old.model for new, old in pairs)
@@ -352,12 +352,14 @@ class TestTrainEnsemble:
             other = train_ensemble(**args, previous=first)
             assert all(new.model is not old.model for new, old in zip(other.pairwise, first.pairwise))
 
-    def test_no_labels_raises(self):
+    def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
         store = LabelStore(s.instances, s.algorithms)
         imputer = fit_imputer(s, s.instances)
-        with pytest.raises(ValueError):
-            train_ensemble(s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0))
+        ens = train_ensemble(
+            s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff
+        )
+        assert all(m.model is None for m in ens.pairwise + ens.timeout_models)
 
     def test_timeout_training_labels(self):
         assert timeout_label(Solved(10), 60) == 0
