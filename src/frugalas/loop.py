@@ -7,6 +7,7 @@ that labels and trains: the passive baseline is its initial phase over the
 whole fold, and a static timeout is a controller that starts at its cap, the
 cutoff. `CostLedger.run` is the one place a cell runs: it replays the
 recorded run, records the observation and charges its CPU-seconds.
+`VoteCache` walks each forest once on each of the loop's fixed row blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forest import ForestConfig, forest_proba
+from .forest import ForestConfig, forest_votes
 from .labels import Censored, LabelStore, Observation, Solved, final, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
@@ -186,9 +187,41 @@ def rank_queries(confidence: np.ndarray, pool: np.ndarray, n_requests: int):
     return pair[order], pos[order], conf[order]
 
 
-def _forests(ensemble: SelectorEnsemble) -> list:
-    """Every forest of the ensemble, pairwise then timeout; None = untrained."""
-    return [m.model for m in ensemble.pairwise + (ensemble.timeout_models or [])]
+class VoteCache:
+    """Class-1 votes of each model slot's forest on one fixed block of rows.
+
+    A slot is walked again only when it holds a forest object other than the
+    one it was last walked with (`is`, not equality): `train_ensemble` keeps
+    a slot's forest object exactly when its labels are unchanged, and a refit
+    is a new object. Walks happen on first read, not when a forest changes.
+    """
+
+    def __init__(self, X: np.ndarray, n_slots: int):
+        self.X = X
+        # A fresh object stands for "never walked": no slot's forest is it.
+        self.forests: list = [object()] * n_slots
+        self.votes = np.zeros((n_slots, X.shape[0]), dtype=np.int64)
+
+    def refresh(self, forests) -> bool:
+        """Walk, in one `forest_votes` call, the trained slots whose forest
+        is not the one last walked; True when any slot's forest changed,
+        untrained (None) slots included."""
+        stale = [s for s, f in enumerate(forests) if f is not self.forests[s]]
+        walk = [s for s in stale if forests[s] is not None]
+        if walk:
+            self.votes[walk] = forest_votes([forests[s] for s in walk], self.X)
+        for s in stale:
+            self.forests[s] = forests[s]
+        return bool(stale)
+
+    def proba(self, forests) -> tuple[np.ndarray, np.ndarray]:
+        """(p0, p1) of the trained slots, in slot order, on every row of the
+        block: `forest_proba`'s `(k - v) / k` and `v / k`, to the bit."""
+        self.refresh(forests)
+        trained = [s for s, f in enumerate(forests) if f is not None]
+        votes = self.votes[trained]
+        k = np.array([len(forests[s].trees) for s in trained]).reshape(-1, 1)
+        return (k - votes) / k, votes / k
 
 
 class FrugalLoop:
@@ -222,6 +255,14 @@ class FrugalLoop:
         # Scenario rows of the training instances, in train order.
         self._rows = np.array([scenario.instance_index(i) for i in self.train], dtype=np.intp)
         self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
+        held_out = [scenario.instance_index(i) for i in self.validation + self.test]
+        n_slots = len(self.pairs) + (len(scenario.algorithms) if cfg.timeout_predictor else 0)
+        # Pair slots on the training rows (the uncertainty query); every
+        # slot on the validation rows, then the test rows (the evaluations).
+        self._train_votes = VoteCache(self._train_X, len(self.pairs))
+        self._held_out_votes = VoteCache(
+            self.imputer.transform(scenario.feature_matrix[held_out]), n_slots
+        )
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
         # A static timeout is a controller parked at its cap, the cutoff: it
@@ -253,7 +294,7 @@ class FrugalLoop:
 
         self.ensemble: SelectorEnsemble | None = None
         self.ensemble = self._retrain()
-        # (validation, test) PAR10 of the current ensemble, once evaluated.
+        # (validation, test) PAR10 of the forests `_held_out_votes` holds.
         self._par10: tuple[float, float] | None = None
 
     # -- helpers -------------------------------------------------------------
@@ -282,11 +323,13 @@ class FrugalLoop:
 
     def pair_confidences(self) -> np.ndarray:
         """(n_pairs, n_train) max posterior of each pair's model on every
-        training instance, from one walk over all trained pair forests; an
-        abstaining (untrained) pair scores 0.5."""
+        training instance; an abstaining (untrained) pair scores 0.5. Votes
+        come from `_train_votes`, which walks only the pair forests that
+        changed since the last query."""
+        forests = [pm.model for pm in self.ensemble.pairwise]
         confidence = np.full(self.pool.shape, 0.5)
-        trained = [p for p, pm in enumerate(self.ensemble.pairwise) if pm.model is not None]
-        p0, p1 = forest_proba([self.ensemble.pairwise[p].model for p in trained], self._train_X)
+        trained = [p for p, f in enumerate(forests) if f is not None]
+        p0, p1 = self._train_votes.proba(forests)
         confidence[trained] = np.maximum(p0, p1)
         return confidence
 
@@ -347,16 +390,18 @@ class FrugalLoop:
         for req in requests:
             self.execute_request(req)
         self._update_pools()
-        previous = self.ensemble
         self.ensemble = self._retrain()
 
-        # Only the forests decide what select_batch picks, so a round that
-        # kept every forest object keeps both PAR10 values as well.
-        kept = all(a is b for a, b in zip(_forests(self.ensemble), _forests(previous)))
-        if self._par10 is None or not kept:
+        # Only the forests decide what the selector picks, so a round that
+        # kept the forests last evaluated keeps both PAR10 values as well.
+        forests = [m.model for m in self.ensemble.pairwise + (self.ensemble.timeout_models or [])]
+        if self._held_out_votes.refresh(forests):
+            p0, p1 = self._held_out_votes.proba(forests)
+            v = len(self.validation)
+            validation, test = (p0[:, :v], p1[:, :v]), (p0[:, v:], p1[:, v:])
             self._par10 = (
-                evaluate_selector(self.ensemble, self.validation, self.scenario),
-                evaluate_selector(self.ensemble, self.test, self.scenario),
+                evaluate_selector(self.ensemble, self.validation, self.scenario, validation),
+                evaluate_selector(self.ensemble, self.test, self.scenario, test),
             )
         validation_par10, test_par10 = self._par10
         # A plateau-triggered increase takes effect from the next step on.

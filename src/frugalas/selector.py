@@ -153,11 +153,18 @@ def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:
     for its predicted winner; the earliest algorithm wins a tie.
     """
     X = ensemble.imputer.transform(np.atleast_2d(np.asarray(raw_rows, dtype=np.float64)))
-    n = X.shape[0]
+    models = ensemble.pairwise + (ensemble.timeout_models or [])
+    return _vote(ensemble, *forest_proba([m.model for m in models if m.model is not None], X))
+
+
+def _vote(ensemble: SelectorEnsemble, p0: np.ndarray, p1: np.ndarray) -> list[str]:
+    """`select_batch`'s rule on the class probabilities (p0, p1) of the
+    trained pairwise models, then the trained timeout models, in slot order:
+    one row per model and one column per row selected for."""
+    n = p0.shape[1]
     column = {a: k for k, a in enumerate(ensemble.algorithms)}
     pairs = [pm for pm in ensemble.pairwise if pm.model is not None]
     timeouts = [tm for tm in ensemble.timeout_models or [] if tm.model is not None]
-    p0, p1 = forest_proba([m.model for m in pairs + timeouts], X)
 
     excluded = np.zeros((len(column), n), dtype=bool)
     excluded[[column[tm.algorithm] for tm in timeouts]] = (
@@ -180,15 +187,27 @@ def select_algorithm(ensemble: SelectorEnsemble, raw_row) -> str:
     return select_batch(ensemble, np.asarray(raw_row, dtype=np.float64).reshape(1, -1))[0]
 
 
-def evaluate_selector(ensemble: SelectorEnsemble, instances, scenario: Scenario) -> float:
+def evaluate_selector(
+    ensemble: SelectorEnsemble, instances, scenario: Scenario, proba=None
+) -> float:
     """Total PAR10 of the selected algorithms' true recorded runs, summed
-    left to right."""
+    left to right.
+
+    `proba` is the (p0, p1) that `select_batch` would compute on
+    `instances`, from a caller that already walked those forests on those
+    rows: the trained pairwise models, then the trained timeout models, in
+    slot order, as `(k - v) / k` and `v / k` from `k` trees with `v` class-1
+    votes. None walks them here, through `select_batch`."""
     instances = list(instances)
     if not instances:
         return 0.0
     rows = [scenario.instance_index(i) for i in instances]
     column = {a: k for k, a in enumerate(scenario.algorithms)}
-    columns = [column[a] for a in select_batch(ensemble, scenario.feature_matrix[rows])]
+    if proba is None:
+        selected = select_batch(ensemble, scenario.feature_matrix[rows])
+    else:
+        selected = _vote(ensemble, *proba)
+    columns = [column[a] for a in selected]
     total = 0.0
     for score in scenario.par10[rows, columns].tolist():
         total += score

@@ -1,10 +1,12 @@
-from itertools import compress
+from itertools import compress, product
 
 import numpy as np
 import pytest
 
-from conftest import build_scenario, reference_proba
-from frugalas.forest import ForestConfig, dump_trees
+import frugalas.loop as loop_mod
+from conftest import build_scenario
+from frugalas.forest import ForestConfig, dump_trees, forest_proba
+from frugalas.harness import ExperimentSpec, passive_ensemble
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
 from frugalas.loop import (
     CostLedger,
@@ -17,9 +19,10 @@ from frugalas.loop import (
     least_confidence_score,
     margin_score,
 )
-from frugalas.preprocess import FoldSplit
+from frugalas.preprocess import FoldSplit, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
-from frugalas.selector import PairwiseModel, SelectorEnsemble, train_ensemble
+from frugalas.selector import PairwiseModel, SelectorEnsemble, evaluate_selector, train_ensemble
+from frugalas.synthetic import make_synthetic_scenario
 
 
 class TestUncertaintyScores:
@@ -260,19 +263,35 @@ class TestUncertaintySelection:
                 entries[:7]
             )
 
-    def test_pair_confidences_match_each_forest(self):
-        loop, _ = make_loop(n_train=20, n_algorithms=3, initial_size=6, batch_size=2)
-        loop.run(max_steps=3)
+    def test_pair_confidences_match_each_forest(self, tmp_path):
+        # Through the vote caches, to exhaustion: every round's confidences
+        # equal a fresh walk of each pair forest, and every record's PAR10 an
+        # evaluation that walks the forests itself.
+        configs = ("uncertainty", "uncertainty-to", "uncertainty-to-dt", "random-to")
+        for seed, config_id in product(range(3), configs):
+            s = make_synthetic_scenario(60, 3, seed=seed)
+            plan = make_splits(s, seed)
+            spec = ExperimentSpec(s, tmp_path, n_trees=5)
+            loop = FrugalLoop(s, plan.folds[0], plan.test, spec.loop_config(config_id, seed))
+            while True:
+                confidence = loop.pair_confidences()
+                assert confidence.shape == loop.pool.shape
+                for p, pm in enumerate(loop.ensemble.pairwise):
+                    expected = np.full(len(loop.train), 0.5)
+                    if pm.model is not None:
+                        expected = np.maximum(*forest_proba([pm.model], loop._train_X))[0]
+                    assert confidence[p].tobytes() == expected.tobytes()
+                record = loop.step()
+                if record is None:
+                    break
+                assert record.validation_par10 == evaluate_selector(
+                    loop.ensemble, loop.validation, s
+                )
+                assert record.test_par10 == evaluate_selector(loop.ensemble, loop.test, s)
+            assert loop.resolved_cells == loop.total_cells
+        assert all(pm.model is not None for pm in loop.ensemble.pairwise)
         loop.ensemble.pairwise[1].model = None  # an untrained pair abstains
-        confidence = loop.pair_confidences()
-        assert confidence.shape == loop.pool.shape
-        assert any(pm.model is not None for pm in loop.ensemble.pairwise)
-        for p, pm in enumerate(loop.ensemble.pairwise):
-            if pm.model is None:
-                expected = np.full(len(loop.train), 0.5)
-            else:
-                expected = reference_proba(pm.model, loop._train_X).max(axis=1)
-            assert confidence[p].tobytes() == expected.tobytes()
+        assert np.all(loop.pair_confidences()[1] == 0.5)
 
     def test_request_cap(self):
         loop = self._loop_with_stub(
@@ -564,3 +583,70 @@ class TestEvaluationReuse:
         assert record.step == first.step + 1
         assert record.validation_par10 == evaluate(after, loop.validation, s)
         assert record.test_par10 == evaluate(after, loop.test, s)
+
+
+class TestVoteCache:
+    """Counts the forests each `forest_votes` call in the loop walks, by the
+    block of rows it walks them on."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walks = []  # (rows, forests); holding the forests keeps their ids unique
+        votes = loop_mod.forest_votes
+
+        def counted(forests, X):
+            walks.append((X, list(forests)))
+            return votes(forests, X)
+
+        monkeypatch.setattr(loop_mod, "forest_votes", counted)
+        return walks
+
+    @pytest.mark.parametrize("config_id", ["uncertainty-to-dt", "uncertainty", "random-to"])
+    def test_a_round_walks_exactly_the_changed_forests(self, walks, config_id, tmp_path):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        assert walks == []
+        blocks = {"train": loop._train_votes.X, "held out": loop._held_out_votes.X}
+        walked = {name: [] for name in blocks}
+        # Per block, the slot forests it last read; None = not read yet.
+        last = {name: None for name in blocks}
+
+        def expect(name, forests):
+            old = last[name] or [object()] * len(forests)
+            last[name] = forests
+            return [f for f, o in zip(forests, old) if f is not None and f is not o]
+
+        while True:
+            start = len(walks)
+            pairs = [pm.model for pm in loop.ensemble.pairwise]
+            if loop.step() is None:
+                break
+            ensemble = loop.ensemble
+            forests = [m.model for m in ensemble.pairwise + (ensemble.timeout_models or [])]
+            expected = {
+                "train": expect("train", pairs) if cfg.selection == "uncertainty" else [],
+                "held out": expect("held out", forests),
+            }
+            for name, X in blocks.items():
+                calls = [fs for rows, fs in walks[start:] if rows is X]
+                assert len(calls) <= 1  # one `forest_votes` call per block and round
+                round_walks = [f for fs in calls for f in fs]
+                assert [id(f) for f in round_walks] == [id(f) for f in expected[name]]
+                walked[name] += round_walks
+        assert all(any(rows is X for X in blocks.values()) for rows, _ in walks)
+        for forests in walked.values():
+            assert len({id(f) for f in forests}) == len(forests)  # at most once per block
+        if cfg.selection == "random":
+            assert walked["train"] == []
+        else:
+            assert walked["train"]
+        assert walked["held out"]
+
+    def test_passive_baseline_walks_nothing(self, walks):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        fold = make_splits(s, 0).folds[0]
+        ensemble, _ = passive_ensemble(s, fold, 0, timeout_models=True, n_trees=5)
+        assert all(m.model is not None for m in ensemble.pairwise)
+        assert walks == []
