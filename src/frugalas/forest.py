@@ -8,16 +8,21 @@ confidence.
 
 Each split node scans all of its candidate features at once in numpy
 (`_scan_split`); there is no compiled kernel. Each tree grows from an
-explicit preorder stack, with no recursion limit to meet or raise. A forest
-keeps the nodes of all its trees in one set of flat arrays, and
-`forest_votes` walks every (forest, tree, row) lane of any list of forests at
-once, one numpy pass per level.
+explicit preorder stack, with no recursion limit to meet or raise. The scan
+also hands each child its rows and labels, as the two parts of the chosen
+feature's sort order, and its class-1 count, so no node recounts its labels
+and a pure node becomes a leaf without a numpy call. A forest keeps the
+nodes of all its trees in one set of flat arrays, with per-tree views
+(`RandomForest.trees`) built on first use, and `forest_votes` walks every
+(forest, tree, row) lane of any list of forests at once, one numpy pass per
+level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +36,20 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
 
     values is a (k, n) block with n >= 2, one row per candidate feature,
     holding the node's rows; labels is the (n,) int64 class vector of those
-    rows. Returns (row, score, threshold): the chosen candidate row, the sum
-    over both children of n_child times the child's Gini impurity, and the
-    split threshold, or (-1, inf, 0.0) when every row is constant. Counts are
-    exact integers, each score is formed with the same double operations for
-    every boundary, and ties keep the first minimum: first the earliest row,
-    then the earliest boundary in ascending order.
+    rows. Returns (row, score, threshold, order, m, left1): the chosen
+    candidate row, the sum over both children of n_child times the child's
+    Gini impurity, the split threshold, the chosen row's ascending sort order,
+    the split position and the left child's class-1 count; or
+    (-1, inf, 0.0, None, 0, 0) when every row is constant. Counts are exact
+    integers, each score is formed with the same double operations for every
+    boundary, and ties keep the first minimum: first the earliest row, then
+    the earliest boundary in ascending order.
+
+    The split falls between the sorted values lo = values[row, order[m - 1]]
+    and hi = values[row, order[m]], lo < hi, and the threshold lies in
+    [lo, hi). So the first m rows of `order` are exactly the rows with
+    `value <= threshold` and the rest those above it: a caller splits by
+    position and gets the children `value <= threshold` would give.
     """
     n = values.shape[1]
     # Neither sort needs to be stable. A split falls only between two
@@ -44,31 +57,32 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     # order. Equal values differ at most in the sign of a zero, and a
     # boundary pair holds at most one zero, whose sign leaves the threshold
     # unchanged.
-    c1l = np.cumsum(labels[np.argsort(values, axis=1)], axis=1)[:, :-1]
-    values = np.sort(values, axis=1)
-    total1 = labels.sum()
-
+    order = values.argsort(axis=1)
+    c1 = labels[order].cumsum(axis=1)  # class-1 rows among the first j + 1
+    values = values.copy()
+    values.sort(axis=1)
+    c1l = c1[:, :-1]
+    # Every boundary's left child, then every right child: its size, class
+    # counts and n_child times its Gini impurity, in one pass for both sides.
     n_l = np.arange(1, n, dtype=np.int64)
-    n_r = n - n_l
-    c0l = n_l - c1l
-    c1r = total1 - c1l
-    c0r = n_r - c1r
-    left = n_l - (c0l * c0l + c1l * c1l) / n_l
-    right = n_r - (c0r * c0r + c1r * c1r) / n_r
-    score = left + right
+    size = np.concatenate((n_l, n - n_l))
+    ones = np.concatenate((c1l, c1[:, -1:] - c1l), axis=1)
+    zeros = size - ones
+    impurity = size - (zeros * zeros + ones * ones) / size
+    score = impurity[:, : n - 1] + impurity[:, n - 1 :]
     # Only a boundary between two different values is a split.
     score[values[:, :-1] == values[:, 1:]] = np.inf
 
-    best = int(np.argmin(score))
+    best = int(score.argmin())
     row, j = divmod(best, n - 1)
-    best_score = float(score[row, j])
+    best_score = score.item(best)
     if best_score == np.inf:
-        return -1, np.inf, 0.0
-    lo, hi = float(values[row, j]), float(values[row, j + 1])
+        return -1, np.inf, 0.0, None, 0, 0
+    lo, hi = values.item(row, j), values.item(row, j + 1)
     thr = (lo + hi) / 2.0
     if thr >= hi:
         thr = lo
-    return row, best_score, thr
+    return row, best_score, thr, order[row], j + 1, c1l.item(row, j)
 
 
 @dataclass(frozen=True)
@@ -106,11 +120,12 @@ class RandomForest:
     nodes: DecisionTree  # every tree's nodes, tree after tree
     roots: np.ndarray  # (n_trees,) int64 position of each tree's root in `nodes`
     depth: int  # edges on the longest root-to-leaf path of any tree
-    trees: list[DecisionTree] = field(init=False, repr=False)  # views into `nodes`
 
-    def __post_init__(self):
+    @cached_property
+    def trees(self) -> list[DecisionTree]:
+        """One view into `nodes` per tree, built on first use."""
         stops = np.append(self.roots[1:], self.nodes.feature.shape[0])
-        self.trees = [self.nodes.view(a, b) for a, b in zip(self.roots, stops)]
+        return [self.nodes.view(a, b) for a, b in zip(self.roots, stops)]
 
     def predict_proba(self, X) -> np.ndarray:
         """(n, 2) array of class probabilities from hard tree votes."""
@@ -165,7 +180,7 @@ def forest_votes(forests, X) -> np.ndarray:
         node = children.take(2 * node + go_right)
 
     tree_votes = leaf_class.take(node).reshape(roots.shape[0], n)
-    first_tree = np.cumsum([0] + [len(f.trees) for f in forests[:-1]])
+    first_tree = np.cumsum([0] + [len(f.roots) for f in forests[:-1]])
     return np.add.reduceat(tree_votes, first_tree, axis=0, dtype=np.int64)
 
 
@@ -174,7 +189,7 @@ def forest_proba(forests, X) -> tuple[np.ndarray, np.ndarray]:
     (len(forests), n) float64, from `k` trees with `v` class-1 votes as
     `(k - v) / k` and `v / k`."""
     votes = forest_votes(forests, X)
-    k = np.array([len(forest.trees) for forest in forests]).reshape(-1, 1)
+    k = np.array([len(forest.roots) for forest in forests]).reshape(-1, 1)
     return (k - votes) / k, votes / k
 
 
@@ -185,36 +200,39 @@ def _grow_tree(XT, y, sample, max_features, rng, nodes) -> int:
     XT is (n_features, n_rows), one contiguous row per feature, and y the
     int64 labels. Nodes are numbered in preorder as they leave an explicit
     stack, child indices count from the tree's root, and each impure node
-    draws its candidate features from `rng` in that order.
+    draws its candidate features from `rng` in that order. A stack entry
+    carries its rows, their labels and its class-1 count: a split node's
+    scan hands each child its share of all three, so a pure node becomes a
+    leaf without touching an array.
     """
     feature, threshold, left, right, n0, n1 = nodes
+    n_features = XT.shape[0]
     root = len(feature)
     depth = 0
-    # (rows, depth, (child list, parent position) to point at the node).
-    stack = [(sample, 0, None)]
+    labels = y[sample]
+    # (rows, labels, class-1 count, depth, (child list, parent position) to
+    # point at the node).
+    stack = [(sample, labels, int(labels.sum()), 0, None)]
     while stack:
-        idx, level, slot = stack.pop()
+        idx, labels, c1, level, slot = stack.pop()
         depth = max(depth, level)
         at = len(feature)
         if slot is not None:
             children, parent = slot
             children[parent] = at - root
-        labels = y[idx]
-        n = idx.size
-        c1 = int(labels.sum())
+        n = idx.shape[0]
         c0 = n - c1
         # A pure node, including every node of fewer than two rows, is a leaf.
         node = (-1, 0.0, -1, -1, c0, c1)
         if c0 and c1:
-            candidates = rng.choice(XT.shape[0], size=max_features, replace=False)
+            candidates = rng.choice(n_features, size=max_features, replace=False)
             block = XT.take(candidates, axis=0).take(idx, axis=1)
-            row, score, thr = _scan_split(block, labels)
+            row, score, thr, order, m, left1 = _scan_split(block, labels)
             if row >= 0 and score < n - (c0 * c0 + c1 * c1) / n:
-                best_feature = int(candidates[row])
-                go_left = XT[best_feature, idx] <= thr
-                node = (best_feature, thr, -1, -1, 0, 0)
-                stack.append((idx[~go_left], level + 1, (right, at)))
-                stack.append((idx[go_left], level + 1, (left, at)))
+                node = (int(candidates[row]), thr, -1, -1, 0, 0)
+                idx, labels = idx[order], labels[order]
+                stack.append((idx[m:], labels[m:], c1 - left1, level + 1, (right, at)))
+                stack.append((idx[:m], labels[:m], left1, level + 1, (left, at)))
         for column, value in zip(nodes, node):
             column.append(value)
     return depth
@@ -223,14 +241,15 @@ def _grow_tree(XT, y, sample, max_features, rng, nodes) -> int:
 def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     """Train a forest; (seed, data) fully determine the result."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int8).ravel()
+    y = np.asarray(y).ravel()
     if X.shape[0] == 0:
         raise ValueError("cannot fit a forest on zero rows")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
     if np.isnan(X).any():
         raise ValueError("missing values must be imputed before fitting")
-    if not np.isin(y, (0, 1)).all():
+    # Checked as given: a cast first would pass 0.7 or 256 as 0.
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
 
     n, n_features = X.shape

@@ -124,8 +124,9 @@ def pair_classes(solved, censored, a, b) -> np.ndarray:
     return np.where(a_wins, 0, np.where(b_wins, 1, -1)).astype(np.int8)
 
 
-def timeout_classes(solved, censored, k: int, timeout: float) -> np.ndarray:
-    """`timeout_label` of column k at `timeout` as int8, -1 for None."""
+def timeout_classes(solved, censored, k, timeout: float) -> np.ndarray:
+    """`timeout_label` of column k at `timeout` as int8, -1 for None. With
+    an index array k, one column per algorithm."""
     s = solved[:, k]
     will_time_out = (s > timeout) | (censored[:, k] >= timeout)
     return np.where(s <= timeout, 0, np.where(will_time_out, 1, -1)).astype(np.int8)

@@ -220,7 +220,7 @@ class VoteCache:
         self.refresh(forests)
         trained = [s for s, f in enumerate(forests) if f is not None]
         votes = self.votes[trained]
-        k = np.array([len(forests[s].trees) for s in trained]).reshape(-1, 1)
+        k = np.array([len(forests[s].roots) for s in trained]).reshape(-1, 1)
         return (k - votes) / k, votes / k
 
 

@@ -9,6 +9,7 @@ every algorithm is predicted to time out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,7 @@ def algorithm_pairs(algorithms) -> list[tuple[str, str]]:
     ]
 
 
+@lru_cache(maxsize=4096)  # a loop asks again for each refit of a slot
 def _sub_seed(base_seed: int, *path: int) -> int:
     return int(np.random.SeedSequence((base_seed, *path)).generate_state(1)[0])
 
@@ -94,25 +96,29 @@ def train_ensemble(
         and previous.forest_config == forest_config
         and previous.algorithms == algorithms
     )
+    # Imputation is row by row, so a slot's rows of X are the bits that
+    # imputing them alone would give.
+    X = imputer.transform(scenario.feature_matrix[matrix_rows])
 
     def fit(labels, old, *seed_path) -> RandomForest | None:
         """Forest on the instances with a label, `old`'s forest when fit on
         the same labels, None when no instance has one."""
-        if old is not None and np.array_equal(old.labels, labels):
+        # `old` exists only for the same train rows, so the shapes match.
+        if old is not None and (old.labels == labels).all():
             return old.model
         labelled = labels >= 0
         if not labelled.any():
             return None
-        X = imputer.transform(scenario.feature_matrix[matrix_rows[labelled]])
-        y = labels[labelled]
         cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *seed_path))
-        return fit_forest(X, y, cfg)
+        return fit_forest(X[labelled], labels[labelled], cfg)
 
     pairs = algorithm_pairs(range(len(algorithms)))
+    # Every slot's labels from one call, one row per slot.
+    side_a, side_b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    pair_labels = pair_classes(solved, censored, side_a, side_b).T
     old_pairwise = (reusable and previous.pairwise) or [None] * len(pairs)
     pairwise = []
-    for p, ((ia, ib), old) in enumerate(zip(pairs, old_pairwise)):
-        labels = pair_classes(solved, censored, ia, ib)
+    for p, ((ia, ib), labels, old) in enumerate(zip(pairs, pair_labels, old_pairwise)):
         pairwise.append(
             PairwiseModel(
                 pair=(algorithms[ia], algorithms[ib]),
@@ -123,9 +129,11 @@ def train_ensemble(
     timeout_models = None
     if timeout_at is not None:
         old_timeout = (reusable and previous.timeout_models) or [None] * len(algorithms)
+        timeout_labels = timeout_classes(
+            solved, censored, np.arange(len(algorithms)), timeout_at
+        ).T
         timeout_models = []
-        for k, (algo, old) in enumerate(zip(algorithms, old_timeout)):
-            labels = timeout_classes(solved, censored, k, timeout_at)
+        for k, (algo, labels, old) in enumerate(zip(algorithms, timeout_labels, old_timeout)):
             timeout_models.append(
                 TimeoutModel(
                     algorithm=algo,

@@ -1,8 +1,12 @@
 import struct
 import sys
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_proba, reference_votes
 from frugalas.forest import (
@@ -44,6 +48,14 @@ class TestFit:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             fit_forest(np.array([[np.nan]]), np.array([0]))
+
+    @pytest.mark.parametrize(
+        "y", [np.array([0.7, 1.0, 0.2]), np.array([256, 1, 0]), np.array([-256, 1, 0])]
+    )
+    def test_labels_are_checked_before_any_cast(self, y):
+        # Each of these would read as [0, 1, 0] as int8.
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_forest(np.arange(3.0).reshape(-1, 1), y)
 
 
 class TestPredict:
@@ -307,14 +319,139 @@ class TestScanSplit:
                 block[b] = rng.permutation(block[a])  # another row, same multiset
             labels = rng.integers(0, 2, size=n).astype(np.int64)
 
-            row, score, thr = _scan_split(block, labels)
+            row, score, thr, order, m, left1 = _scan_split(block, labels)
             ref_row, ref_score, ref_thr = reference_block_scan(block, labels)
             assert row == ref_row
             assert _bits(score) == _bits(ref_score)
             assert _bits(thr) == _bits(ref_thr)
             if row >= 0:
+                go_left = block[row] <= thr
+                assert sorted(order[:m]) == np.flatnonzero(go_left).tolist()
+                assert sorted(order[m:]) == np.flatnonzero(~go_left).tolist()
+                assert left1 == labels[go_left].sum()
                 scores = [reference_block_scan(block[r : r + 1], labels)[1] for r in range(k)]
                 cross_row_ties += scores.count(score) > 1
             else:
                 no_split += 1
         assert cross_row_ties > 20 and no_split > 5
+
+
+# The build before each scan handed its children their rows, labels and
+# class counts: every split recounted its labels and partitioned its rows by
+# `value <= threshold`, in sample order.
+
+
+def reference_scan_split(values, labels):
+    """(row, score, threshold) of the best split, or (-1, inf, 0.0)."""
+    n = values.shape[1]
+    c1l = np.cumsum(labels[np.argsort(values, axis=1)], axis=1)[:, :-1]
+    values = np.sort(values, axis=1)
+    total1 = labels.sum()
+
+    n_l = np.arange(1, n, dtype=np.int64)
+    n_r = n - n_l
+    c0l = n_l - c1l
+    c1r = total1 - c1l
+    c0r = n_r - c1r
+    left = n_l - (c0l * c0l + c1l * c1l) / n_l
+    right = n_r - (c0r * c0r + c1r * c1r) / n_r
+    score = left + right
+    score[values[:, :-1] == values[:, 1:]] = np.inf
+
+    best = int(np.argmin(score))
+    row, j = divmod(best, n - 1)
+    best_score = float(score[row, j])
+    if best_score == np.inf:
+        return -1, np.inf, 0.0
+    lo, hi = float(values[row, j]), float(values[row, j + 1])
+    thr = (lo + hi) / 2.0
+    if thr >= hi:
+        thr = lo
+    return row, best_score, thr
+
+
+def reference_grow_tree(XT, y, sample, max_features, rng, nodes) -> int:
+    feature, threshold, left, right, n0, n1 = nodes
+    root = len(feature)
+    depth = 0
+    stack = [(sample, 0, None)]
+    while stack:
+        idx, level, slot = stack.pop()
+        depth = max(depth, level)
+        at = len(feature)
+        if slot is not None:
+            children, parent = slot
+            children[parent] = at - root
+        labels = y[idx]
+        n = idx.size
+        c1 = int(labels.sum())
+        c0 = n - c1
+        node = (-1, 0.0, -1, -1, c0, c1)
+        if c0 and c1:
+            candidates = rng.choice(XT.shape[0], size=max_features, replace=False)
+            block = XT.take(candidates, axis=0).take(idx, axis=1)
+            row, score, thr = reference_scan_split(block, labels)
+            if row >= 0 and score < n - (c0 * c0 + c1 * c1) / n:
+                best_feature = int(candidates[row])
+                go_left = XT[best_feature, idx] <= thr
+                node = (best_feature, thr, -1, -1, 0, 0)
+                stack.append((idx[~go_left], level + 1, (right, at)))
+                stack.append((idx[go_left], level + 1, (left, at)))
+        for column, value in zip(nodes, node):
+            column.append(value)
+    return depth
+
+
+def reference_fit(X, y, config):
+    """(node columns, roots, depth) of the forest `fit_forest` must build."""
+    n, n_features = X.shape
+    max_features = max(1, min(n_features, int(math.floor(math.sqrt(n_features)))))
+    XT = np.ascontiguousarray(X.T)
+    y64 = np.asarray(y, dtype=np.int64)
+    nodes = ([], [], [], [], [], [])
+    roots, depth = [], 0
+    for t in range(config.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
+        sample = rng.integers(0, n, size=n)
+        roots.append(len(nodes[0]))
+        tree_depth = reference_grow_tree(XT, y64, np.sort(sample), max_features, rng, nodes)
+        depth = max(depth, tree_depth)
+    return nodes, roots, depth
+
+
+@st.composite
+def training_sets(draw):
+    """(X, y): duplicate values, both signs of zero, constant columns and
+    single-class labels are all common."""
+    n = draw(st.integers(1, 120))
+    n_features = draw(st.integers(1, 35))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.append(rng.uniform(-5, 5, size=draw(st.integers(1, 6))), [0.0, -0.0])
+    X = rng.choice(pool, size=(n, n_features))
+    if draw(st.booleans()):
+        X[:, ::2] = rng.normal(size=X[:, ::2].shape)  # continuous columns
+    if draw(st.booleans()):
+        X[:, rng.integers(n_features)] = pool[0]  # a constant column
+    kind = draw(st.sampled_from(["mixed", "class 0", "class 1"]))
+    if kind == "mixed":
+        y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+    else:
+        y = np.full(n, int(kind == "class 1"))
+    return X, y
+
+
+class TestReferenceBuild:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(training_sets(), st.integers(1, 7), st.integers(0, 1000))
+    def test_fit_forest_equals_the_reference_build(self, data, n_trees, seed):
+        X, y = data
+        config = ForestConfig(n_trees=n_trees, seed=seed)
+        forest = fit_forest(X, y, config)
+        (feature, threshold, left, right, n0, n1), roots, depth = reference_fit(X, y, config)
+        nodes = forest.nodes
+        assert nodes.feature.tolist() == feature
+        assert nodes.threshold.tobytes() == np.array(threshold, dtype=np.float64).tobytes()
+        assert nodes.left.tolist() == left and nodes.right.tolist() == right
+        assert nodes.n0.tolist() == n0 and nodes.n1.tolist() == n1
+        assert forest.roots.tolist() == roots
+        assert forest.depth == depth

@@ -85,9 +85,14 @@ def test_pair_classes_and_settlement_equal_the_scalar_rules(table):
 @example(BOUNDARY_TABLE, CUTOFF)
 def test_timeout_classes_equal_the_scalar_rule(table, timeout):
     store = store_of(table)
-    for k in range(len(table[0])):
+    columns = np.arange(len(table[0]))
+    every_column = timeout_classes(store.solved, store.censored, columns, timeout)
+    assert every_column.dtype == np.int8
+    assert every_column.shape == (len(table), len(columns))
+    for k in columns.tolist():
         classes = timeout_classes(store.solved, store.censored, k, timeout)
         assert classes.dtype == np.int8
+        assert np.array_equal(every_column[:, k], classes)
         for i, row in enumerate(table):
             label = timeout_label(row[k], timeout)
             assert classes[i] == (-1 if label is None else label)
