@@ -91,6 +91,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n_trees, (int, np.integer)):
+            raise ValueError(f"n_trees must be an integer, got {self.n_trees}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
 

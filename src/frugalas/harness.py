@@ -109,12 +109,10 @@ class ExperimentSpec:
         for fold in self.folds:
             if fold not in range(10):
                 raise ValueError(f"no fold {fold}: make_splits makes folds 0 to 9")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
         if not 0 < self.dt_initial_frac <= 1:
             raise ValueError(f"dt_initial_frac must be in (0, 1], got {self.dt_initial_frac}")
-        # Unknown ids and the loop settings (LoopConfig checks them) fail
-        # here, before any cell runs.
+        # Unknown ids and the loop and forest settings (LoopConfig and
+        # ForestConfig check them) fail here, before any cell runs.
         for config_id in self.configurations:
             parse_config_id(config_id)
         self.loop_config("uncertainty-dt", self.seeds[0])
@@ -150,7 +148,8 @@ def passive_ensemble(
     in fold order, before any model exists (step 0)."""
     cfg = LoopConfig(
         timeout_predictor=timeout_models,
-        initial_size=len(fold.train),
+        # An empty fold fails in FrugalLoop, with PreprocessError.
+        initial_size=len(fold.train) or None,
         seed=seed,
         forest=ForestConfig(n_trees=n_trees, seed=seed),
     )

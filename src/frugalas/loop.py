@@ -134,8 +134,7 @@ class LoopConfig:
     selection: str = "uncertainty"  # or "random"
     timeout_predictor: bool = False
     dynamic_timeout: bool = False
-    batch_size: int | None = None  # default: ceil(batch_frac * |train|)
-    batch_frac: float = 0.01
+    batch_frac: float = 0.01  # a round's batch: ceil(batch_frac * |train|)
     initial_size: int | None = None  # default: one batch
     seed: int = 0
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -147,11 +146,18 @@ class LoopConfig:
     def __post_init__(self):
         if self.selection not in ("uncertainty", "random"):
             raise ValueError(f"unknown selection strategy '{self.selection}'")
+        # A window slices the score history and the initial set is a sample
+        # size, so both must be whole numbers.
+        for name in ("dt_window", "initial_size"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
         # Positive ranges, so NaN fails each. A timeout that cannot reach the
         # cutoff (growth <= 1, or a plateau test that never passes) would
         # leave censored cells unsettled and the loop running forever.
         ranges = {
             "batch_frac": ("in (0, 1]", 0 < self.batch_frac <= 1),
+            "initial_size": (">= 1", self.initial_size is None or self.initial_size >= 1),
             "dt_growth": ("> 1", self.dt_growth > 1),
             "dt_window": (">= 1", self.dt_window >= 1),
             "dt_tolerance": ("> 0", self.dt_tolerance > 0),
@@ -160,9 +166,6 @@ class LoopConfig:
         for name, (rule, ok) in ranges.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-        # A window slices the score history, so it must be a whole number.
-        if not isinstance(self.dt_window, (int, np.integer)):
-            raise ValueError(f"dt_window must be an integer, got {self.dt_window}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,7 @@ class FrugalLoop:
         # An empty fold fails here, with PreprocessError.
         self.imputer = fit_imputer(scenario, self.train)
 
-        self.batch = cfg.batch_size or max(1, math.ceil(cfg.batch_frac * n))
+        self.batch = max(1, math.ceil(cfg.batch_frac * n))
         initial = cfg.initial_size or self.batch
         if initial > n:
             raise ValueError("initial set larger than the training set")
@@ -310,9 +313,10 @@ class FrugalLoop:
 
     def _retrain(self) -> SelectorEnsemble:
         return train_ensemble(
-            self.scenario,
-            self.train,
-            self.store,
+            self._train_X,
+            self.store.solved[self._rows],
+            self.store.censored[self._rows],
+            self.scenario.algorithms,
             self.imputer,
             self.cfg.forest,
             timeout_at=self.controller.current if self.cfg.timeout_predictor else None,

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .forest import ForestConfig, RandomForest, fit_forest, forest_proba
-from .labels import LabelStore, pair_classes, timeout_classes
+from .labels import pair_classes, timeout_classes
 from .preprocess import ImputerModel
 from .scenario import Scenario
 
@@ -44,10 +44,6 @@ class SelectorEnsemble:
     pairwise: list[PairwiseModel]  # one per unordered pair, portfolio order
     timeout_models: list[TimeoutModel] | None
     imputer: ImputerModel
-    # The training rows and forest settings the models were fit with; a
-    # later train_ensemble reuses models only when both match.
-    train_instances: tuple[str, ...] = ()
-    forest_config: ForestConfig | None = None
 
 
 def algorithm_pairs(algorithms) -> list[tuple[str, str]]:
@@ -64,9 +60,10 @@ def _sub_seed(base_seed: int, *path: int) -> int:
 
 
 def train_ensemble(
-    scenario: Scenario,
-    train_instances,
-    store: LabelStore,
+    X: np.ndarray,
+    solved: np.ndarray,
+    censored: np.ndarray,
+    algorithms,
     imputer: ImputerModel,
     forest_config: ForestConfig,
     timeout_at: float | None = None,
@@ -75,35 +72,23 @@ def train_ensemble(
     """Fit pairwise forests, and timeout forests labelled at `timeout_at`
     unless it is None, from observed labels.
 
-    `store`'s rows and columns follow `scenario.instances` and
-    `scenario.algorithms`. Row order follows train_instances, so two stores
-    with identical observations produce identical ensembles. A model with no
-    labelled row stays untrained and abstains.
+    The training block is `X`, the imputed (by `imputer`) feature rows of
+    the training instances, and `solved` and `censored`, a `LabelStore`'s
+    arrays on the same rows in the same order, one column per algorithm of
+    `algorithms`. A model with no labelled row stays untrained and abstains.
 
-    A forest is a function of its slot's seed and of the imputed rows and
-    labels of the labelled instances. So when `previous` was fit with the
-    same imputer, train instances and forest config, every model whose label
-    vector is unchanged keeps `previous`'s forest, and only the rest refit.
+    A forest is a function of its slot's seed and of the rows and labels of
+    the labelled instances. `previous`, when given, must be an ensemble this
+    function returned for the same `X`, `algorithms`, `imputer` and
+    `forest_config`, whatever its labels: every model whose label vector is
+    unchanged keeps `previous`'s forest, and only the rest refit.
     """
-    train = tuple(train_instances)
-    algorithms = list(scenario.algorithms)
-    matrix_rows = np.array([scenario.instance_index(i) for i in train], dtype=np.intp)
-    solved, censored = store.solved[matrix_rows], store.censored[matrix_rows]
-    reusable = (
-        previous is not None
-        and previous.imputer is imputer
-        and previous.train_instances == train
-        and previous.forest_config == forest_config
-        and previous.algorithms == algorithms
-    )
-    # Imputation is row by row, so a slot's rows of X are the bits that
-    # imputing them alone would give.
-    X = imputer.transform(scenario.feature_matrix[matrix_rows])
+    algorithms = list(algorithms)
 
     def fit(labels, old, *seed_path) -> RandomForest | None:
         """Forest on the instances with a label, `old`'s forest when fit on
         the same labels, None when no instance has one."""
-        # `old` exists only for the same train rows, so the shapes match.
+        # `old` comes from the same block, so the shapes match.
         if old is not None and (old.labels == labels).all():
             return old.model
         labelled = labels >= 0
@@ -116,7 +101,7 @@ def train_ensemble(
     # Every slot's labels from one call, one row per slot.
     side_a, side_b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     pair_labels = pair_classes(solved, censored, side_a, side_b).T
-    old_pairwise = (reusable and previous.pairwise) or [None] * len(pairs)
+    old_pairwise = (previous and previous.pairwise) or [None] * len(pairs)
     pairwise = []
     for p, ((ia, ib), labels, old) in enumerate(zip(pairs, pair_labels, old_pairwise)):
         pairwise.append(
@@ -128,7 +113,7 @@ def train_ensemble(
         )
     timeout_models = None
     if timeout_at is not None:
-        old_timeout = (reusable and previous.timeout_models) or [None] * len(algorithms)
+        old_timeout = (previous and previous.timeout_models) or [None] * len(algorithms)
         timeout_labels = timeout_classes(
             solved, censored, np.arange(len(algorithms)), timeout_at
         ).T
@@ -148,8 +133,6 @@ def train_ensemble(
         pairwise=pairwise,
         timeout_models=timeout_models,
         imputer=imputer,
-        train_instances=train,
-        forest_config=forest_config,
     )
 
 

@@ -35,6 +35,14 @@ def build_scenario(runtimes, statuses=None, cutoff=100.0, features=None, scenari
     )
 
 
+def training_block(scenario, train, store, imputer):
+    """`train_ensemble`'s training block for the instances `train`: their
+    feature rows imputed by `imputer`, then their rows of `store`'s solved
+    and censored arrays, in the order of `train`."""
+    rows = [scenario.instance_index(i) for i in train]
+    return imputer.transform(scenario.feature_matrix[rows]), store.solved[rows], store.censored[rows]
+
+
 def reference_tree_predict(tree, X):
     """Leaf class of each row of X, walking one tree at a time; rows with
     `feature <= threshold` go left. The forest's own predictions come from

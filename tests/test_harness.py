@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_scenario
+from conftest import build_scenario, training_block
 from frugalas.harness import (
     FRUGAL_CONFIGS,
     _ratio,
@@ -90,8 +90,9 @@ class TestPassiveBaseline:
         ledger = CostLedger(s, LabelStore(s.instances, s.algorithms))
         for inst in fold.train:
             ledger.run(0, inst, s.algorithms, s.cutoff)
+        imputer = fit_imputer(s, fold.train)
         reference = train_ensemble(
-            s, fold.train, ledger.store, fit_imputer(s, fold.train),
+            *training_block(s, fold.train, ledger.store, imputer), s.algorithms, imputer,
             ForestConfig(n_trees=3, seed=4),
             timeout_at=s.cutoff if timeout_models else None,
         )

