@@ -130,9 +130,10 @@ class RandomForest:
         return [self.nodes.view(a, b) for a, b in zip(self.roots, stops)]
 
     def predict_proba(self, X) -> np.ndarray:
-        """(n, 2) array of class probabilities from hard tree votes."""
-        p0, p1 = forest_proba([self], X)
-        return np.column_stack([p0[0], p1[0]])
+        """(n, 2) array of class probabilities from hard tree votes: with `k`
+        trees and `v` class-1 votes, `(k - v) / k` and `v / k`."""
+        k, v = len(self.roots), forest_votes([self], X)[0]
+        return np.column_stack([(k - v) / k, v / k])
 
     def predict_label(self, X) -> np.ndarray:
         """0/1 labels; a (0.5, 0.5) tie resolves to class 0."""
@@ -184,15 +185,6 @@ def forest_votes(forests, X) -> np.ndarray:
     tree_votes = leaf_class.take(node).reshape(roots.shape[0], n)
     first_tree = np.cumsum([0] + [len(f.roots) for f in forests[:-1]])
     return np.add.reduceat(tree_votes, first_tree, axis=0, dtype=np.int64)
-
-
-def forest_proba(forests, X) -> tuple[np.ndarray, np.ndarray]:
-    """(p0, p1): each forest's class probabilities on each row, both
-    (len(forests), n) float64, from `k` trees with `v` class-1 votes as
-    `(k - v) / k` and `v / k`."""
-    votes = forest_votes(forests, X)
-    k = np.array([len(forest.roots) for forest in forests]).reshape(-1, 1)
-    return (k - votes) / k, votes / k
 
 
 def _grow_tree(XT, y, sample, max_features, rng, nodes) -> int:

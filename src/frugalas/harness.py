@@ -18,7 +18,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,8 @@ class ExperimentSpec:
         for name in ("configurations", "folds", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         for fold in self.folds:
@@ -154,7 +156,7 @@ def passive_ensemble(
         forest=ForestConfig(n_trees=n_trees, seed=seed),
     )
     loop = FrugalLoop(scenario, fold, (), cfg)
-    if all(pm.model is None for pm in loop.ensemble.pairwise):
+    if all(f is None for f in loop.ensemble.pair_forests):
         raise PreprocessError("no labelled data: every pairwise model would be untrained")
     return loop.ensemble, loop.ledger
 
@@ -213,11 +215,9 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
             scenario, fold, seed, parse_config_id(config_id)["to"], spec.n_trees
         )
         passive_cost = ledger.total
-        passive_par10 = evaluate_selector(
-            replace(ensemble, timeout_models=None), plan.test, scenario
-        )
+        passive_par10 = evaluate_selector(ensemble.without_timeouts(), plan.test, scenario)
         test_par10 = passive_par10
-        if ensemble.timeout_models is not None:
+        if ensemble.timeout_at is not None:
             test_par10 = evaluate_selector(ensemble, plan.test, scenario)
         n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
         records = [(1, scenario.cutoff, n_cells, passive_cost, 1.0, test_par10)]

@@ -7,13 +7,16 @@ that labels and trains: the passive baseline is its initial phase over the
 whole fold, and a static timeout is a controller that starts at its cap, the
 cutoff. `CostLedger.run` is the one place a cell runs: it replays the
 recorded run, records the observation and charges its CPU-seconds.
-`VoteCache` walks each forest once on each of the loop's fixed row blocks.
+`VoteCache` walks each forest once on each of the loop's fixed row blocks
+and keeps its class-1 tree votes, which the query and the evaluations read
+as integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +24,13 @@ from .forest import ForestConfig, forest_votes
 from .labels import Censored, LabelStore, Observation, Solved, final, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
-from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, train_ensemble
+from .selector import (
+    SelectorEnsemble,
+    algorithm_pairs,
+    evaluate_selector,
+    pair_columns,
+    train_ensemble,
+)
 
 # --- uncertainty scores -----------------------------------------------------
 # All three take the maximum posterior probability of a binary prediction and
@@ -134,7 +143,7 @@ class LoopConfig:
     selection: str = "uncertainty"  # or "random"
     timeout_predictor: bool = False
     dynamic_timeout: bool = False
-    batch_frac: float = 0.01  # a round's batch: ceil(batch_frac * |train|)
+    batch_frac: float = 0.01  # a round's batch: ceil(batch_frac * |train|), exactly
     initial_size: int | None = None  # default: one batch
     seed: int = 0
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -197,6 +206,7 @@ class VoteCache:
     one it was last walked with (`is`, not equality): `train_ensemble` keeps
     a slot's forest object exactly when its labels are unchanged, and a refit
     is a new object. Walks happen on first read, not when a forest changes.
+    An untrained (None) slot keeps its last row, which readers ignore.
     """
 
     def __init__(self, X: np.ndarray, n_slots: int):
@@ -217,15 +227,6 @@ class VoteCache:
             self.forests[s] = forests[s]
         return bool(stale)
 
-    def proba(self, forests) -> tuple[np.ndarray, np.ndarray]:
-        """(p0, p1) of the trained slots, in slot order, on every row of the
-        block: `forest_proba`'s `(k - v) / k` and `v / k`, to the bit."""
-        self.refresh(forests)
-        trained = [s for s, f in enumerate(forests) if f is not None]
-        votes = self.votes[trained]
-        k = np.array([len(forests[s].roots) for s in trained]).reshape(-1, 1)
-        return (k - votes) / k, votes / k
-
 
 class FrugalLoop:
     """One active-learning run on a single fold.
@@ -244,7 +245,9 @@ class FrugalLoop:
         # An empty fold fails here, with PreprocessError.
         self.imputer = fit_imputer(scenario, self.train)
 
-        self.batch = max(1, math.ceil(cfg.batch_frac * n))
+        # The ceiling of the exact product with the decimal `batch_frac` was
+        # written as: in floats, 0.07 * 100 is 7.000000000000001.
+        self.batch = max(1, math.ceil(Fraction(repr(float(cfg.batch_frac))) * n))
         initial = cfg.initial_size or self.batch
         if initial > n:
             raise ValueError("initial set larger than the training set")
@@ -253,19 +256,12 @@ class FrugalLoop:
         self.ledger = CostLedger(scenario, self.store)
         self.pairs = algorithm_pairs(scenario.algorithms)
         # Store columns of the two sides of each pair: (2, n_pairs).
-        columns = algorithm_pairs(range(len(scenario.algorithms)))
-        self._sides = np.array(columns, dtype=np.intp).reshape(-1, 2).T
+        self._sides = pair_columns(len(scenario.algorithms))
         # Scenario rows of the training instances, in train order.
         self._rows = np.array([scenario.instance_index(i) for i in self.train], dtype=np.intp)
         self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
         held_out = [scenario.instance_index(i) for i in self.validation + self.test]
-        n_slots = len(self.pairs) + (len(scenario.algorithms) if cfg.timeout_predictor else 0)
-        # Pair slots on the training rows (the uncertainty query); every
-        # slot on the validation rows, then the test rows (the evaluations).
-        self._train_votes = VoteCache(self._train_X, len(self.pairs))
-        self._held_out_votes = VoteCache(
-            self.imputer.transform(scenario.feature_matrix[held_out]), n_slots
-        )
+        held_out_X = self.imputer.transform(scenario.feature_matrix[held_out])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
         # A static timeout is a controller parked at its cap, the cutoff: it
@@ -297,6 +293,10 @@ class FrugalLoop:
 
         self.ensemble: SelectorEnsemble | None = None
         self.ensemble = self._retrain()
+        # Pair slots on the training rows (the uncertainty query); every
+        # slot on the validation rows, then the test rows (the evaluations).
+        self._train_votes = VoteCache(self._train_X, len(self.ensemble.pair_forests))
+        self._held_out_votes = VoteCache(held_out_X, len(self.ensemble.forests))
         # (validation, test) PAR10 of the forests `_held_out_votes` holds.
         self._par10: tuple[float, float] | None = None
 
@@ -327,14 +327,17 @@ class FrugalLoop:
 
     def pair_confidences(self) -> np.ndarray:
         """(n_pairs, n_train) max posterior of each pair's model on every
-        training instance; an abstaining (untrained) pair scores 0.5. Votes
-        come from `_train_votes`, which walks only the pair forests that
-        changed since the last query."""
-        forests = [pm.model for pm in self.ensemble.pairwise]
-        confidence = np.full(self.pool.shape, 0.5)
+        training instance, `max(k - v, v) / k` from `k` trees with `v`
+        class-1 votes; an abstaining (untrained) pair scores 0.5. Votes come
+        from `_train_votes`, which walks only the pair forests that changed
+        since the last query."""
+        forests = self.ensemble.pair_forests
+        self._train_votes.refresh(forests)
         trained = [p for p, f in enumerate(forests) if f is not None]
-        p0, p1 = self._train_votes.proba(forests)
-        confidence[trained] = np.maximum(p0, p1)
+        k = np.array([len(forests[p].roots) for p in trained]).reshape(-1, 1)
+        v = self._train_votes.votes[trained]
+        confidence = np.full(self.pool.shape, 0.5)
+        confidence[trained] = np.maximum(k - v, v) / k
         return confidence
 
     def select_queries_uncertainty(self, n_requests: int) -> list[QueryRequest]:
@@ -398,14 +401,11 @@ class FrugalLoop:
 
         # Only the forests decide what the selector picks, so a round that
         # kept the forests last evaluated keeps both PAR10 values as well.
-        forests = [m.model for m in self.ensemble.pairwise + (self.ensemble.timeout_models or [])]
-        if self._held_out_votes.refresh(forests):
-            p0, p1 = self._held_out_votes.proba(forests)
-            v = len(self.validation)
-            validation, test = (p0[:, :v], p1[:, :v]), (p0[:, v:], p1[:, v:])
+        if self._held_out_votes.refresh(self.ensemble.forests):
+            votes, v = self._held_out_votes.votes, len(self.validation)
             self._par10 = (
-                evaluate_selector(self.ensemble, self.validation, self.scenario, validation),
-                evaluate_selector(self.ensemble, self.test, self.scenario, test),
+                evaluate_selector(self.ensemble, self.validation, self.scenario, votes[:, :v]),
+                evaluate_selector(self.ensemble, self.test, self.scenario, votes[:, v:]),
             )
         validation_par10, test_par10 = self._par10
         # A plateau-triggered increase takes effect from the next step on.

@@ -13,37 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forest import ForestConfig, RandomForest, fit_forest, forest_proba
+from .forest import ForestConfig, RandomForest, fit_forest, forest_votes
 from .labels import pair_classes, timeout_classes
 from .preprocess import ImputerModel
 from .scenario import Scenario
-
-TIMEOUT_CONFIDENCE_THRESHOLD = 0.5
-
-
-@dataclass
-class PairwiseModel:
-    pair: tuple[str, str]  # (a, b) in portfolio order; class 0 = a faster
-    model: RandomForest | None  # None = untrained, abstains from voting
-    # What `model` was fit on: int8, one class per train instance in train
-    # order, -1 where the instance has no label; None = unknown.
-    labels: np.ndarray | None = None
-
-
-@dataclass
-class TimeoutModel:
-    algorithm: str
-    trained_at: float  # timeout level the predictor reflects
-    model: RandomForest | None  # class 1 = will time out
-    labels: np.ndarray | None = None
-
-
-@dataclass
-class SelectorEnsemble:
-    algorithms: list[str]
-    pairwise: list[PairwiseModel]  # one per unordered pair, portfolio order
-    timeout_models: list[TimeoutModel] | None
-    imputer: ImputerModel
 
 
 def algorithm_pairs(algorithms) -> list[tuple[str, str]]:
@@ -52,6 +25,51 @@ def algorithm_pairs(algorithms) -> list[tuple[str, str]]:
         for i in range(len(algorithms))
         for j in range(i + 1, len(algorithms))
     ]
+
+
+def pair_columns(n_algorithms: int) -> np.ndarray:
+    """(2, n_pairs) intp: the portfolio positions of each pair's first and
+    second algorithm, in `algorithm_pairs` order."""
+    return np.array(algorithm_pairs(range(n_algorithms)), dtype=np.intp).reshape(-1, 2).T
+
+
+@dataclass
+class SelectorEnsemble:
+    """The pairwise selector as one list of forest slots.
+
+    Slot order: one slot per algorithm pair, in `algorithm_pairs(algorithms)`
+    order (class 0 = the pair's first algorithm is faster); then, when
+    `timeout_at` is set, one slot per algorithm in portfolio order (class 1 =
+    will time out at `timeout_at`). A None forest is untrained and abstains.
+    `labels` (int8, slot x train instance, -1 where unlabelled) is what each
+    slot was fit on, None when unknown.
+    """
+
+    algorithms: list[str]
+    forests: list[RandomForest | None]
+    imputer: ImputerModel
+    timeout_at: float | None = None
+    labels: np.ndarray | None = None
+
+    def __post_init__(self):
+        # Slots carry no names, so a wrong count would vote with the wrong
+        # forests.
+        n_slots = self.n_pairs + (len(self.algorithms) if self.timeout_at is not None else 0)
+        if len(self.forests) != n_slots:
+            raise ValueError(f"expected {n_slots} forest slots, got {len(self.forests)}")
+
+    @property
+    def n_pairs(self) -> int:
+        m = len(self.algorithms)
+        return m * (m - 1) // 2
+
+    @property
+    def pair_forests(self) -> list[RandomForest | None]:
+        return self.forests[: self.n_pairs]
+
+    def without_timeouts(self) -> SelectorEnsemble:
+        """The same pair forests with no timeout slots."""
+        return SelectorEnsemble(self.algorithms, self.pair_forests, self.imputer)
 
 
 @lru_cache(maxsize=4096)  # a loop asks again for each refit of a slot
@@ -75,65 +93,40 @@ def train_ensemble(
     The training block is `X`, the imputed (by `imputer`) feature rows of
     the training instances, and `solved` and `censored`, a `LabelStore`'s
     arrays on the same rows in the same order, one column per algorithm of
-    `algorithms`. A model with no labelled row stays untrained and abstains.
+    `algorithms`. A slot with no labelled row stays untrained and abstains.
+    Pair slot p is seeded by the path (1, p) and the timeout slot of
+    algorithm k by (2, k).
 
     A forest is a function of its slot's seed and of the rows and labels of
     the labelled instances. `previous`, when given, must be an ensemble this
-    function returned for the same `X`, `algorithms`, `imputer` and
-    `forest_config`, whatever its labels: every model whose label vector is
-    unchanged keeps `previous`'s forest, and only the rest refit.
+    function returned for the same `X`, `algorithms`, `imputer`,
+    `forest_config` and slot layout, whatever its labels: every slot whose
+    label vector is unchanged keeps `previous`'s forest, and only the rest
+    refit.
     """
     algorithms = list(algorithms)
-
-    def fit(labels, old, *seed_path) -> RandomForest | None:
-        """Forest on the instances with a label, `old`'s forest when fit on
-        the same labels, None when no instance has one."""
-        # `old` comes from the same block, so the shapes match.
-        if old is not None and (old.labels == labels).all():
-            return old.model
-        labelled = labels >= 0
-        if not labelled.any():
-            return None
-        cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *seed_path))
-        return fit_forest(X[labelled], labels[labelled], cfg)
-
-    pairs = algorithm_pairs(range(len(algorithms)))
-    # Every slot's labels from one call, one row per slot.
-    side_a, side_b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    pair_labels = pair_classes(solved, censored, side_a, side_b).T
-    old_pairwise = (previous and previous.pairwise) or [None] * len(pairs)
-    pairwise = []
-    for p, ((ia, ib), labels, old) in enumerate(zip(pairs, pair_labels, old_pairwise)):
-        pairwise.append(
-            PairwiseModel(
-                pair=(algorithms[ia], algorithms[ib]),
-                model=fit(labels, old, 1, p),
-                labels=labels,
-            )
-        )
-    timeout_models = None
+    side_a, side_b = pair_columns(len(algorithms))
+    # Every slot's labels, one row per slot.
+    labels = pair_classes(solved, censored, side_a, side_b).T
     if timeout_at is not None:
-        old_timeout = (previous and previous.timeout_models) or [None] * len(algorithms)
-        timeout_labels = timeout_classes(
-            solved, censored, np.arange(len(algorithms)), timeout_at
-        ).T
-        timeout_models = []
-        for k, (algo, labels, old) in enumerate(zip(algorithms, timeout_labels, old_timeout)):
-            timeout_models.append(
-                TimeoutModel(
-                    algorithm=algo,
-                    trained_at=timeout_at,
-                    model=fit(labels, old, 2, k),
-                    labels=labels,
-                )
-            )
+        timeout_labels = timeout_classes(solved, censored, np.arange(len(algorithms)), timeout_at)
+        labels = np.concatenate((labels, timeout_labels.T))
+    unchanged = np.zeros(labels.shape[0], dtype=bool)
+    if previous is not None:
+        unchanged = (previous.labels == labels).all(axis=1)
 
-    return SelectorEnsemble(
-        algorithms=algorithms,
-        pairwise=pairwise,
-        timeout_models=timeout_models,
-        imputer=imputer,
-    )
+    forests = []
+    for s, slot_labels in enumerate(labels):
+        labelled = slot_labels >= 0
+        if unchanged[s]:
+            forests.append(previous.forests[s])
+        elif not labelled.any():
+            forests.append(None)
+        else:
+            path = (1, s) if s < len(side_a) else (2, s - len(side_a))
+            cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *path))
+            forests.append(fit_forest(X[labelled], slot_labels[labelled], cfg))
+    return SelectorEnsemble(algorithms, forests, imputer, timeout_at, labels)
 
 
 def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:
@@ -144,34 +137,41 @@ def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:
     for its predicted winner; the earliest algorithm wins a tie.
     """
     X = ensemble.imputer.transform(np.atleast_2d(np.asarray(raw_rows, dtype=np.float64)))
-    models = ensemble.pairwise + (ensemble.timeout_models or [])
-    return _vote(ensemble, *forest_proba([m.model for m in models if m.model is not None], X))
+    trained = [s for s, f in enumerate(ensemble.forests) if f is not None]
+    votes = np.zeros((len(ensemble.forests), X.shape[0]), dtype=np.int64)
+    votes[trained] = forest_votes([ensemble.forests[s] for s in trained], X)
+    return _vote(ensemble, votes)
 
 
-def _vote(ensemble: SelectorEnsemble, p0: np.ndarray, p1: np.ndarray) -> list[str]:
-    """`select_batch`'s rule on the class probabilities (p0, p1) of the
-    trained pairwise models, then the trained timeout models, in slot order:
-    one row per model and one column per row selected for."""
-    n = p0.shape[1]
-    column = {a: k for k, a in enumerate(ensemble.algorithms)}
-    pairs = [pm for pm in ensemble.pairwise if pm.model is not None]
-    timeouts = [tm for tm in ensemble.timeout_models or [] if tm.model is not None]
+def _vote(ensemble: SelectorEnsemble, votes: np.ndarray) -> list[str]:
+    """`select_batch`'s rule on `votes`, the class-1 tree votes of each
+    slot's forest: one row per slot in slot order (an untrained slot's row is
+    ignored) and one column per row selected for.
 
-    excluded = np.zeros((len(column), n), dtype=bool)
-    excluded[[column[tm.algorithm] for tm in timeouts]] = (
-        p1[len(pairs):] > TIMEOUT_CONFIDENCE_THRESHOLD
-    )
+    A forest of `k` trees with `v` class-1 votes predicts class 1 when
+    `2 * v > k`. That is the float rule `v / k > (k - v) / k`, and for a
+    timeout slot `v / k > 0.5`, to the bit: both sides are correctly rounded
+    quotients by the same `k`, which keep distinct numerators apart while
+    `k` is far below 2**52, and 0.5 is exact."""
+    m, n = len(ensemble.algorithms), votes.shape[1]
+    n_pairs = ensemble.n_pairs
+    k = np.array([0 if f is None else len(f.roots) for f in ensemble.forests])
+    trained = k > 0
+    class1 = 2 * votes > k.reshape(-1, 1)
+
+    excluded = np.zeros((m, n), dtype=bool)
+    if ensemble.timeout_at is not None:
+        excluded = class1[n_pairs:] & trained[n_pairs:, None]
     # All predicted to time out: fall back to the full portfolio.
     excluded[:, excluded.all(axis=0)] = False
 
-    sides = np.array([[column[a] for a in pm.pair] for pm in pairs], dtype=np.intp)
-    sides = sides.reshape(-1, 2)
-    winner = np.where(p1[: len(pairs)] > p0[: len(pairs)], sides[:, 1:], sides[:, :1])
-    admitted = ~excluded[sides[:, 0]] & ~excluded[sides[:, 1]]
+    sides = pair_columns(m).T
+    winner = np.where(class1[:n_pairs], sides[:, 1:], sides[:, :1])
+    admitted = ~excluded[sides[:, 0]] & ~excluded[sides[:, 1]] & trained[:n_pairs, None]
     cell = winner * n + np.arange(n)
-    counts = np.bincount(cell[admitted], minlength=len(column) * n).reshape(len(column), n)
+    counts = np.bincount(cell[admitted], minlength=m * n).reshape(m, n)
     counts[excluded] = -1
-    return [ensemble.algorithms[k] for k in counts.argmax(axis=0).tolist()]
+    return [ensemble.algorithms[a] for a in counts.argmax(axis=0).tolist()]
 
 
 def select_algorithm(ensemble: SelectorEnsemble, raw_row) -> str:
@@ -179,25 +179,24 @@ def select_algorithm(ensemble: SelectorEnsemble, raw_row) -> str:
 
 
 def evaluate_selector(
-    ensemble: SelectorEnsemble, instances, scenario: Scenario, proba=None
+    ensemble: SelectorEnsemble, instances, scenario: Scenario, votes=None
 ) -> float:
     """Total PAR10 of the selected algorithms' true recorded runs, summed
     left to right.
 
-    `proba` is the (p0, p1) that `select_batch` would compute on
-    `instances`, from a caller that already walked those forests on those
-    rows: the trained pairwise models, then the trained timeout models, in
-    slot order, as `(k - v) / k` and `v / k` from `k` trees with `v` class-1
-    votes. None walks them here, through `select_batch`."""
+    `votes` is the (n_slots, len(instances)) int64 `forest_votes` matrix of
+    every trained slot on `instances`, from a caller that already walked
+    those forests on those rows; an untrained slot's row is ignored. None
+    walks them here, through `select_batch`."""
     instances = list(instances)
     if not instances:
         return 0.0
     rows = [scenario.instance_index(i) for i in instances]
     column = {a: k for k, a in enumerate(scenario.algorithms)}
-    if proba is None:
+    if votes is None:
         selected = select_batch(ensemble, scenario.feature_matrix[rows])
     else:
-        selected = _vote(ensemble, *proba)
+        selected = _vote(ensemble, votes)
     columns = [column[a] for a in selected]
     total = 0.0
     for score in scenario.par10[rows, columns].tolist():

@@ -99,12 +99,10 @@ class TestPassiveBaseline:
         ensemble, passive = passive_ensemble(s, fold, 4, timeout_models, n_trees=3)
         assert passive.entries == ledger.entries
         assert passive.total.hex() == ledger.total.hex()
-        assert (ensemble.timeout_models is None) == (not timeout_models)
-        models = ensemble.pairwise + (ensemble.timeout_models or [])
-        expected = reference.pairwise + (reference.timeout_models or [])
-        assert len(models) == len(expected)
-        for got, ref in zip(models, expected):
-            assert dump_trees(got.model) == dump_trees(ref.model)
+        assert (ensemble.timeout_at is None) == (not timeout_models)
+        assert len(ensemble.forests) == len(reference.forests)
+        for got, ref in zip(ensemble.forests, reference.forests):
+            assert dump_trees(got) == dump_trees(ref)
 
     def test_no_labels_raises(self):
         # every run ties, so no pair has a label; an empty fold has no rows

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import frugalas.loop as loop_mod
-from conftest import build_scenario, training_block
-from frugalas.forest import ForestConfig, dump_trees, forest_proba
+from conftest import build_scenario, reference_proba, training_block
+from frugalas.forest import ForestConfig, dump_trees
 from frugalas.harness import ExperimentSpec, passive_ensemble
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
 from frugalas.loop import (
@@ -21,7 +21,7 @@ from frugalas.loop import (
 )
 from frugalas.preprocess import FoldSplit, ImputerModel, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
-from frugalas.selector import PairwiseModel, SelectorEnsemble, evaluate_selector, train_ensemble
+from frugalas.selector import SelectorEnsemble, evaluate_selector, train_ensemble
 from frugalas.synthetic import make_synthetic_scenario
 
 
@@ -152,6 +152,15 @@ def make_loop(n_train=8, n_algorithms=2, seed=0, **cfg_kwargs):
 
 
 class TestInitialPhase:
+    @pytest.mark.parametrize(
+        "batch_frac, n_train, batch",
+        [(0.25, 10, 3), (0.01, 8, 1), (0.07, 100, 7)],
+    )
+    def test_batch_is_the_ceiling_of_the_written_fraction(self, batch_frac, n_train, batch):
+        # 0.07 * 100 is 7.000000000000001 in floats; the batch is ceil(7)
+        loop, _ = make_loop(n_train=n_train, batch_frac=batch_frac)
+        assert loop.batch == batch
+
     def test_initial_executions_and_pools(self):
         loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=5, batch_frac=0.25)
         assert loop.batch == 2
@@ -209,12 +218,7 @@ class TestUncertaintySelection:
         loop, s = make_loop(n_train=8, n_algorithms=3, initial_size=2, batch_frac=0.25)
         assert loop.batch == 2
         loop.pool = np.array([[inst in p for inst in loop.train] for p in pools])
-        loop.ensemble = SelectorEnsemble(
-            s.algorithms,
-            [PairwiseModel(pair, None) for pair in loop.pairs],
-            None,
-            loop.imputer,
-        )
+        loop.ensemble = SelectorEnsemble(s.algorithms, [None] * len(loop.pairs), loop.imputer)
         confidence = loop.pair_confidences()  # all untrained: the real abstain score
         for p, preset in enumerate(p_max):
             if preset is not None:
@@ -295,10 +299,10 @@ class TestUncertaintySelection:
             while True:
                 confidence = loop.pair_confidences()
                 assert confidence.shape == loop.pool.shape
-                for p, pm in enumerate(loop.ensemble.pairwise):
+                for p, forest in enumerate(loop.ensemble.pair_forests):
                     expected = np.full(len(loop.train), 0.5)
-                    if pm.model is not None:
-                        expected = np.maximum(*forest_proba([pm.model], loop._train_X))[0]
+                    if forest is not None:
+                        expected = reference_proba(forest, loop._train_X).max(axis=1)
                     assert confidence[p].tobytes() == expected.tobytes()
                 record = loop.step()
                 if record is None:
@@ -308,8 +312,8 @@ class TestUncertaintySelection:
                 )
                 assert record.test_par10 == evaluate_selector(loop.ensemble, loop.test, s)
             assert loop.resolved_cells == loop.total_cells
-        assert all(pm.model is not None for pm in loop.ensemble.pairwise)
-        loop.ensemble.pairwise[1].model = None  # an untrained pair abstains
+        assert all(f is not None for f in loop.ensemble.pair_forests)
+        loop.ensemble.forests[1] = None  # an untrained pair abstains
         assert np.all(loop.pair_confidences()[1] == 0.5)
 
     def test_request_cap(self):
@@ -545,38 +549,38 @@ class TestRetrainReuse:
             dynamic_timeout=True,
         )
         assert loop.batch == 2
+        n_pairs = len(loop.pairs)
         reused = refit_on_growth = 0
         for _ in range(12):
             before = loop.ensemble
             if loop.step() is None:
                 break
             after = loop.ensemble
-            timeout = after.timeout_models[0].trained_at
+            timeout = after.timeout_at
             fresh = train_ensemble(
                 *training_block(s, loop.train, loop.store, loop.imputer), s.algorithms,
                 loop.imputer, loop.cfg.forest, timeout_at=timeout,
             )
-            models = after.pairwise + after.timeout_models
-            # every model equals a from-scratch fit on the same store
-            for new, ref in zip(models, fresh.pairwise + fresh.timeout_models):
-                assert np.array_equal(new.labels, ref.labels)
-                assert (new.model is None) == (ref.model is None)
-                if new.model is not None:
-                    assert dump_trees(new.model) == dump_trees(ref.model)
+            # every slot equals a from-scratch fit on the same store
+            assert np.array_equal(after.labels, fresh.labels)
+            for new, ref in zip(after.forests, fresh.forests, strict=True):
+                assert (new is None) == (ref is None)
+                if new is not None:
+                    assert dump_trees(new) == dump_trees(ref)
             # a slot keeps its forest object exactly when its labels are unchanged
-            for new, old in zip(models, before.pairwise + before.timeout_models):
-                if np.array_equal(new.labels, old.labels):
-                    assert new.model is old.model
-                    reused += new.model is not None
-                elif new.model is not None:
-                    assert new.model is not old.model
-            # after a timeout growth every timeout model is trained at the new
-            # level; those whose labels the growth changed were refit above
-            if timeout > before.timeout_models[0].trained_at:
-                for new, old in zip(after.timeout_models, before.timeout_models):
-                    assert new.trained_at == timeout
-                    refit_on_growth += new.model is not None and not np.array_equal(
-                        new.labels, old.labels
+            for slot, (new, old) in enumerate(zip(after.forests, before.forests, strict=True)):
+                if np.array_equal(after.labels[slot], before.labels[slot]):
+                    assert new is old
+                    reused += new is not None
+                elif new is not None:
+                    assert new is not old
+            # after a timeout growth every timeout slot is labelled at the new
+            # level (the fresh fit above); those whose labels the growth
+            # changed were refit
+            if timeout > before.timeout_at:
+                for t in range(n_pairs, len(after.forests)):
+                    refit_on_growth += after.forests[t] is not None and not np.array_equal(
+                        after.labels[t], before.labels[t]
                     )
         assert reused and refit_on_growth
 
@@ -624,10 +628,8 @@ class TestEvaluationReuse:
         before = loop.ensemble
         record = loop.step()
         after = loop.ensemble
-        for new, old in zip(
-            after.pairwise + after.timeout_models, before.pairwise + before.timeout_models
-        ):
-            assert new.model is old.model
+        for new, old in zip(after.forests, before.forests, strict=True):
+            assert new is old
         assert len(calls) == 2
         assert record.step == first.step + 1
         assert record.validation_par10 == evaluate(after, loop.validation, s)
@@ -669,11 +671,10 @@ class TestVoteCache:
 
         while True:
             start = len(walks)
-            pairs = [pm.model for pm in loop.ensemble.pairwise]
+            pairs = loop.ensemble.pair_forests
             if loop.step() is None:
                 break
-            ensemble = loop.ensemble
-            forests = [m.model for m in ensemble.pairwise + (ensemble.timeout_models or [])]
+            forests = loop.ensemble.forests
             expected = {
                 "train": expect("train", pairs) if cfg.selection == "uncertainty" else [],
                 "held out": expect("held out", forests),
@@ -697,5 +698,5 @@ class TestVoteCache:
         s = make_synthetic_scenario(60, 3, seed=0)
         fold = make_splits(s, 0).folds[0]
         ensemble, _ = passive_ensemble(s, fold, 0, timeout_models=True, n_trees=5)
-        assert all(m.model is not None for m in ensemble.pairwise)
+        assert all(f is not None for f in ensemble.pair_forests)
         assert walks == []

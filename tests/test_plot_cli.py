@@ -243,6 +243,7 @@ class TestRunUsageErrors:
             (["--n-trees", "0"], "n_trees must be >= 1"),
             (["--folds", "0"], "folds must be nonempty"),
             (["--seeds", "0"], "seeds must be nonempty"),
+            (["--jobs", "0"], "jobs must be >= 1"),
         ],
     )
     def test_out_of_range_value_exits_with_usage(self, scenario_dir, tmp_path, capsys, flags,

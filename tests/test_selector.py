@@ -15,9 +15,7 @@ from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeou
 from frugalas.preprocess import ImputerModel, fit_imputer, par10
 from frugalas.scenario import OK, TIMEOUT, par1
 from frugalas.selector import (
-    PairwiseModel,
     SelectorEnsemble,
-    TimeoutModel,
     algorithm_pairs,
     evaluate_selector,
     select_algorithm,
@@ -75,18 +73,15 @@ def _ensemble(scenario, predictions, timeouts=None):
     predictor always fires, or None to disable timeout models.
     """
     imputer = fit_imputer(scenario, scenario.instances)
-    pairwise = []
-    for a, b in algorithm_pairs(scenario.algorithms):
-        side = predictions.get((a, b))
-        model = None if side is None else _const_model(0 if side == "a" else 1)
-        pairwise.append(PairwiseModel(pair=(a, b), model=model))
-    timeout_models = None
+    forests = []
+    for pair in algorithm_pairs(scenario.algorithms):
+        side = predictions.get(pair)
+        forests.append(None if side is None else _const_model(0 if side == "a" else 1))
+    timeout_at = None
     if timeouts is not None:
-        timeout_models = [
-            TimeoutModel(a, scenario.cutoff, _const_model(1 if a in timeouts else 0))
-            for a in scenario.algorithms
-        ]
-    return SelectorEnsemble(scenario.algorithms, pairwise, timeout_models, imputer)
+        timeout_at = scenario.cutoff
+        forests += [_const_model(1 if a in timeouts else 0) for a in scenario.algorithms]
+    return SelectorEnsemble(scenario.algorithms, forests, imputer, timeout_at)
 
 
 @pytest.fixture
@@ -212,18 +207,21 @@ def reference_select_batch(ensemble, raw_rows):
     """The per-row vote loop `select_batch` replaced, on per-tree walks."""
     X = ensemble.imputer.transform(np.atleast_2d(np.asarray(raw_rows, dtype=np.float64)))
     n = X.shape[0]
+    # The slot layout: the pairs in `algorithm_pairs` order, then one timeout
+    # slot per algorithm when `timeout_at` is set.
+    pairs = algorithm_pairs(ensemble.algorithms)
     pair_votes_for_b = []
-    for pm in ensemble.pairwise:
-        if pm.model is None:
+    for forest in ensemble.forests[: len(pairs)]:
+        if forest is None:
             pair_votes_for_b.append(None)
         else:
-            proba = reference_proba(pm.model, X)
+            proba = reference_proba(forest, X)
             pair_votes_for_b.append((proba[:, 1] > proba[:, 0]).astype(np.int8))
     timeout_pred = {}
-    if ensemble.timeout_models is not None:
-        for tm in ensemble.timeout_models:
-            if tm.model is not None:
-                timeout_pred[tm.algorithm] = reference_proba(tm.model, X)[:, 1] > 0.5
+    if ensemble.timeout_at is not None:
+        for algorithm, forest in zip(ensemble.algorithms, ensemble.forests[len(pairs):]):
+            if forest is not None:
+                timeout_pred[algorithm] = reference_proba(forest, X)[:, 1] > 0.5
 
     chosen = []
     for r in range(n):
@@ -232,8 +230,7 @@ def reference_select_batch(ensemble, raw_rows):
             excluded = set()
         candidates = [a for a in ensemble.algorithms if a not in excluded]
         votes = {a: 0 for a in candidates}
-        for pm, labels in zip(ensemble.pairwise, pair_votes_for_b):
-            a, b = pm.pair
+        for (a, b), labels in zip(pairs, pair_votes_for_b):
             if labels is None or a not in votes or b not in votes:
                 continue
             votes[b if labels[r] == 1 else a] += 1
@@ -266,13 +263,13 @@ class TestSelectBatch:
         m = draw(st.integers(2, 5))
         n = draw(st.integers(1, 6))
         algorithms = [f"a{k}" for k in range(m)]
-        pairwise = [PairwiseModel(pair, _maybe_forest(draw, n))
-                    for pair in algorithm_pairs(algorithms)]
-        timeout_models = None
+        forests = [_maybe_forest(draw, n) for _ in algorithm_pairs(algorithms)]
+        timeout_at = None
         if draw(st.booleans()):
-            timeout_models = [TimeoutModel(a, 1.0, _maybe_forest(draw, n)) for a in algorithms]
+            timeout_at = 1.0
+            forests += [_maybe_forest(draw, n) for _ in algorithms]
         imputer = ImputerModel(["f0"], np.array([0]), np.array([0.0]))
-        ensemble = SelectorEnsemble(algorithms, pairwise, timeout_models, imputer)
+        ensemble = SelectorEnsemble(algorithms, forests, imputer, timeout_at)
         rows = np.arange(float(n)).reshape(-1, 1)
         assert select_batch(ensemble, rows) == reference_select_batch(ensemble, rows)
 
@@ -282,15 +279,53 @@ class TestSelectBatch:
         fire = preset_forest([[1, 0]])
         ensemble = SelectorEnsemble(
             ["a0", "a1", "a2"],
-            [PairwiseModel(("a0", "a1"), preset_forest([[1, 1], [0, 0]])),
-             PairwiseModel(("a0", "a2"), None),
-             PairwiseModel(("a1", "a2"), preset_forest([[1, 1]]))],
-            [TimeoutModel(a, 1.0, fire) for a in ["a0", "a1", "a2"]],
+            # pairs (a0, a1), (a0, a2), (a1, a2), then a timeout slot per algorithm
+            [preset_forest([[1, 1], [0, 0]]), None, preset_forest([[1, 1]]), fire, fire, fire],
             ImputerModel(["f0"], np.array([0]), np.array([0.0])),
+            timeout_at=1.0,
         )
         rows = np.array([[0.0], [1.0]])
         assert select_batch(ensemble, rows) == reference_select_batch(ensemble, rows)
         assert select_batch(ensemble, rows) == ["a0", "a0"]
+
+
+class TestVoteRule:
+    def test_integer_rule_equals_the_float_rule(self):
+        # Every forest of k <= 4096 trees with v class-1 votes: `_vote`'s
+        # `2 * v > k` equals `v / k > (k - v) / k` (pair winner) and
+        # `v / k > 0.5` (timeout exclusion), and the query's
+        # `max(k - v, v) / k` equals `max((k - v) / k, v / k)` to the bit.
+        for k in range(1, 4097):
+            v = np.arange(k + 1)
+            rule = 2 * v > k
+            assert np.array_equal(rule, v / k > (k - v) / k), k
+            assert np.array_equal(rule, v / k > 0.5), k
+            confidence = np.maximum(k - v, v) / k
+            assert confidence.tobytes() == np.maximum((k - v) / k, v / k).tobytes(), k
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize(
+        "n_forests, timeout_at",
+        [(2, None), (4, None), (3, 1.0), (5, 1.0)],
+        ids=["one-pair-short", "one-extra", "timeout-slots-missing", "one-timeout-short"],
+    )
+    def test_wrong_slot_count_raises(self, n_forests, timeout_at):
+        # three algorithms: three pair slots, plus three timeout slots
+        imputer = ImputerModel(["f0"], np.array([0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="forest slots"):
+            SelectorEnsemble(["a0", "a1", "a2"], [None] * n_forests, imputer, timeout_at)
+
+    def test_without_timeouts_keeps_the_pair_slots(self, three_algo_scenario):
+        s = three_algo_scenario
+        predictions = {("a0", "a1"): "b", ("a0", "a2"): "a"}
+        ens = _ensemble(s, predictions, timeouts={"a1"})
+        plain = ens.without_timeouts()
+        assert plain.timeout_at is None
+        assert len(plain.forests) == 3
+        assert all(a is b for a, b in zip(plain.forests, ens.forests))
+        row = s.feature_row("i0")
+        assert select_algorithm(plain, row) == select_algorithm(_ensemble(s, predictions), row)
 
 
 class TestTrainEnsemble:
@@ -309,8 +344,9 @@ class TestTrainEnsemble:
         imputer = fit_imputer(s, s.instances)
         block = training_block(s, s.instances, store, imputer)
         ens = train_ensemble(*block, s.algorithms, imputer, ForestConfig(n_trees=5, seed=0))
-        assert len(ens.pairwise) == 3
-        assert ens.timeout_models is None
+        assert len(ens.forests) == 3
+        assert ens.timeout_at is None
+        assert ens.labels.shape == (3, 12)
 
     def test_timeout_models_present_when_enabled(self):
         s = build_scenario(np.random.default_rng(3).uniform(1, 50, size=(12, 3)))
@@ -320,8 +356,9 @@ class TestTrainEnsemble:
             *training_block(s, s.instances, store, imputer), s.algorithms, imputer,
             ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff,
         )
-        assert len(ens.timeout_models) == 3
-        assert all(tm.trained_at == s.cutoff for tm in ens.timeout_models)
+        assert len(ens.forests) == 3 + 3  # the pairs, then one timeout slot each
+        assert ens.timeout_at == s.cutoff
+        assert ens.labels.shape == (6, 12)
 
     def test_unchanged_labels_reuse_every_forest(self):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
@@ -333,8 +370,7 @@ class TestTrainEnsemble:
         again = train_ensemble(
             *block, s.algorithms, imputer, cfg, timeout_at=s.cutoff, previous=first
         )
-        pairs = zip(again.pairwise + again.timeout_models, first.pairwise + first.timeout_models)
-        assert all(new.model is old.model for new, old in pairs)
+        assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
 
     def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
@@ -344,7 +380,8 @@ class TestTrainEnsemble:
             *training_block(s, s.instances, store, imputer), s.algorithms, imputer,
             ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff,
         )
-        assert all(m.model is None for m in ens.pairwise + ens.timeout_models)
+        assert len(ens.forests) == 1 + 2
+        assert all(f is None for f in ens.forests)
 
     def test_timeout_training_labels(self):
         assert timeout_label(Solved(10), 60) == 0
