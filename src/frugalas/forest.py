@@ -16,6 +16,15 @@ nodes of all its trees in one set of flat arrays, with per-tree views
 (`RandomForest.trees`) built on first use, and `forest_votes` walks every
 (forest, tree, row) lane of any list of forests at once, one numpy pass per
 level.
+
+Tree t of a forest with seed s depends on numpy only through `SeedSequence`
+and PCG64's raw output: `draws.ForestDraws` reads the raw words of
+`PCG64(SeedSequence((s, t)))` and replays numpy 2.x's
+`integers(0, n, size=n)` (the bootstrap: Lemire draws on 32-bit halves) and
+`choice(F, k, replace=False)` (each impure node's candidates: Floyd's
+algorithm, then an in-place shuffle) for all trees at once. The trees are
+those numpy's methods would draw; a failing test in `tests/test_draws.py`
+means a numpy upgrade changed one of those methods, not these trees.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .draws import ForestDraws
+
 # Recorded by benchmark reports; the split scan has a single numpy
 # implementation.
 KERNEL_IMPL = "pure"
@@ -34,12 +45,13 @@ KERNEL_IMPL = "pure"
 def _scan_split(values: np.ndarray, labels: np.ndarray):
     """Best binary split over a node's candidate features.
 
-    values is a (k, n) block with n >= 2, one row per candidate feature,
-    holding the node's rows; labels is the (n,) int64 class vector of those
-    rows. Returns (row, score, threshold, order, m, left1): the chosen
-    candidate row, the sum over both children of n_child times the child's
-    Gini impurity, the split threshold, the chosen row's ascending sort order,
-    the split position and the left child's class-1 count; or
+    values is a (k, n) block of finite values with n >= 2, one row per
+    candidate feature, holding the node's rows; labels is the (n,) int64
+    class vector of those rows. Returns (row, score, threshold, order, m,
+    left1): the chosen candidate row, the sum over both children of n_child
+    times the child's Gini impurity, the split threshold, the chosen row's
+    ascending sort order, the split position and the left child's class-1
+    count; or
     (-1, inf, 0.0, None, 0, 0) when every row is constant. Counts are exact
     integers, each score is formed with the same double operations for every
     boundary, and ties keep the first minimum: first the earliest row, then
@@ -47,9 +59,11 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
 
     The split falls between the sorted values lo = values[row, order[m - 1]]
     and hi = values[row, order[m]], lo < hi, and the threshold lies in
-    [lo, hi). So the first m rows of `order` are exactly the rows with
-    `value <= threshold` and the rest those above it: a caller splits by
-    position and gets the children `value <= threshold` would give.
+    [lo, hi), as both are finite (`fit_forest` rejects any other value; the
+    midpoint of -inf and inf would be nan). So the first m rows of `order`
+    are exactly the rows with `value <= threshold` and the rest those above
+    it: a caller splits by position and gets the children
+    `value <= threshold` would give.
     """
     n = values.shape[1]
     # Neither sort needs to be stable. A split falls only between two
@@ -154,8 +168,10 @@ def forest_votes(forests, X) -> np.ndarray:
     for forest in forests:
         if n_features != forest.n_features:
             raise ValueError(f"expected {forest.n_features} features, got {n_features}")
-    if np.isnan(X).any():
-        raise ValueError("missing values must be imputed before prediction")
+    if not np.isfinite(X).all():
+        raise ValueError(
+            "features must be finite; missing values must be imputed before prediction"
+        )
     if not forests:
         return np.zeros((0, n), dtype=np.int64)
 
@@ -187,22 +203,23 @@ def forest_votes(forests, X) -> np.ndarray:
     return np.add.reduceat(tree_votes, first_tree, axis=0, dtype=np.int64)
 
 
-def _grow_tree(XT, y, sample, max_features, rng, nodes) -> int:
-    """Grow one tree on the rows `sample` into the node lists it shares with
-    the forest's other trees; returns the tree's depth.
+def _grow_tree(XT, y, draws, t, nodes) -> int:
+    """Grow tree t on its bootstrap rows `draws.samples[t]` into the node
+    lists it shares with the forest's other trees; returns the tree's depth.
 
     XT is (n_features, n_rows), one contiguous row per feature, and y the
     int64 labels. Nodes are numbered in preorder as they leave an explicit
-    stack, child indices count from the tree's root, and each impure node
-    draws its candidate features from `rng` in that order. A stack entry
+    stack, child indices count from the tree's root, and the i-th impure
+    node scans `draws.candidates(t, i)`. A stack entry
     carries its rows, their labels and its class-1 count: a split node's
     scan hands each child its share of all three, so a pure node becomes a
     leaf without touching an array.
     """
     feature, threshold, left, right, n0, n1 = nodes
-    n_features = XT.shape[0]
+    impure = 0
     root = len(feature)
     depth = 0
+    sample = draws.samples[t]
     labels = y[sample]
     # (rows, labels, class-1 count, depth, (child list, parent position) to
     # point at the node).
@@ -219,7 +236,8 @@ def _grow_tree(XT, y, sample, max_features, rng, nodes) -> int:
         # A pure node, including every node of fewer than two rows, is a leaf.
         node = (-1, 0.0, -1, -1, c0, c1)
         if c0 and c1:
-            candidates = rng.choice(n_features, size=max_features, replace=False)
+            candidates = draws.candidates(t, impure)
+            impure += 1
             block = XT.take(candidates, axis=0).take(idx, axis=1)
             row, score, thr, order, m, left1 = _scan_split(block, labels)
             if row >= 0 and score < n - (c0 * c0 + c1 * c1) / n:
@@ -240,8 +258,10 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
         raise ValueError("cannot fit a forest on zero rows")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
-    if np.isnan(X).any():
-        raise ValueError("missing values must be imputed before fitting")
+    if not np.isfinite(X).all():
+        raise ValueError(
+            "features must be finite; missing values must be imputed before fitting"
+        )
     # Checked as given: a cast first would pass 0.7 or 256 as 0.
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
@@ -251,15 +271,14 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
 
     XT = np.ascontiguousarray(X.T)
     y64 = y.astype(np.int64)
-    # Per-tree generators are pre-derived so a parallel fit would match the
-    # sequential result.
+    # Each tree's draws depend on (seed, tree) alone, so a parallel fit would
+    # match the sequential result.
+    draws = ForestDraws(config.seed, config.n_trees, n, n_features, max_features)
     nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, n0, n1
     roots, depth = [], 0
     for t in range(config.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
-        sample = rng.integers(0, n, size=n)
         roots.append(len(nodes[0]))
-        depth = max(depth, _grow_tree(XT, y64, np.sort(sample), max_features, rng, nodes))
+        depth = max(depth, _grow_tree(XT, y64, draws, t, nodes))
     feature, threshold, left, right, n0, n1 = nodes
     n0 = np.array(n0, dtype=np.int64)
     n1 = np.array(n1, dtype=np.int64)

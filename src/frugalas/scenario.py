@@ -7,6 +7,7 @@ single repetition are supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -125,8 +126,8 @@ def load_scenario(directory) -> Scenario:
         cutoff = float(desc["algorithm_cutoff_time"])
     except ValueError:
         raise ScenarioError("algorithm_cutoff_time is not a number") from None
-    if cutoff <= 0:
-        raise ScenarioError("algorithm_cutoff_time must be positive")
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ScenarioError(f"algorithm_cutoff_time must be positive and finite, got {cutoff}")
 
     feats = _read_relation(directory, "feature_values.arff")
     inst_col = _column(feats, "instance_id", "feature_values.arff")
@@ -162,6 +163,15 @@ def load_scenario(directory) -> Scenario:
     if not instances:
         raise ScenarioError("feature_values.arff contains no instances")
     feature_matrix = np.vstack(rows) if feature_names else np.empty((len(rows), 0))
+    # A nan value, like '?', is missing and imputed later; nothing stands
+    # for an infinite one.
+    infinite = np.argwhere(np.isinf(feature_matrix))
+    if infinite.size:
+        r, c = infinite[0]
+        raise ScenarioError(
+            f"feature_values.arff: feature '{feature_names[c]}' of instance "
+            f"'{instances[r]}' is infinite"
+        )
 
     runs_rel = _read_relation(directory, "algorithm_runs.arff")
     r_inst = _column(runs_rel, "instance_id", "algorithm_runs.arff")
@@ -190,6 +200,11 @@ def load_scenario(directory) -> Scenario:
         if key in runs:
             raise ScenarioError(f"duplicate run for {key}")
         runtime = float(row[r_time]) if row[r_time] is not None else cutoff
+        if not (math.isfinite(runtime) and runtime >= 0):
+            raise ScenarioError(
+                f"algorithm_runs.arff: runtime {runtime} of '{algorithm}' on '{instance}' "
+                "must be finite and not negative"
+            )
         raw_status = str(row[r_status]).lower() if row[r_status] is not None else "ok"
         if raw_status == "ok" and runtime <= cutoff:
             status = OK
@@ -197,7 +212,7 @@ def load_scenario(directory) -> Scenario:
             status = TIMEOUT
         else:
             status = OTHER_FAILURE
-        runs[key] = RunRecord(instance, algorithm, max(runtime, 0.0), status)
+        runs[key] = RunRecord(instance, algorithm, runtime, status)
 
     if len(algorithms) < 2:
         raise ScenarioError("scenario needs at least 2 algorithms")

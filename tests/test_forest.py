@@ -49,6 +49,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_forest(np.array([[np.nan]]), np.array([0]))
 
+    def test_infinite_features_rejected(self):
+        # A split between -inf and inf would get the threshold nan and send
+        # every row left.
+        X = np.array([[-np.inf], [np.inf], [-np.inf], [np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X, np.array([0, 1, 0, 1]), ForestConfig(n_trees=3, seed=0))
+        forest = fit_forest(np.array([[0.0], [1.0]]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="finite"):
+            forest_votes([forest], X)
+
     @pytest.mark.parametrize(
         "y", [np.array([0.7, 1.0, 0.2]), np.array([256, 1, 0]), np.array([-256, 1, 0])]
     )

@@ -4,9 +4,10 @@ Every configuration of the grid runs to exhaustion on a small synthetic
 scenario, and the sha256 over the step logs (relative path and bytes, in path
 order) must equal the recorded value. A second digest covers `dump_trees` of
 a fixed set of forests directly, over 1 to 35 features with continuous,
-duplicate-valued and constant columns. A change that alters what the system
-computes, rather than how fast, changes these digests; such a change must say
-so and record the new values here.
+duplicate-valued and constant columns; it is also computed with numpy's
+Generator patched away, as the trees come from PCG64 raw output alone. A
+change that alters what the system computes, rather than how fast, changes
+these digests; such a change must say so and record the new values here.
 """
 
 import hashlib
@@ -43,8 +44,9 @@ def test_step_logs_match_golden_digest(tmp_path):
     assert step_log_digest(spec.out_dir) == GOLDEN_STEP_LOG_SHA256
 
 
-def test_trees_match_golden_digest():
-    h = hashlib.sha256()
+def golden_tree_fits():
+    """(X, y, config) of every forest in the trees digest."""
+    fits = []
     rng = np.random.default_rng(12345)
     for n_features in range(1, 36):
         for kind in ("continuous", "duplicates", "mixed"):
@@ -58,6 +60,29 @@ def test_trees_match_golden_digest():
                 X[:, ::2] = np.round(X[:, ::2])  # duplicates, both signs of zero
                 X[:, 0] = 1.0  # a constant column
             y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(int)
-            forest = fit_forest(X, y, ForestConfig(n_trees=7, seed=int(rng.integers(1000))))
-            h.update(dump_trees(forest).encode())
-    assert h.hexdigest() == GOLDEN_TREES_SHA256
+            fits.append((X, y, ForestConfig(n_trees=7, seed=int(rng.integers(1000)))))
+    return fits
+
+
+def trees_digest(fits) -> str:
+    h = hashlib.sha256()
+    for X, y, config in fits:
+        h.update(dump_trees(fit_forest(X, y, config)).encode())
+    return h.hexdigest()
+
+
+def test_trees_match_golden_digest():
+    assert trees_digest(golden_tree_fits()) == GOLDEN_TREES_SHA256
+
+
+def test_trees_need_no_generator(monkeypatch):
+    # The trees come from PCG64 raw output alone. The fixtures are drawn
+    # with a Generator first, then every way to make one refuses.
+    fits = golden_tree_fits()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_forest made a numpy Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    assert trees_digest(fits) == GOLDEN_TREES_SHA256

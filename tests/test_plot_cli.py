@@ -18,6 +18,7 @@ from frugalas.harness import (
 from frugalas.loop import FrugalLoop
 from frugalas.plotsvg import emit_plot
 from frugalas.preprocess import make_splits
+from frugalas.scenario import load_scenario
 from frugalas.synthetic import make_synthetic_scenario, write_scenario_dir
 
 
@@ -135,6 +136,73 @@ class TestArgumentErrors:
 
 
 RUN_FAST = ["--folds", "1", "--seeds", "1", "--n-trees", "5"]
+
+
+def _edit_cell(path, line_no, column, value):
+    """Set one comma-separated cell of the `line_no`-th data row of an ARFF
+    file."""
+    lines = path.read_text().splitlines()
+    at = lines.index("@data") + 1 + line_no
+    cells = lines[at].split(",")
+    cells[column] = value
+    lines[at] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_cutoff(directory, value):
+    desc = directory / "description.txt"
+    text = desc.read_text().replace("cutoff_time: 100.0", f"cutoff_time: {value}")
+    desc.write_text(text)
+
+
+def _set_solved_runtime(directory, value):
+    runs = directory / "algorithm_runs.arff"
+    rows = runs.read_text().split("@data\n")[1].splitlines()
+    solved = next(i for i, row in enumerate(rows) if row.endswith(",ok"))
+    _edit_cell(runs, solved, 3, value)
+
+
+def _set_infinite_features(directory):
+    feats = directory / "feature_values.arff"
+    _edit_cell(feats, 0, 2, "inf")
+    _edit_cell(feats, 1, 2, "-inf")
+
+
+class TestNonFiniteData:
+    """Non-finite numbers in a scenario are data errors: `run` exits 2 with
+    an `error:` line instead of running to nan results."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: _set_cutoff(d, "nan"), "algorithm_cutoff_time"),
+            (lambda d: _set_cutoff(d, "inf"), "algorithm_cutoff_time"),
+            (lambda d: _set_solved_runtime(d, "nan"), "algorithm_runs.arff"),
+            (lambda d: _set_solved_runtime(d, "inf"), "algorithm_runs.arff"),
+            (lambda d: _set_solved_runtime(d, "-1.0"), "algorithm_runs.arff"),
+            (_set_infinite_features, "feature_values.arff"),
+        ],
+        ids=["cutoff-nan", "cutoff-inf", "runtime-nan", "runtime-inf", "runtime-negative",
+             "feature-inf"],
+    )
+    def test_run_exits_2(self, tmp_path, capsys, edit, message):
+        directory = write_scenario_dir(make_synthetic_scenario(40, 3), tmp_path / "SYN")
+        edit(directory)
+        code = main(["run", str(directory), "--folds", "1", "--seeds", "1", "--n-trees", "2",
+                     "--out", str(tmp_path / "res")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+    def test_missing_values_still_load(self, tmp_path):
+        directory = write_scenario_dir(make_synthetic_scenario(40, 3), tmp_path / "SYN")
+        _edit_cell(directory / "feature_values.arff", 0, 2, "nan")
+        _edit_cell(directory / "feature_values.arff", 1, 2, "?")
+        _edit_cell(directory / "algorithm_runs.arff", 0, 3, "?")
+        scenario = load_scenario(directory)
+        assert np.isnan(scenario.feature_matrix[:2, 0]).all()
+        assert scenario.runs[(scenario.instances[0], scenario.algorithms[0])].runtime == 100.0
 
 
 @pytest.fixture
