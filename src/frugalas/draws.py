@@ -110,27 +110,7 @@ class Stream:
         return out
 
 
-@lru_cache(maxsize=8192)  # a refit of a forest slot seeds the same trees again
-def _seeded(seed: int, t: int) -> tuple[int, int]:
-    """(state, inc) of `PCG64(SeedSequence((seed, t)))` as seeded."""
-    state = np.random.PCG64(np.random.SeedSequence((seed, t))).state["state"]
-    return state["state"], state["inc"]
-
-
-def _seed_tree(bitgen, seed: int, t: int):
-    """`bitgen`, a PCG64, set to tree t's seeded state: a tenth of the cost
-    of seeding a new PCG64."""
-    state, inc = _seeded(seed, t)
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bitgen
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # fit_forest's k follows from F: one entry per feature count
 def choice_bounds(n_features: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The bounds of the draws of one `choice(n_features, k, replace=False)`,
     and their floors: Floyd's on 0..j for j = F-k .. F-1 (none for j = 0),
@@ -184,17 +164,15 @@ class ForestDraws:
     """
 
     def __init__(self, seed: int, n_trees: int, n_rows: int, n_features: int, k: int):
-        if n_features > 10000 and k > n_features // 50:
-            raise ValueError("numpy's tail-shuffle path of choice is not replayed")
         self.seed, self.n_features, self.k = seed, n_features, k
         self.bounds, self._floor = choice_bounds(n_features, k)
         self._boot = n_rows if n_rows > 1 else 0
         self._chunk = min(CHUNK, n_rows - 1)
         self._end = self._boot + self._chunk * self.bounds.shape[0]
         words = np.empty((n_trees, (self._end + 1) // 2), dtype=np.uint64)
-        bitgen = np.random.PCG64(0)  # set to each tree's state in turn
         for t in range(n_trees):
-            words[t] = _seed_tree(bitgen, seed, t).random_raw(words.shape[1])
+            bitgen = np.random.PCG64(np.random.SeedSequence((seed, t)))
+            words[t] = bitgen.random_raw(words.shape[1])
         self._halves = split_halves(words)
 
         bound = np.uint64(n_rows)
@@ -242,7 +220,7 @@ class ForestDraws:
         """Tree t's stream; a tree without one starts it at half `at`, where
         its draws so far end."""
         if t not in self._streams:
-            bitgen = _seed_tree(np.random.PCG64(0), self.seed, t)
+            bitgen = np.random.PCG64(np.random.SeedSequence((self.seed, t)))
             bitgen.advance(self._halves.shape[1] // 2)
             self._streams[t] = Stream(bitgen, self._halves[t], at)
         return self._streams[t]

@@ -17,14 +17,9 @@ nodes of all its trees in one set of flat arrays, with per-tree views
 (forest, tree, row) lane of any list of forests at once, one numpy pass per
 level.
 
-Tree t of a forest with seed s depends on numpy only through `SeedSequence`
-and PCG64's raw output: `draws.ForestDraws` reads the raw words of
-`PCG64(SeedSequence((s, t)))` and replays numpy 2.x's
-`integers(0, n, size=n)` (the bootstrap: Lemire draws on 32-bit halves) and
-`choice(F, k, replace=False)` (each impure node's candidates: Floyd's
-algorithm, then an in-place shuffle) for all trees at once. The trees are
-those numpy's methods would draw; a failing test in `tests/test_draws.py`
-means a numpy upgrade changed one of those methods, not these trees.
+Tree t of a forest with seed s draws its bootstrap and its candidate
+features from `draws.ForestDraws`, so it depends on numpy only through
+`SeedSequence` and PCG64's raw output.
 """
 
 from __future__ import annotations
