@@ -126,28 +126,35 @@ def choice_bounds(n_features: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def choices(values: np.ndarray, n_features: int, k: int) -> np.ndarray:
     """(rows, k) int64: per row, `choice(n_features, k, replace=False)` from
-    its drawn values, one row of `choice_bounds` draws each."""
+    its drawn values, one row of `choice_bounds` draws each.
+
+    Each step works on one contiguous (rows,) line: the picks are built as
+    (k, rows) and the shuffle swaps through their flat index.
+    """
     rows = values.shape[0]
-    picks = np.empty((rows, k), dtype=np.int64)
+    drawn = values.T
+    picks = np.empty((k, rows), dtype=np.int64)
     col = 0
     for s, j in enumerate(range(n_features - k, n_features)):
         if j == 0:
-            picks[:, s] = 0
+            picks[s] = 0
             continue
-        value = values[:, col]
+        value = drawn[col]
         col += 1
         if s:
-            taken = (picks[:, :s] == value[:, None]).any(axis=1)
+            taken = np.logical_or.reduce(picks[:s] == value, axis=0)
             value = np.where(taken, j, value)
-        picks[:, s] = value
+        picks[s] = value
+    flat = picks.reshape(-1)
     lanes = np.arange(rows)
     for i in range(k - 1, 0, -1):
-        to = values[:, col]
+        to = drawn[col] * rows
+        to += lanes
         col += 1
-        swapped = picks[lanes, to]
-        picks[lanes, to] = picks[:, i]
-        picks[:, i] = swapped
-    return picks
+        swapped = flat[to]
+        flat[to] = picks[i]
+        picks[i] = swapped
+    return picks.T
 
 
 class ForestDraws:
