@@ -3,11 +3,10 @@
 Tree t of a forest with seed s grows on the draws that
 `default_rng(SeedSequence((s, t)))` would make: its bootstrap as
 `integers(0, n, size=n)`, then one `choice(n_features, k, replace=False)`
-per impure node. numpy's random
-compatibility policy (NEP 19) fixes the bit generators' raw output, not the
-algorithms of those methods, so this module replays the algorithms of numpy
-2.x (checked on 2.4.6) on the raw words of `PCG64(SeedSequence((s, t)))`
-and calls no `Generator` method:
+per impure node. numpy's random compatibility policy (NEP 19) fixes the bit
+generators' raw output, not the algorithms of those methods, so this module
+replays the algorithms of numpy 2.x (checked on 2.4.6) on the raw words of
+`PCG64(SeedSequence((s, t)))` and calls no `Generator` method:
 
 - Every draw takes a 32-bit half of a raw word, low half first, as numpy's
   `next_uint32` does, and turns it into an integer below a bound b with
@@ -26,9 +25,9 @@ and calls no `Generator` method:
 `ForestDraws` replays these for all trees of a forest at once: a Lemire pass
 over the bootstrap halves of every tree and one over their candidate halves,
 one bootstrap sort, and Floyd and the shuffle as k column steps over every
-(tree, node) row. A tree whose
-block holds a rejected draw is redrawn on its own `Stream`, as is any tree
-that grows more impure nodes than its table holds.
+(tree, node) row. A tree whose block holds a rejected draw is redrawn on its
+own `Stream`, as is any tree that grows more impure nodes than its table
+holds.
 
 The tests compare these replays with numpy's own methods by name. If one of
 them fails after a numpy upgrade, numpy changed a sampling algorithm: the
@@ -51,12 +50,11 @@ CHUNK = 64
 
 
 def split_halves(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw words along the last axis, low half first,
-    as uint64."""
-    halves = np.empty(raw.shape + (2,), dtype=np.uint64)
-    np.bitwise_and(raw, _LOW, out=halves[..., 0])
-    np.right_shift(raw, _32, out=halves[..., 1])
-    return halves.reshape(raw.shape[:-1] + (-1,))
+    """The 32-bit halves of raw words along the last axis, low half first:
+    a view where the host is little-endian."""
+    # Little-endian words read as little-endian halves: low half first on
+    # any host.
+    return np.asarray(raw, dtype="<u8").view("<u4")
 
 
 def floors(bounds):
@@ -69,8 +67,10 @@ def lemire(halves: np.ndarray, bounds, floor) -> tuple[np.ndarray, np.ndarray]:
     """(values, rejected): each half's Lemire draw below its bound (uint64,
     1 to 2**32, broadcast against `halves`) as int64, and whether numpy
     rejects it; `floor` is `floors(bounds)`."""
-    m = halves * bounds
-    return (m >> _32).view(np.int64), (m & _LOW) < floor
+    m = halves * bounds  # uint64, as every bound is
+    rejected = (m & _LOW) < floor
+    m >>= _32
+    return m.view(np.int64), rejected
 
 
 class Stream:
@@ -82,7 +82,7 @@ class Stream:
 
     def __init__(self, bitgen, halves=None, at: int = 0):
         self.bitgen = bitgen
-        self.halves = np.empty(0, dtype=np.uint64) if halves is None else halves
+        self.halves = np.empty(0, dtype="<u4") if halves is None else halves
         self.at = at
 
     def draw(self, bounds) -> np.ndarray:
