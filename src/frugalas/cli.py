@@ -14,6 +14,7 @@ from pathlib import Path
 from .arff import ArffError
 from .harness import (
     FRUGAL_CONFIGS,
+    N_SEEDS,
     ExperimentSpec,
     ResultsError,
     parse_config_id,
@@ -63,17 +64,17 @@ CONFIG_KEYS = {
     "selection": lambda v: v if v in ("uncertainty", "random", "both") else _fail(v),
     "timeout_predictor": _tri,
     "dynamic_timeout": _tri,
-    "n_trees": int,
-    "seed": int,
     "folds": int,
     "seeds": int,
+    "seed": int,
+    "out": str,
+    "n_trees": int,
     "batch_frac": float,
     "dt_initial_frac": float,
     "dt_growth": float,
     "dt_window": int,
     "dt_tolerance": float,
     "jobs": int,
-    "out": str,
 }
 
 
@@ -133,9 +134,9 @@ def cmd_stats(args) -> int:
 
 def cmd_run(args) -> int:
     settings = parse_config_file(args.config) if args.config else {}
-
     # Flags win over config-file values, with a warning on conflict.
-    def pick(name, flag_value, default):
+    for name in CONFIG_KEYS:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
             if name in settings and settings[name] != flag_value:
                 print(
@@ -143,40 +144,30 @@ def cmd_run(args) -> int:
                     f"value {settings[name]!r}",
                     file=sys.stderr,
                 )
-            return flag_value
-        return settings.get(name, default)
+            settings[name] = flag_value
 
-    selection = pick("selection", args.selection, "both")
-    to = pick("timeout_predictor", args.timeout_predictor, "both")
-    dt = pick("dynamic_timeout", args.dynamic_timeout, "both")
-    n_folds_to_run = pick("folds", args.folds, 10)
-    n_seeds = pick("seeds", args.seeds, 5)
-    base_seed = pick("seed", args.seed, 0)
-    out = Path(pick("out", args.out, "results"))
-
+    configurations = _expand_configs(
+        settings.pop("selection", "both"),
+        settings.pop("timeout_predictor", "both"),
+        settings.pop("dynamic_timeout", "both"),
+    )
+    out = Path(settings.pop("out", "results"))
+    base_seed = settings.pop("seed", 0)
     env_seed = os.environ.get("FRUGAL_SEED")
     if env_seed is not None:
         try:
             base_seed = int(env_seed)
         except ValueError:
             raise UsageError(f"FRUGAL_SEED must be an integer, got {env_seed!r}") from None
+    # A setting left out takes the library's default, and the seeds count up
+    # from the base seed.
+    if "folds" in settings:
+        settings["folds"] = list(range(settings["folds"]))
+    settings["seeds"] = [base_seed + j for j in range(settings.get("seeds", N_SEEDS))]
 
     scenario = load_scenario(args.scenario)
     try:
-        spec = ExperimentSpec(
-            scenario=scenario,
-            out_dir=out,
-            configurations=_expand_configs(selection, to, dt),
-            folds=list(range(n_folds_to_run)),
-            seeds=[base_seed + j for j in range(n_seeds)],
-            n_trees=pick("n_trees", args.n_trees, 100),
-            batch_frac=pick("batch_frac", args.batch_frac, 0.01),
-            dt_initial_frac=pick("dt_initial_frac", None, 1 / 64),
-            dt_growth=pick("dt_growth", None, 2.0),
-            dt_window=pick("dt_window", None, 3),
-            dt_tolerance=pick("dt_tolerance", None, 0.01),
-            jobs=pick("jobs", args.jobs, 1),
-        )
+        spec = ExperimentSpec(scenario, out, configurations, **settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

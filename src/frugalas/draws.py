@@ -171,14 +171,16 @@ class ForestDraws:
     """
 
     def __init__(self, seed: int, n_trees: int, n_rows: int, n_features: int, k: int):
-        self.seed, self.n_features, self.k = seed, n_features, k
+        self.n_features, self.k = n_features, k
         self.bounds, self._floor = choice_bounds(n_features, k)
         self._boot = n_rows if n_rows > 1 else 0
         self._chunk = min(CHUNK, n_rows - 1)
         self._end = self._boot + self._chunk * self.bounds.shape[0]
         words = np.empty((n_trees, (self._end + 1) // 2), dtype=np.uint64)
-        for t in range(n_trees):
-            bitgen = np.random.PCG64(np.random.SeedSequence((seed, t)))
+        self._bitgens = [
+            np.random.PCG64(np.random.SeedSequence((seed, t))) for t in range(n_trees)
+        ]
+        for t, bitgen in enumerate(self._bitgens):
             words[t] = bitgen.random_raw(words.shape[1])
         self._halves = split_halves(words)
 
@@ -224,12 +226,10 @@ class ForestDraws:
         return tables
 
     def _stream_of(self, t: int, at: int) -> Stream:
-        """Tree t's stream; a tree without one starts it at half `at`, where
-        its draws so far end."""
+        """Tree t's stream, which continues its generator; a tree without one
+        starts it at half `at`, where its draws so far end."""
         if t not in self._streams:
-            bitgen = np.random.PCG64(np.random.SeedSequence((self.seed, t)))
-            bitgen.advance(self._halves.shape[1] // 2)
-            self._streams[t] = Stream(bitgen, self._halves[t], at)
+            self._streams[t] = Stream(self._bitgens[t], self._halves[t], at)
         return self._streams[t]
 
     def _draw_table(self, stream: Stream, rows: int) -> np.ndarray:

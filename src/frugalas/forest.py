@@ -104,6 +104,13 @@ class ForestConfig:
             raise ValueError(f"n_trees must be an integer, got {self.n_trees}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        check_seed(self.seed)
+
+
+def check_seed(seed) -> None:
+    """A seed is a non-negative integer, as `SeedSequence` takes it."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass

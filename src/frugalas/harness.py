@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .forest import ForestConfig
-from .loop import CostLedger, FrugalLoop, LoopConfig
-from .preprocess import FoldSplit, PreprocessError, make_splits
+from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig
+from .preprocess import N_FOLDS, FoldSplit, PreprocessError, make_splits
 from .scenario import Scenario
 from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector
 
@@ -44,6 +44,7 @@ FRUGAL_CONFIGS = [
     "random-to-dt",
 ]
 PASSIVE_CONFIGS = ["passive", "passive-to"]
+N_SEEDS = 5
 
 STEP_COLUMNS = [
     "config",
@@ -90,14 +91,14 @@ class ExperimentSpec:
     scenario: Scenario
     out_dir: Path
     configurations: list[str] = field(default_factory=lambda: list(FRUGAL_CONFIGS))
-    folds: list[int] = field(default_factory=lambda: list(range(10)))
-    seeds: list[int] = field(default_factory=lambda: list(range(5)))
-    n_trees: int = 100
-    batch_frac: float = 0.01
-    dt_initial_frac: float = 1 / 64
-    dt_growth: float = 2.0
-    dt_window: int = 3
-    dt_tolerance: float = 0.01
+    folds: list[int] = field(default_factory=lambda: list(range(N_FOLDS)))
+    seeds: list[int] = field(default_factory=lambda: list(range(N_SEEDS)))
+    n_trees: int = ForestConfig.n_trees
+    batch_frac: float = LoopConfig.batch_frac
+    dt_initial_frac: float = DT_INITIAL_FRAC
+    dt_growth: float = LoopConfig.dt_growth
+    dt_window: int = LoopConfig.dt_window
+    dt_tolerance: float = LoopConfig.dt_tolerance
     jobs: int = 1
 
     def __post_init__(self):
@@ -109,15 +110,16 @@ class ExperimentSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         for fold in self.folds:
-            if fold not in range(10):
-                raise ValueError(f"no fold {fold}: make_splits makes folds 0 to 9")
+            if fold not in range(N_FOLDS):
+                raise ValueError(f"no fold {fold}: make_splits makes folds 0 to {N_FOLDS - 1}")
         if not 0 < self.dt_initial_frac <= 1:
             raise ValueError(f"dt_initial_frac must be in (0, 1], got {self.dt_initial_frac}")
-        # Unknown ids and the loop and forest settings (LoopConfig and
-        # ForestConfig check them) fail here, before any cell runs.
+        # Unknown ids, the loop and forest settings and every seed (LoopConfig
+        # and ForestConfig check them) fail here, before any cell runs.
         for config_id in self.configurations:
             parse_config_id(config_id)
-        self.loop_config("uncertainty-dt", self.seeds[0])
+        for seed in self.seeds:
+            self.loop_config("uncertainty-dt", seed)
         self.out_dir = Path(self.out_dir)
 
     def loop_config(self, config_id: str, seed: int) -> LoopConfig:
@@ -142,7 +144,7 @@ def passive_ensemble(
     fold: FoldSplit,
     seed: int,
     timeout_models: bool = False,
-    n_trees: int = 100,
+    n_trees: int = ForestConfig.n_trees,
 ) -> tuple[SelectorEnsemble, CostLedger]:
     """Selector trained on the full fold at cutoff, and the ledger that
     charged its labelling: `FrugalLoop`'s initial phase over the whole fold,
@@ -167,7 +169,7 @@ def run_passive_baseline(
     test_instances,
     seed: int,
     timeout_models: bool = False,
-    n_trees: int = 100,
+    n_trees: int = ForestConfig.n_trees,
 ) -> tuple[float, float]:
     """Test PAR10 and labelling cost of training on the full fold at cutoff."""
     ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
@@ -251,10 +253,6 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     return path
 
 
-def _run_cell_star(args):
-    return run_cell(*args)
-
-
 def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
     """Run every grid cell; returns the step-log paths in grid order."""
     cells = [
@@ -266,7 +264,7 @@ def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
     parallel = spec.jobs > 1
     paths = []
     with ProcessPoolExecutor(max_workers=spec.jobs) if parallel else nullcontext() as pool:
-        results = (pool.map if parallel else map)(_run_cell_star, cells)
+        results = (pool.map if parallel else map)(run_cell, *zip(*cells))
         for (_, config_id, fold, seed), path in zip(cells, results):
             paths.append(path)
             if progress:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forest import ForestConfig, forest_votes
+from .forest import ForestConfig, check_seed, forest_votes
 from .labels import Censored, LabelStore, Observation, Solved, final, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
@@ -31,6 +31,8 @@ from .selector import (
     pair_columns,
     train_ensemble,
 )
+
+DT_INITIAL_FRAC = 1 / 64  # the dynamic timeout's default start, over the cutoff
 
 # --- uncertainty scores -----------------------------------------------------
 # All three take the maximum posterior probability of a binary prediction and
@@ -99,37 +101,6 @@ class CostLedger:
             self.total += charged
 
 
-class DynamicTimeoutController:
-    """Grows the execution timeout geometrically on validation plateaus."""
-
-    def __init__(self, initial, cap, growth_factor=2.0, plateau_window=3,
-                 plateau_tolerance=0.01):
-        if initial <= 0 or cap <= 0 or initial > cap:
-            raise ValueError("need 0 < initial <= cap")
-        self.current = initial
-        self.cap = cap
-        self.growth_factor = growth_factor
-        self.plateau_window = plateau_window
-        self.plateau_tolerance = plateau_tolerance
-        self.history: list[float] = []
-
-    def observe(self, validation_par10: float) -> bool:
-        """Record a validation score; returns True when the timeout grew."""
-        if self.current >= self.cap:
-            return False
-        self.history.append(validation_par10)
-        if len(self.history) < self.plateau_window:
-            return False
-        window = self.history[-self.plateau_window :]
-        ref = window[0]
-        improvement = (ref - min(window)) / ref if ref > 0 else 0.0
-        if improvement < self.plateau_tolerance:
-            self.current = min(self.current * self.growth_factor, self.cap)
-            self.history.clear()
-            return True
-        return False
-
-
 @dataclass(frozen=True)
 class QueryRequest:
     pair_index: int
@@ -147,7 +118,7 @@ class LoopConfig:
     initial_size: int | None = None  # default: one batch
     seed: int = 0
     forest: ForestConfig = field(default_factory=ForestConfig)
-    dt_initial: float | None = None  # default: cutoff / 64
+    dt_initial: float | None = None  # default: cutoff * DT_INITIAL_FRAC
     dt_growth: float = 2.0
     dt_window: int = 3
     dt_tolerance: float = 0.01
@@ -175,6 +146,38 @@ class LoopConfig:
         for name, (rule, ok) in ranges.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_seed(self.seed)
+
+
+class DynamicTimeoutController:
+    """Grows the execution timeout geometrically on validation plateaus."""
+
+    def __init__(self, initial, cap, growth_factor=LoopConfig.dt_growth,
+                 plateau_window=LoopConfig.dt_window, plateau_tolerance=LoopConfig.dt_tolerance):
+        if initial <= 0 or cap <= 0 or initial > cap:
+            raise ValueError("need 0 < initial <= cap")
+        self.current = initial
+        self.cap = cap
+        self.growth_factor = growth_factor
+        self.plateau_window = plateau_window
+        self.plateau_tolerance = plateau_tolerance
+        self.history: list[float] = []
+
+    def observe(self, validation_par10: float) -> bool:
+        """Record a validation score; returns True when the timeout grew."""
+        if self.current >= self.cap:
+            return False
+        self.history.append(validation_par10)
+        if len(self.history) < self.plateau_window:
+            return False
+        window = self.history[-self.plateau_window :]
+        ref = window[0]
+        improvement = (ref - min(window)) / ref if ref > 0 else 0.0
+        if improvement < self.plateau_tolerance:
+            self.current = min(self.current * self.growth_factor, self.cap)
+            self.history.clear()
+            return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ class FrugalLoop:
         # never grows and records nothing.
         start = scenario.cutoff
         if cfg.dynamic_timeout:
-            start = cfg.dt_initial if cfg.dt_initial is not None else scenario.cutoff / 64
+            start = cfg.dt_initial or scenario.cutoff * DT_INITIAL_FRAC
         self.controller = DynamicTimeoutController(
             initial=start,
             cap=scenario.cutoff,

@@ -16,6 +16,7 @@ import numpy as np
 from .scenario import Scenario, par10  # par10 is re-exported
 
 MISSING_RATE_THRESHOLD = 0.20
+N_FOLDS = 10
 
 
 class PreprocessError(ValueError):
@@ -82,12 +83,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def make_splits(scenario: Scenario, seed: int, n_folds: int = 10) -> SplitPlan:
+def make_splits(scenario: Scenario, seed: int) -> SplitPlan:
     """Deterministic test/fold/validation split of the scenario's instances."""
     instances = list(scenario.instances)
     n = len(instances)
-    if n < 2 * n_folds:
-        raise PreprocessError(f"too few instances ({n}) for {n_folds} folds")
+    if n < 2 * N_FOLDS:
+        raise PreprocessError(f"too few instances ({n}) for {N_FOLDS} folds")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(n)
@@ -99,16 +100,16 @@ def make_splits(scenario: Scenario, seed: int, n_folds: int = 10) -> SplitPlan:
 
     # Contiguous chunks of the shuffled remainder form the fold partitions.
     parts: list[list[str]] = []
-    base = len(remainder) // n_folds
-    extra = len(remainder) % n_folds
+    base = len(remainder) // N_FOLDS
+    extra = len(remainder) % N_FOLDS
     pos = 0
-    for k in range(n_folds):
+    for k in range(N_FOLDS):
         size = base + (1 if k < extra else 0)
         parts.append(remainder[pos : pos + size])
         pos += size
 
     folds = []
-    for k in range(n_folds):
+    for k in range(N_FOLDS):
         portion = [inst for j, part in enumerate(parts) if j != k for inst in part]
         sub_rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         sub_order = sub_rng.permutation(len(portion))

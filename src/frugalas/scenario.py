@@ -222,8 +222,6 @@ def load_scenario(directory) -> Scenario:
                 raise ScenarioError(
                     f"algorithm_runs.arff is not total: missing ({instance}, {algorithm})"
                 )
-    if len(runs) != len(instances) * len(algorithms):
-        raise ScenarioError("algorithm_runs.arff references instances without features")
 
     return Scenario(
         id=desc["scenario_id"],

@@ -208,6 +208,23 @@ class TestInitialPhase:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: LoopConfig(seed=seed),
+            lambda seed: ForestConfig(seed=seed),
+            # every seed of a spec, not only the first
+            lambda seed: ExperimentSpec(build_scenario(np.ones((4, 2))), "out", seeds=[0, seed]),
+        ],
+        ids=["loop", "forest", "spec"],
+    )
+    def test_seed_is_a_non_negative_integer(self, make):
+        for seed in (-1, np.int64(-2), 1.0, "3", None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                make(seed)
+        make(np.int64(3))
+        make(2**40)
+
 
 class TestUncertaintySelection:
     def _loop_with_stub(self, pools, p_max):

@@ -282,6 +282,35 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
+class TestRunBuildsTheLibrarySpec:
+    """`frugalas run` hands `ExperimentSpec` only the settings it was given,
+    so every other one takes the library's default."""
+
+    @pytest.mark.parametrize(
+        "flags, config, given",
+        [
+            ([], None, lambda library: {}),
+            (["--seed", "3"], None, lambda library: {"seeds": [3 + s for s in library.seeds]}),
+            ([], "dt_window = 4\n", lambda library: {"dt_window": 4}),
+        ],
+        ids=["no-settings", "seed-3", "config-dt_window"],
+    )
+    def test_same_spec_and_loop_configs(self, scenario_dir, tmp_path, grid_calls, flags,
+                                        config, given):
+        if config is not None:
+            conf = tmp_path / "exp.conf"
+            conf.write_text(config)
+            flags = [*flags, "--config", str(conf)]
+        assert main(["run", str(scenario_dir), *flags]) == 0
+        (spec,) = grid_calls
+        library = ExperimentSpec(spec.scenario, "results")
+        expected = ExperimentSpec(spec.scenario, "results", **given(library))
+        assert spec == expected
+        for config_id in FRUGAL_CONFIGS:
+            for seed in expected.seeds:
+                assert spec.loop_config(config_id, seed) == expected.loop_config(config_id, seed)
+
+
 class TestExpandConfigs:
     @pytest.mark.parametrize(
         "selection, to, dt",
@@ -366,6 +395,22 @@ class TestRunUsageErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "error: FRUGAL_SEED must be an integer, got 'abc'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("by_variable", [False, True], ids=["--seed", "FRUGAL_SEED"])
+    def test_negative_seed_exits_with_usage(self, tmp_path, capsys, monkeypatch, by_variable):
+        directory = write_scenario_dir(make_synthetic_scenario(40, 3), tmp_path / "SYN")
+        flags = ["--seed", "-1"]
+        if by_variable:
+            monkeypatch.setenv("FRUGAL_SEED", "-1")
+            flags = []
+        out = tmp_path / "res"
+        argv = ["run", str(directory), "--folds", "1", "--seeds", "1", "--n-trees", "2",
+                *flags, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer, got -1")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -148,6 +148,6 @@ class TestSplits:
             assert everything == set(s.instances)
 
     def test_too_few_instances(self):
-        s = make_synthetic_scenario(25, 2, seed=0)
-        with pytest.raises(PreprocessError):
-            make_splits(s, seed=0, n_folds=20)
+        s = make_synthetic_scenario(19, 2, seed=0)
+        with pytest.raises(PreprocessError, match=r"too few instances \(19\) for 10 folds"):
+            make_splits(s, seed=0)
