@@ -11,7 +11,6 @@ import os
 import sys
 from pathlib import Path
 
-from .arff import ArffError
 from .harness import (
     FRUGAL_CONFIGS,
     N_SEEDS,
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArffError, ScenarioError, PreprocessError, ResultsError, FileNotFoundError) as exc:
+    except (ScenarioError, PreprocessError, ResultsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .arff import ArffError, ArffRelation, parse_arff
+from .arff import ArffError, parse_arff
 
 OK = "ok"
 TIMEOUT = "timeout"
@@ -89,21 +90,48 @@ def _parse_description(path: Path) -> dict[str, str]:
     return fields
 
 
-def _read_relation(directory: Path, filename: str) -> ArffRelation:
+# The columns both tables lead with, and the named columns besides the
+# features that must be declared numeric.
+_KEY = ("instance_id", "repetition")
+_NUMERIC = ("repetition", "runtime")
+
+
+def _read_table(
+    directory: Path, filename: str, names: tuple[str, ...] = ()
+) -> tuple[list[tuple], list[str]]:
+    """The rows of one ASLib table as tuples (instance_id, repetition, *cells)
+    of the cells `parse_arff` typed, and the names of those cells' columns:
+    `names`, or every other column (the features) when `names` is empty.
+    Repetition, runtime and feature columns must be declared numeric, and
+    every repetition must be 1 or missing."""
     path = directory / filename
     if not path.is_file():
         raise ScenarioError(f"missing required file: {path}")
     try:
-        return parse_arff(path.read_text())
+        rel = parse_arff(path.read_text())
     except ArffError as exc:
         raise ScenarioError(f"{filename}: {exc}") from exc
-
-
-def _column(rel: ArffRelation, name: str, filename: str) -> int:
-    for i, attr in enumerate(rel.attributes):
-        if attr.name == name:
-            return i
-    raise ScenarioError(f"{filename}: missing column '{name}'")
+    declared = [a.name for a in rel.attributes]
+    for name in _KEY + names:
+        if name not in declared:
+            raise ScenarioError(f"{filename}: missing column '{name}'")
+    key = [declared.index(name) for name in _KEY]
+    columns = [declared.index(name) for name in names] or [
+        i for i in range(len(declared)) if i not in key
+    ]
+    for i in [key[1], *columns]:
+        attr = rel.attributes[i]
+        if attr.kind != "numeric" and (attr.name in _NUMERIC or not names):
+            raise ScenarioError(
+                f"{filename}: column '{attr.name}' must be declared numeric, not {attr.kind}"
+            )
+    rows = list(map(itemgetter(*key, *columns), rel.rows))
+    for row in rows:
+        if row[1] not in (None, 1.0):
+            raise ScenarioError(
+                f"{filename}: repetition {row[1]} for '{row[0]}' (only 1 supported)"
+            )
+    return rows, [declared[i] for i in columns]
 
 
 def load_scenario(directory) -> Scenario:
@@ -129,42 +157,17 @@ def load_scenario(directory) -> Scenario:
     if not (math.isfinite(cutoff) and cutoff > 0):
         raise ScenarioError(f"algorithm_cutoff_time must be positive and finite, got {cutoff}")
 
-    feats = _read_relation(directory, "feature_values.arff")
-    inst_col = _column(feats, "instance_id", "feature_values.arff")
-    rep_col = _column(feats, "repetition", "feature_values.arff")
-    feature_names = [
-        a.name
-        for i, a in enumerate(feats.attributes)
-        if i not in (inst_col, rep_col)
-    ]
-    feature_cols = [
-        i for i in range(len(feats.attributes)) if i not in (inst_col, rep_col)
-    ]
-
-    instances: list[str] = []
-    rows: list[np.ndarray] = []
-    seen_instances: set[str] = set()
-    for row in feats.rows:
-        instance = str(row[inst_col])
-        rep = row[rep_col]
-        if rep is not None and float(rep) != 1.0:
-            raise ScenarioError(
-                f"feature_values.arff: repetition {rep} for '{instance}' (only 1 supported)"
-            )
-        if instance in seen_instances:
-            raise ScenarioError(f"duplicate feature row for instance '{instance}'")
-        seen_instances.add(instance)
-        instances.append(instance)
-        vec = np.array(
-            [np.nan if row[c] is None else float(row[c]) for c in feature_cols],
-            dtype=np.float64,
-        )
-        rows.append(vec)
-    if not instances:
+    feature_rows, feature_names = _read_table(directory, "feature_values.arff")
+    if not feature_rows:
         raise ScenarioError("feature_values.arff contains no instances")
-    feature_matrix = np.vstack(rows) if feature_names else np.empty((len(rows), 0))
-    # A nan value, like '?', is missing and imputed later; nothing stands
-    # for an infinite one.
+    instances = [str(row[0]) for row in feature_rows]
+    known = set(instances)
+    if len(known) < len(instances):
+        duplicate = next(i for k, i in enumerate(instances) if i in instances[:k])
+        raise ScenarioError(f"duplicate feature row for instance '{duplicate}'")
+    # A '?' cell becomes nan: missing, and imputed later. Nothing stands for
+    # an infinite value.
+    feature_matrix = np.array([row[2:] for row in feature_rows], dtype=np.float64)
     infinite = np.argwhere(np.isinf(feature_matrix))
     if infinite.size:
         r, c = infinite[0]
@@ -173,40 +176,31 @@ def load_scenario(directory) -> Scenario:
             f"'{instances[r]}' is infinite"
         )
 
-    runs_rel = _read_relation(directory, "algorithm_runs.arff")
-    r_inst = _column(runs_rel, "instance_id", "algorithm_runs.arff")
-    r_rep = _column(runs_rel, "repetition", "algorithm_runs.arff")
-    r_alg = _column(runs_rel, "algorithm", "algorithm_runs.arff")
-    r_time = _column(runs_rel, "runtime", "algorithm_runs.arff")
-    r_status = _column(runs_rel, "runstatus", "algorithm_runs.arff")
-
+    run_rows, _ = _read_table(
+        directory, "algorithm_runs.arff", ("algorithm", "runtime", "runstatus")
+    )
     algorithms: list[str] = []
     runs: dict[tuple[str, str], RunRecord] = {}
-    for row in runs_rel.rows:
-        instance = str(row[r_inst])
-        if instance not in seen_instances:
+    for instance, _, algorithm, runtime, raw_status in run_rows:
+        instance, algorithm = str(instance), str(algorithm)
+        if instance not in known:
             raise ScenarioError(
                 f"algorithm_runs.arff references unknown instance '{instance}'"
             )
-        rep = row[r_rep]
-        if rep is not None and float(rep) != 1.0:
-            raise ScenarioError(
-                f"algorithm_runs.arff: repetition {rep} for '{instance}' (only 1 supported)"
-            )
-        algorithm = str(row[r_alg])
         if algorithm not in algorithms:
             algorithms.append(algorithm)
         key = (instance, algorithm)
         if key in runs:
             raise ScenarioError(f"duplicate run for {key}")
-        runtime = float(row[r_time]) if row[r_time] is not None else cutoff
+        if runtime is None:
+            runtime = cutoff
         if not (math.isfinite(runtime) and runtime >= 0):
             raise ScenarioError(
                 f"algorithm_runs.arff: runtime {runtime} of '{algorithm}' on '{instance}' "
                 "must be finite and not negative"
             )
-        raw_status = str(row[r_status]).lower() if row[r_status] is not None else "ok"
-        if raw_status == "ok" and runtime <= cutoff:
+        solved = raw_status is None or str(raw_status).lower() == "ok"
+        if solved and runtime <= cutoff:
             status = OK
         elif runtime >= cutoff:
             status = TIMEOUT

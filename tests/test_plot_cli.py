@@ -575,3 +575,81 @@ class TestSummarizeAndPlotCommands:
         empty.mkdir()
         assert main(["summarize", str(empty)]) == 2
         assert "no step logs" in capsys.readouterr().err
+
+
+_STEP_LOG = (
+    "config,scenario,fold,seed,step,timeout_s,labels,cost_s,cost_frac,data_frac,"
+    "test_par10_s,perf_ratio\nrandom,SYN,0,0,1,100.0,1,5.0,0.5,0.5,50.0,1.0\n"
+)
+
+
+def _a_file(tmp_path):
+    path = tmp_path / "a_file"
+    path.write_text("x\n")
+    return path
+
+
+def _a_dir(tmp_path):
+    path = tmp_path / "a_dir"
+    path.mkdir()
+    return path
+
+
+def _summary(tmp_path):
+    path = tmp_path / "summary.csv"
+    write_summary(_summary_rows(["random"]), path)
+    return path
+
+
+def _step_logs(tmp_path):
+    logs = tmp_path / "logs"
+    (logs / "random").mkdir(parents=True)
+    (logs / "random" / "fold00_seed0.csv").write_text(_STEP_LOG)
+    return logs
+
+
+def _bad_bytes_runs(scenario_dir):
+    runs = scenario_dir / "algorithm_runs.arff"
+    runs.write_bytes(runs.read_bytes() + b"% \xff\n")
+    return scenario_dir
+
+
+def _bad_bytes_config(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"folds = 1\n# \xff\n")
+    return path
+
+
+def _step_log_dir(tmp_path):
+    (tmp_path / "logs" / "random" / "fold00_seed0.csv").mkdir(parents=True)
+    return tmp_path / "logs"
+
+
+class TestFileErrors:
+    """A file that cannot be read, written or decoded is a data error: exit 2
+    with an `error:` line, never a traceback, and no half-written `.tmp`
+    file is left behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda t, s: ["run", str(s), "--selection", "random", "--timeout-predictor", "off",
+                          "--dynamic-timeout", "off", "--folds", "1", "--seeds", "1",
+                          "--n-trees", "2", "--out", str(_a_file(t))],
+            lambda t, s: ["run", str(s), "--config", str(_a_dir(t))],
+            lambda t, s: ["run", str(s), "--config", str(_bad_bytes_config(t))],
+            lambda t, s: ["stats", str(_bad_bytes_runs(s))],
+            lambda t, s: ["plot", str(_a_dir(t))],
+            lambda t, s: ["plot", str(_summary(t)), "--out", str(_a_file(t) / "x.svg")],
+            lambda t, s: ["summarize", str(_step_log_dir(t))],
+            lambda t, s: ["summarize", str(_step_logs(t)), "--out", str(_a_dir(t))],
+        ],
+        ids=["run-out-file", "run-config-dir", "run-config-bytes", "stats-runs-bytes",
+             "plot-dir", "plot-out-under-file", "summarize-log-dir", "summarize-out-dir"],
+    )
+    def test_exits_2(self, tmp_path, scenario_dir, capsys, argv):
+        assert main(argv(tmp_path, scenario_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))

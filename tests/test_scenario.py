@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import build_scenario
+from frugalas.cli import main
 from frugalas.scenario import (
     OK,
     OTHER_FAILURE,
@@ -89,6 +92,50 @@ def test_duplicate_repetition_rejected(fixture_dir):
     runs.write_text(text)
     with pytest.raises(ScenarioError, match="repetition"):
         load_scenario(fixture_dir)
+
+
+def _declare(path, column, kind):
+    text = path.read_text()
+    path.write_text(text.replace(f"@attribute {column} numeric", f"@attribute {column} {kind}"))
+
+
+@pytest.mark.parametrize(
+    "filename, column, row, edited",
+    [
+        ("feature_values.arff", "f0", "i0,1.0,0.0,", "i0,1.0,abc,"),
+        ("feature_values.arff", "repetition", "i0,1.0,", "i0,abc,"),
+        ("algorithm_runs.arff", "repetition", "i0,1.0,a0", "i0,abc,a0"),
+        ("algorithm_runs.arff", "runtime", "a0,1.0,ok", "a0,abc,ok"),
+    ],
+    ids=["feature", "feature-repetition", "run-repetition", "runtime"],
+)
+def test_number_column_declared_string_rejected(fixture_dir, filename, column, row, edited):
+    path = fixture_dir / filename
+    _declare(path, column, "string")
+    path.write_text(path.read_text().replace(row, edited, 1))
+    message = f"{filename}: column '{column}' must be declared numeric, not string"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(fixture_dir)
+
+
+def test_nominal_runtime_rejected(tmp_path):
+    # every runtime is in the declared set, so each cell parses; the column
+    # still names categories, not numbers
+    directory = write_scenario_dir(build_scenario([[1.0, 2.0], [2.0, 1.0]]), tmp_path / "nom")
+    _declare(directory / "algorithm_runs.arff", "runtime", "{1.0,2.0}")
+    message = "algorithm_runs.arff: column 'runtime' must be declared numeric, not nominal"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(directory)
+
+
+def test_stats_on_string_runtime_is_data_error(fixture_dir, capsys):
+    runs = fixture_dir / "algorithm_runs.arff"
+    _declare(runs, "runtime", "string")
+    runs.write_text(runs.read_text().replace("a0,1.0,ok", "a0,abc,ok", 1))
+    assert main(["stats", str(fixture_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: algorithm_runs.arff: column 'runtime'")
+    assert "Traceback" not in err
 
 
 def test_stats_two_by_two(two_by_two):
