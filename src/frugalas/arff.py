@@ -154,7 +154,7 @@ def serialize_arff(rel: ArffRelation) -> str:
         if attr.kind == "nominal":
             spec = "{" + ",".join(_quote(v) for v in attr.values) + "}"
         else:
-            spec = attr.kind if attr.kind != "nominal" else ""
+            spec = attr.kind
         lines.append(f"@attribute {_quote(attr.name)} {spec}")
     lines.append("@data")
     for row in rel.rows:

@@ -9,7 +9,8 @@ cutoff. `CostLedger.run` is the one place a cell runs: it replays the
 recorded run, records the observation and charges its CPU-seconds.
 `VoteCache` walks each forest once on each of the loop's fixed row blocks
 and keeps its class-1 tree votes, which the query and the evaluations read
-as integers.
+as integers. A loop's label store, pools, training votes and feature rows
+and its (pair, position) queries share one index: the training position.
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ class CostLedger:
             self.total += charged
 
 
-@dataclass(frozen=True)
-class QueryRequest:
-    pair_index: int
-    pair: tuple[str, str]
-    instance: str
-    confidence: float  # max posterior of the pair's model; 0.5 when abstaining
-
-
 @dataclass
 class LoopConfig:
     selection: str = "uncertainty"  # or "random"
@@ -193,13 +186,12 @@ class StepRecord:
 
 
 def rank_queries(confidence: np.ndarray, pool: np.ndarray, n_requests: int):
-    """(pair, position, confidence) arrays of the `n_requests` open cells of
-    `pool` with the lowest `confidence`, both (n_pairs, n_train); ties break
-    by pair, then by position."""
+    """(pair, position) arrays of the `n_requests` open cells of `pool` with
+    the lowest `confidence`, both (n_pairs, n_train); ties break by pair,
+    then by position."""
     pair, pos = np.nonzero(pool)
-    conf = confidence[pair, pos]
-    order = np.lexsort((pos, pair, conf))[:n_requests]
-    return pair[order], pos[order], conf[order]
+    order = np.lexsort((pos, pair, confidence[pair, pos]))[:n_requests]
+    return pair[order], pos[order]
 
 
 class VoteCache:
@@ -255,14 +247,14 @@ class FrugalLoop:
         if initial > n:
             raise ValueError("initial set larger than the training set")
 
-        self.store = LabelStore(scenario.instances, scenario.algorithms)
+        # Store row k is training instance k.
+        self.store = LabelStore(self.train, scenario.algorithms)
         self.ledger = CostLedger(scenario, self.store)
         self.pairs = algorithm_pairs(scenario.algorithms)
         # Store columns of the two sides of each pair: (2, n_pairs).
         self._sides = pair_columns(len(scenario.algorithms))
-        # Scenario rows of the training instances, in train order.
-        self._rows = np.array([scenario.instance_index(i) for i in self.train], dtype=np.intp)
-        self._train_X = self.imputer.transform(scenario.feature_matrix[self._rows])
+        rows = [scenario.instance_index(i) for i in self.train]
+        self._train_X = self.imputer.transform(scenario.feature_matrix[rows])
         held_out = [scenario.instance_index(i) for i in self.validation + self.test]
         held_out_X = self.imputer.transform(scenario.feature_matrix[held_out])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
@@ -317,8 +309,8 @@ class FrugalLoop:
     def _retrain(self) -> SelectorEnsemble:
         return train_ensemble(
             self._train_X,
-            self.store.solved[self._rows],
-            self.store.censored[self._rows],
+            self.store.solved,
+            self.store.censored,
             self.scenario.algorithms,
             self.imputer,
             self.cfg.forest,
@@ -343,62 +335,59 @@ class FrugalLoop:
         confidence[trained] = np.maximum(k - v, v) / k
         return confidence
 
-    def select_queries_uncertainty(self, n_requests: int) -> list[QueryRequest]:
-        """Lowest-confidence requests across all pair tables, merged and sorted.
+    def select_queries_uncertainty(self, n_requests: int):
+        """Lowest-confidence cells across all pair tables, merged and sorted.
 
         Pairs whose model is most uncertain naturally contribute more of the
-        selected requests. Ties break by pair, then by instance position.
+        selected cells. Ties break by pair, then by instance position.
         """
-        return self._requests(*rank_queries(self.pair_confidences(), self.pool, n_requests))
+        return rank_queries(self.pair_confidences(), self.pool, n_requests)
 
-    def select_queries_random(self, n_requests: int) -> list[QueryRequest]:
+    def select_queries_random(self, n_requests: int):
         """Uniform draw without replacement from the open cells of all pools,
-        numbered by pair, then by instance position."""
+        numbered by pair, then by instance position; an empty pool draws
+        nothing from `rng`."""
         pair, pos = np.nonzero(self.pool)
         if not pos.size:
-            return []
+            return pair, pos
         picks = np.sort(self.rng.choice(pos.size, size=min(n_requests, pos.size), replace=False))
-        return self._requests(pair[picks], pos[picks], np.full(picks.size, 0.5))
+        return pair[picks], pos[picks]
 
-    def _requests(self, pair, pos, confidence) -> list[QueryRequest]:
-        """One request per (pair index, train position, confidence) of the
-        three arrays, in their order."""
-        return [
-            QueryRequest(pair_index=p, pair=self.pairs[p], instance=self.train[k], confidence=c)
-            for p, k, c in zip(pair.tolist(), pos.tolist(), confidence.tolist())
-        ]
-
-    def select_queries(self, n_requests: int) -> list[QueryRequest]:
+    def select_queries(self, n_requests: int):
+        """(pair, position) int arrays of at most `n_requests` open cells, in
+        the order they run."""
         if self.cfg.selection == "uncertainty":
             return self.select_queries_uncertainty(n_requests)
         return self.select_queries_random(n_requests)
 
     # -- execution -----------------------------------------------------------
 
-    def execute_request(self, req: QueryRequest) -> None:
-        """Run both sides of the pair at the current timeout, charged at the
-        current step; a side that is already final costs nothing."""
-        self.ledger.run(self.step_index, req.instance, req.pair, self.controller.current)
+    def execute_request(self, pair: int, position: int) -> None:
+        """Run training instance `position` on both sides of pair `pair` at
+        the current timeout, charged at the current step; a side that is
+        already final costs nothing."""
+        self.ledger.run(
+            self.step_index, self.train[position], self.pairs[pair], self.controller.current
+        )
         self.requests_executed += 1
 
     def _update_pools(self) -> None:
         """Drop the settled cells (`labels.settled`) from the pools; the only
         place a cell leaves its pool."""
-        solved, censored = self.store.solved[self._rows], self.store.censored[self._rows]
         a, b = self._sides
-        self.pool &= ~settled(solved, censored, a, b, self.scenario.cutoff).T
+        self.pool &= ~settled(self.store.solved, self.store.censored, a, b, self.scenario.cutoff).T
 
     # -- stepping ------------------------------------------------------------
 
     def step(self) -> StepRecord | None:
         """One labelling round; None once every pool is exhausted."""
-        requests = self.select_queries(self.batch)
-        if not requests:
+        pair, pos = self.select_queries(self.batch)
+        if not pos.size:
             return None
         self.step_index += 1
         timeout_used = self.controller.current
-        for req in requests:
-            self.execute_request(req)
+        for p, k in zip(pair.tolist(), pos.tolist()):
+            self.execute_request(p, k)
         self._update_pools()
         self.ensemble = self._retrain()
 

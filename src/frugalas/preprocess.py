@@ -76,7 +76,6 @@ class FoldSplit:
 class SplitPlan:
     test: list[str]
     folds: list[FoldSplit]
-    seed: int
 
 
 def _round_half_up(x: float) -> int:
@@ -120,4 +119,4 @@ def make_splits(scenario: Scenario, seed: int) -> SplitPlan:
         if not train or not validation:
             raise PreprocessError("fold too small to carve a validation set")
         folds.append(FoldSplit(train=train, validation=validation))
-    return SplitPlan(test=test, folds=folds, seed=seed)
+    return SplitPlan(test=test, folds=folds)

@@ -38,9 +38,11 @@ def build_scenario(runtimes, statuses=None, cutoff=100.0, features=None, scenari
 def training_block(scenario, train, store, imputer):
     """`train_ensemble`'s training block for the instances `train`: their
     feature rows imputed by `imputer`, then their rows of `store`'s solved
-    and censored arrays, in the order of `train`."""
-    rows = [scenario.instance_index(i) for i in train]
-    return imputer.transform(scenario.feature_matrix[rows]), store.solved[rows], store.censored[rows]
+    and censored arrays, in the order of `train`. `store` may span the whole
+    scenario or only `train`: its rows are looked up by `store.row`."""
+    X = imputer.transform(scenario.feature_matrix[[scenario.instance_index(i) for i in train]])
+    rows = [store.row[i] for i in train]
+    return X, store.solved[rows], store.censored[rows]
 
 
 def reference_tree_predict(tree, X):

@@ -14,7 +14,6 @@ from frugalas.loop import (
     FrugalLoop,
     LedgerEntry,
     LoopConfig,
-    QueryRequest,
     entropy_score,
     least_confidence_score,
     margin_score,
@@ -187,6 +186,16 @@ class TestInitialPhase:
         with pytest.raises(ValueError):
             make_loop(n_train=4, initial_size=5)
 
+    def test_store_rows_are_training_positions(self, tmp_path):
+        # A shuffled fold: training positions are not scenario rows.
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=3).loop_config("uncertainty", 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        assert loop.train != s.instances[: len(loop.train)]
+        assert loop.store.solved.shape == (len(loop.train), len(s.algorithms))
+        assert loop.store.row == {i: k for k, i in enumerate(loop.train)}
+
     @pytest.mark.parametrize(
         "make, message",
         [
@@ -245,6 +254,12 @@ class TestUncertaintySelection:
         loop.pair_confidences = lambda: confidence
         return loop
 
+    @staticmethod
+    def _cells(loop, picked):
+        """(pair, instance) of each picked cell, in order."""
+        pair, pos = picked
+        return [(p, loop.train[k]) for p, k in zip(pair.tolist(), pos.tolist())]
+
     def test_most_uncertain_pair_dominates_batch(self):
         # pair 0 confidences {0.51, 0.52} both beat pair 1's 0.99
         loop = self._loop_with_stub(
@@ -252,25 +267,26 @@ class TestUncertaintySelection:
             p_max=[[0.51, 0.52], [0.99], None],
         )
         picked = loop.select_queries_uncertainty(2)
-        assert [(r.pair_index, r.instance) for r in picked] == [(0, "i0"), (0, "i1")]
-        assert [r.confidence for r in picked] == [0.51, 0.52]
+        assert self._cells(loop, picked) == [(0, "i0"), (0, "i1")]
+        assert loop.pair_confidences()[picked].tolist() == [0.51, 0.52]
 
     def test_ascending_merge_across_pairs(self):
         loop = self._loop_with_stub(
             pools=[{"i0"}, {"i1"}, {"i2"}],
             p_max=[[0.9], [0.6], [0.7]],
         )
-        picked = loop.select_queries_uncertainty(3)
-        assert [r.pair_index for r in picked] == [1, 2, 0]
+        pair, _ = loop.select_queries_uncertainty(3)
+        assert pair.tolist() == [1, 2, 0]
 
     def test_abstaining_model_scores_half(self):
         loop = self._loop_with_stub(
             pools=[{"i0"}, {"i0"}, set()],
             p_max=[[0.5001], None],
         )
-        picked = loop.select_queries_uncertainty(2)
+        pair, pos = loop.select_queries_uncertainty(2)
         # an abstaining pair counts as maximally uncertain (0.5) and goes first
-        assert [(r.pair_index, r.confidence) for r in picked] == [(1, 0.5), (0, 0.5001)]
+        confidence = loop.pair_confidences()[pair, pos]
+        assert list(zip(pair.tolist(), confidence.tolist())) == [(1, 0.5), (0, 0.5001)]
 
     def test_tie_breaks_by_pair_then_instance_position(self):
         loop = self._loop_with_stub(
@@ -278,7 +294,7 @@ class TestUncertaintySelection:
             p_max=[[0.8, 0.8], [0.8]],
         )
         picked = loop.select_queries_uncertainty(3)
-        assert [(r.pair_index, r.instance) for r in picked] == [
+        assert self._cells(loop, picked) == [
             (0, "i1"),
             (0, "i3"),
             (1, "i0"),
@@ -298,10 +314,10 @@ class TestUncertaintySelection:
                 for p, pool in enumerate(pools)
                 for r, inst in enumerate(sorted(pool, key=lambda i: int(i[1:])))
             )
-            picked = loop.select_queries_uncertainty(7)
-            assert [(r.confidence, r.pair_index, int(r.instance[1:])) for r in picked] == (
-                entries[:7]
-            )
+            pair, pos = loop.select_queries_uncertainty(7)
+            confidence = loop.pair_confidences()[pair, pos]
+            instance = [int(loop.train[k][1:]) for k in pos.tolist()]
+            assert list(zip(confidence.tolist(), pair.tolist(), instance)) == entries[:7]
 
     def test_pair_confidences_match_each_forest(self, tmp_path):
         # Through the vote caches, to exhaustion: every round's confidences
@@ -338,23 +354,25 @@ class TestUncertaintySelection:
             pools=[{"i0", "i1", "i2"}, set(), set()],
             p_max=[[0.7, 0.8, 0.9], None, None],
         )
-        assert len(loop.select_queries_uncertainty(2)) == 2
-        assert len(loop.select_queries_uncertainty(100)) == 3
+        assert loop.select_queries_uncertainty(2)[1].size == 2
+        assert loop.select_queries_uncertainty(100)[1].size == 3
 
 
 class TestRandomSelection:
     def test_oversized_request_returns_whole_pool(self):
         loop, _ = make_loop(n_train=8, n_algorithms=3, initial_size=2, selection="random")
         union = {(p, loop.train[k]) for p, k in zip(*np.nonzero(loop.pool))}
-        picked = loop.select_queries_random(10_000)
-        assert {(r.pair_index, r.instance) for r in picked} == union
+        pair, pos = loop.select_queries_random(10_000)
+        assert {(p, loop.train[k]) for p, k in zip(pair, pos)} == union
+        assert pos.size == len(union)
 
     def test_deterministic_given_seed(self):
         l1, _ = make_loop(initial_size=2, selection="random", seed=3)
         l2, _ = make_loop(initial_size=2, selection="random", seed=3)
-        p1 = [(r.pair_index, r.instance) for r in l1.select_queries_random(3)]
-        p2 = [(r.pair_index, r.instance) for r in l2.select_queries_random(3)]
-        assert p1 == p2
+        p1 = np.stack(l1.select_queries_random(3))
+        p2 = np.stack(l2.select_queries_random(3))
+        assert p1.shape == (2, 3)
+        assert np.array_equal(p1, p2)
 
     def test_draws_are_roughly_uniform(self):
         loop, _ = make_loop(n_train=8, initial_size=2, selection="random", seed=4)
@@ -362,8 +380,8 @@ class TestRandomSelection:
         counts = {cell: 0 for cell in union}
         n_draws = 6000
         for _ in range(n_draws):
-            (req,) = loop.select_queries_random(1)
-            counts[(req.pair_index, req.instance)] += 1
+            (p,), (k,) = loop.select_queries_random(1)
+            counts[(p, loop.train[k])] += 1
         expect = n_draws / len(union)
         sigma = np.sqrt(n_draws * (1 / len(union)) * (1 - 1 / len(union)))
         for cell, c in counts.items():
@@ -391,19 +409,19 @@ class TestExecution:
         )
         loop = FrugalLoop(s, fold, s.instances[10:], cfg)
         assert loop.batch == 2
-        row = s.instance_index("i6")
+        row = loop.store.row["i6"]
         loop.store.solved[row] = loop.store.censored[row] = np.nan
         return loop, len(loop.ledger.entries)
 
     def test_rerun_from_scratch_charges_both_attempts(self):
         loop, base = self._manual_loop()
-        req = QueryRequest(0, ("a0", "a1"), "i6", 0.5)
-        loop.execute_request(req)
+        k = loop.train.index("i6")
+        loop.execute_request(0, k)  # pair 0 is (a0, a1)
         assert loop.store.get("i6", "a0") == Censored(60.0)
         assert loop.store.get("i6", "a1") == Censored(60.0)
 
         loop.controller.current = 100.0
-        loop.execute_request(req)
+        loop.execute_request(0, k)
         assert loop.store.get("i6", "a0") == Solved(90.0)
         assert loop.store.get("i6", "a1") == Censored(100.0)
 
@@ -414,16 +432,16 @@ class TestExecution:
 
     def test_cached_sides_cost_nothing(self):
         loop, base = self._manual_loop()
-        req = QueryRequest(0, ("a0", "a1"), "i6", 0.5)
-        loop.execute_request(req)
+        k = loop.train.index("i6")
+        loop.execute_request(0, k)
         before = len(loop.ledger.entries)
-        loop.execute_request(req)  # both censored at the current timeout
+        loop.execute_request(0, k)  # both censored at the current timeout
         assert len(loop.ledger.entries) == before
         assert loop.requests_executed == 2
 
         loop.controller.current = 100.0
-        loop.execute_request(req)
-        loop.execute_request(req)  # a0 solved, a1 censored at 100 == timeout
+        loop.execute_request(0, k)
+        loop.execute_request(0, k)  # a0 solved, a1 censored at 100 == timeout
         charged = [
             e.charged for e in loop.ledger.entries[base:] if e.instance == "i6"
         ]
@@ -439,7 +457,7 @@ class TestExecution:
         assert loop.pool[0, k]  # 90 s solved vs censored at 60 s: undecided
 
         loop.controller.current = 100.0
-        loop.execute_request(QueryRequest(0, ("a0", "a1"), "i6", 0.5))
+        loop.execute_request(0, k)
         assert loop.store.get("i6", "a1") == Censored(100.0)
         assert [e.charged for e in loop.ledger.entries[base:]] == [100.0]
         loop._update_pools()
@@ -447,6 +465,30 @@ class TestExecution:
 
 
 class TestStepping:
+    def test_step_runs_the_selected_cells_in_order(self, monkeypatch, tmp_path):
+        # A shuffled fold at a static timeout, so a side once run is final.
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=3).loop_config("random", 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        initial = {loop.train.index(e.instance) for e in loop.ledger.entries}
+        ka, kb = [k for k in range(len(loop.train)) if k not in initial][:2]
+        done = min(initial)
+        a0, a1, a2 = s.algorithms
+        assert loop.pairs == [(a0, a1), (a0, a2), (a1, a2)]
+        pair = np.array([1, 0, 2, 0])
+        pos = np.array([ka, kb, ka, done])
+        monkeypatch.setattr(loop, "select_queries", lambda n: (pair, pos))
+        base = len(loop.ledger.entries)
+        record = loop.step()
+        ta, tb = loop.train[ka], loop.train[kb]
+        # (ta, a2) and every side of the initial instance are already final
+        assert [(e.instance, e.algorithm) for e in loop.ledger.entries[base:]] == [
+            (ta, a0), (ta, a2), (tb, a0), (tb, a1), (ta, a1),
+        ]
+        assert {e.step for e in loop.ledger.entries[base:]} == {record.step}
+        assert record.requests == loop.requests_executed == 4
+
     def test_records_are_consistent(self):
         loop, _ = make_loop(n_train=10, n_algorithms=2, initial_size=2, batch_frac=0.25)
         assert loop.batch == 3
@@ -641,7 +683,7 @@ class TestEvaluationReuse:
         assert len(calls) == 2  # validation and test
 
         # Requests that run nothing change no label, so no forest is refit.
-        monkeypatch.setattr(loop, "execute_request", lambda req: None)
+        monkeypatch.setattr(loop, "execute_request", lambda pair, position: None)
         before = loop.ensemble
         record = loop.step()
         after = loop.ensemble
