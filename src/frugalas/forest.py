@@ -132,9 +132,7 @@ class DecisionTree:
 
 @dataclass
 class RandomForest:
-    config: ForestConfig
     n_features: int
-    max_features: int
     nodes: DecisionTree  # every tree's nodes, tree after tree
     roots: np.ndarray  # (n_trees,) int64 position of each tree's root in `nodes`
     depth: int  # edges on the longest root-to-leaf path of any tree
@@ -285,9 +283,7 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     n0 = np.array(n0, dtype=np.int64)
     n1 = np.array(n1, dtype=np.int64)
     return RandomForest(
-        config=config,
         n_features=n_features,
-        max_features=max_features,
         nodes=DecisionTree(
             feature=np.array(feature, dtype=np.int32),
             threshold=np.array(threshold, dtype=np.float64),

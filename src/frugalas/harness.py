@@ -102,13 +102,15 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        # A repeated entry would run a cell twice, into the same files.
         for name in ("configurations", "folds", "seeds"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
         for fold in self.folds:
             if fold not in range(N_FOLDS):
                 raise ValueError(f"no fold {fold}: make_splits makes folds 0 to {N_FOLDS - 1}")

@@ -185,15 +185,6 @@ class StepRecord:
     test_par10: float
 
 
-def rank_queries(confidence: np.ndarray, pool: np.ndarray, n_requests: int):
-    """(pair, position) arrays of the `n_requests` open cells of `pool` with
-    the lowest `confidence`, both (n_pairs, n_train); ties break by pair,
-    then by position."""
-    pair, pos = np.nonzero(pool)
-    order = np.lexsort((pos, pair, confidence[pair, pos]))[:n_requests]
-    return pair[order], pos[order]
-
-
 class VoteCache:
     """Class-1 votes of each model slot's forest on one fixed block of rows.
 
@@ -335,30 +326,26 @@ class FrugalLoop:
         confidence[trained] = np.maximum(k - v, v) / k
         return confidence
 
-    def select_queries_uncertainty(self, n_requests: int):
-        """Lowest-confidence cells across all pair tables, merged and sorted.
+    def select_queries(self, n_requests: int):
+        """(pair, position) int arrays of at most `n_requests` open cells, in
+        the order they run; the one query rule.
 
-        Pairs whose model is most uncertain naturally contribute more of the
-        selected cells. Ties break by pair, then by instance position.
+        The open cells are listed by pair, then by position. Uncertainty
+        ranks them lowest `pair_confidences` first, ties by pair, then by
+        position, so the pairs whose model is most uncertain contribute more
+        cells. Random draws uniformly without replacement from the list and
+        keeps the listed order. An empty pool selects nothing and reads
+        neither `rng` nor the vote caches.
         """
-        return rank_queries(self.pair_confidences(), self.pool, n_requests)
-
-    def select_queries_random(self, n_requests: int):
-        """Uniform draw without replacement from the open cells of all pools,
-        numbered by pair, then by instance position; an empty pool draws
-        nothing from `rng`."""
         pair, pos = np.nonzero(self.pool)
         if not pos.size:
             return pair, pos
-        picks = np.sort(self.rng.choice(pos.size, size=min(n_requests, pos.size), replace=False))
-        return pair[picks], pos[picks]
-
-    def select_queries(self, n_requests: int):
-        """(pair, position) int arrays of at most `n_requests` open cells, in
-        the order they run."""
         if self.cfg.selection == "uncertainty":
-            return self.select_queries_uncertainty(n_requests)
-        return self.select_queries_random(n_requests)
+            picks = np.argsort(self.pair_confidences()[pair, pos], kind="stable")[:n_requests]
+        else:
+            n = min(n_requests, pos.size)
+            picks = np.sort(self.rng.choice(pos.size, size=n, replace=False))
+        return pair[picks], pos[picks]
 
     # -- execution -----------------------------------------------------------
 

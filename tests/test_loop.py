@@ -266,7 +266,7 @@ class TestUncertaintySelection:
             pools=[{"i0", "i1"}, {"i2"}, set()],
             p_max=[[0.51, 0.52], [0.99], None],
         )
-        picked = loop.select_queries_uncertainty(2)
+        picked = loop.select_queries(2)
         assert self._cells(loop, picked) == [(0, "i0"), (0, "i1")]
         assert loop.pair_confidences()[picked].tolist() == [0.51, 0.52]
 
@@ -275,7 +275,7 @@ class TestUncertaintySelection:
             pools=[{"i0"}, {"i1"}, {"i2"}],
             p_max=[[0.9], [0.6], [0.7]],
         )
-        pair, _ = loop.select_queries_uncertainty(3)
+        pair, _ = loop.select_queries(3)
         assert pair.tolist() == [1, 2, 0]
 
     def test_abstaining_model_scores_half(self):
@@ -283,7 +283,7 @@ class TestUncertaintySelection:
             pools=[{"i0"}, {"i0"}, set()],
             p_max=[[0.5001], None],
         )
-        pair, pos = loop.select_queries_uncertainty(2)
+        pair, pos = loop.select_queries(2)
         # an abstaining pair counts as maximally uncertain (0.5) and goes first
         confidence = loop.pair_confidences()[pair, pos]
         assert list(zip(pair.tolist(), confidence.tolist())) == [(1, 0.5), (0, 0.5001)]
@@ -293,7 +293,7 @@ class TestUncertaintySelection:
             pools=[{"i3", "i1"}, {"i0"}, set()],
             p_max=[[0.8, 0.8], [0.8]],
         )
-        picked = loop.select_queries_uncertainty(3)
+        picked = loop.select_queries(3)
         assert self._cells(loop, picked) == [
             (0, "i1"),
             (0, "i3"),
@@ -314,7 +314,7 @@ class TestUncertaintySelection:
                 for p, pool in enumerate(pools)
                 for r, inst in enumerate(sorted(pool, key=lambda i: int(i[1:])))
             )
-            pair, pos = loop.select_queries_uncertainty(7)
+            pair, pos = loop.select_queries(7)
             confidence = loop.pair_confidences()[pair, pos]
             instance = [int(loop.train[k][1:]) for k in pos.tolist()]
             assert list(zip(confidence.tolist(), pair.tolist(), instance)) == entries[:7]
@@ -354,23 +354,23 @@ class TestUncertaintySelection:
             pools=[{"i0", "i1", "i2"}, set(), set()],
             p_max=[[0.7, 0.8, 0.9], None, None],
         )
-        assert loop.select_queries_uncertainty(2)[1].size == 2
-        assert loop.select_queries_uncertainty(100)[1].size == 3
+        assert loop.select_queries(2)[1].size == 2
+        assert loop.select_queries(100)[1].size == 3
 
 
 class TestRandomSelection:
     def test_oversized_request_returns_whole_pool(self):
         loop, _ = make_loop(n_train=8, n_algorithms=3, initial_size=2, selection="random")
         union = {(p, loop.train[k]) for p, k in zip(*np.nonzero(loop.pool))}
-        pair, pos = loop.select_queries_random(10_000)
+        pair, pos = loop.select_queries(10_000)
         assert {(p, loop.train[k]) for p, k in zip(pair, pos)} == union
         assert pos.size == len(union)
 
     def test_deterministic_given_seed(self):
         l1, _ = make_loop(initial_size=2, selection="random", seed=3)
         l2, _ = make_loop(initial_size=2, selection="random", seed=3)
-        p1 = np.stack(l1.select_queries_random(3))
-        p2 = np.stack(l2.select_queries_random(3))
+        p1 = np.stack(l1.select_queries(3))
+        p2 = np.stack(l2.select_queries(3))
         assert p1.shape == (2, 3)
         assert np.array_equal(p1, p2)
 
@@ -380,12 +380,25 @@ class TestRandomSelection:
         counts = {cell: 0 for cell in union}
         n_draws = 6000
         for _ in range(n_draws):
-            (p,), (k,) = loop.select_queries_random(1)
+            (p,), (k,) = loop.select_queries(1)
             counts[(p, loop.train[k])] += 1
         expect = n_draws / len(union)
         sigma = np.sqrt(n_draws * (1 / len(union)) * (1 - 1 / len(union)))
         for cell, c in counts.items():
             assert abs(c - expect) < 4 * sigma, cell
+
+
+@pytest.mark.parametrize("selection", ["uncertainty", "random"])
+def test_empty_pool_selects_nothing(selection):
+    # Both golden digests rely on an exhausted pool drawing nothing from rng.
+    loop, _ = make_loop(initial_size=2, selection=selection, seed=5)
+    loop.pool[:] = False
+    state = loop.rng.bit_generator.state
+    loop.pair_confidences = lambda: pytest.fail("an empty pool reads no confidences")
+    pair, pos = loop.select_queries(5)
+    assert pair.size == pos.size == 0
+    assert pair.dtype.kind == pos.dtype.kind == "i"
+    assert loop.rng.bit_generator.state == state
 
 
 class TestExecution:

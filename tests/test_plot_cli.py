@@ -415,11 +415,15 @@ class TestRunUsageErrors:
         assert not out.exists()
 
     def test_spec_rejects_empty_folds_and_seeds(self):
+        # Each grid list, empty or with an entry twice: a repeated entry
+        # would run its cells twice, into the same files.
         scenario = make_synthetic_scenario(40, 2, seed=0)
-        with pytest.raises(ValueError, match="folds must be nonempty"):
-            ExperimentSpec(scenario, "out", folds=[])
-        with pytest.raises(ValueError, match="seeds must be nonempty"):
-            ExperimentSpec(scenario, "out", seeds=[])
+        repeated = {"configurations": ["random", "random"], "folds": [0, 3, 0], "seeds": [1, 1]}
+        for name, values in repeated.items():
+            with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+                ExperimentSpec(scenario, "out", **{name: []})
+            with pytest.raises(ValueError, match=f"{name} must be distinct"):
+                ExperimentSpec(scenario, "out", **{name: values})
 
     def test_spec_rejects_folds_outside_the_ten(self):
         scenario = make_synthetic_scenario(40, 2, seed=0)

@@ -186,9 +186,7 @@ def preset_forest(tree_classes):
     n1 = np.array(n1, dtype=np.int64)
     n0 = np.where(feature >= 0, 0, 1 - n1)
     return RandomForest(
-        config=ForestConfig(n_trees=k),
         n_features=1,
-        max_features=1,
         nodes=DecisionTree(
             feature=feature,
             threshold=np.array(threshold, dtype=np.float64),
