@@ -3,13 +3,17 @@ aggregation of per-step logs into cost-vs-performance curves.
 
 The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
 the loop is the one engine that labels and trains for every configuration.
+An `ExperimentSpec` fits one passive baseline per (fold, seed), the first
+time a cell of that (fold, seed) needs it, and keeps only its cost and test
+PAR10 values: the `passive` and `passive-to` rows and every frugal cell's
+ratio denominators read them.
 
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
 columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
-cell one per labelling round, and one row builder turns either into rows. Step
-logs and summaries are written atomically (a temporary file, then a rename),
-so completed cells are skipped on rerun and an interrupted grid resumes where
-it stopped.
+cell one per labelling round (one at step 0 when its loop never steps), and
+one row builder turns either into rows. Step logs and summaries are written
+atomically (a temporary file, then a rename), so completed cells are skipped
+on rerun and an interrupted grid resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -86,6 +90,17 @@ def parse_config_id(config_id: str) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class PassiveBaseline:
+    """What the grid reads of one passive baseline: its labelling cost, its
+    test PAR10, and the test PAR10 with timeout models (None when none were
+    fitted)."""
+
+    cost: float
+    par10: float
+    par10_to: float | None
+
+
 @dataclass
 class ExperimentSpec:
     scenario: Scenario
@@ -100,6 +115,12 @@ class ExperimentSpec:
     dt_window: int = LoopConfig.dt_window
     dt_tolerance: float = LoopConfig.dt_tolerance
     jobs: int = 1
+    # Passive baselines by (fold, seed), filled by `run_cell`: three floats
+    # each and no forests. Left out of __init__ (a `dataclasses.replace`
+    # copy starts empty), of repr and of ==.
+    _baselines: dict[tuple[int, int], PassiveBaseline] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # A repeated entry would run a cell twice, into the same files.
@@ -172,10 +193,17 @@ def run_passive_baseline(
     seed: int,
     timeout_models: bool = False,
     n_trees: int = ForestConfig.n_trees,
-) -> tuple[float, float]:
-    """Test PAR10 and labelling cost of training on the full fold at cutoff."""
+) -> PassiveBaseline:
+    """Fit and evaluate the passive baseline of one fold. The pair forests of
+    the timeout-model ensemble are the plain ensemble's, bit for bit (same
+    slot seed paths, same labels), so with `timeout_models` one fit gives
+    both test PAR10 values."""
     ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
-    return evaluate_selector(ensemble, test_instances, scenario), ledger.total
+    par10 = evaluate_selector(ensemble.without_timeouts(), test_instances, scenario)
+    par10_to = None
+    if ensemble.timeout_at is not None:
+        par10_to = evaluate_selector(ensemble, test_instances, scenario)
+    return PassiveBaseline(ledger.total, par10, par10_to)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -206,7 +234,15 @@ def _cell_path(out_dir: Path, config_id: str, fold: int, seed: int) -> Path:
 
 
 def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> Path:
-    """Run one (configuration, fold, seed) cell and write its step log."""
+    """Run one (configuration, fold, seed) cell and write its step log; a
+    cell whose step log exists computes nothing.
+
+    The passive baseline comes from `spec`'s memo. The first cell of a (fold,
+    seed) fits it through `run_passive_baseline`, with timeout models when
+    the spec runs `passive-to` on one job, and every later cell of that
+    (fold, seed) reads it: the passive rows and the frugal ratio
+    denominators alike.
+    """
     path = _cell_path(spec.out_dir, config_id, fold_index, seed)
     if path.exists():
         return path
@@ -214,30 +250,34 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     scenario = spec.scenario
     plan = make_splits(scenario, seed)
     fold = plan.folds[fold_index]
+    timeouts = config_id == "passive-to"
+    # With `jobs` above 1, each task of `run_grid` gets its own copy of the
+    # spec, so a baseline fitted there serves its own cell only.
+    shared = spec.jobs == 1 and "passive-to" in spec.configurations
+    baseline = spec._baselines.get((fold_index, seed))
+    if baseline is None or (timeouts and baseline.par10_to is None):
+        baseline = run_passive_baseline(
+            scenario, fold, plan.test, seed, timeout_models=timeouts or shared,
+            n_trees=spec.n_trees,
+        )
+        spec._baselines[fold_index, seed] = baseline
 
     # Records are (step, timeout, labels, cost, data fraction, test PAR10).
     if config_id in PASSIVE_CONFIGS:
-        # The plain baseline's pairwise forests are the same as those of the
-        # timeout-model ensemble, so one fit serves both.
-        ensemble, ledger = passive_ensemble(
-            scenario, fold, seed, parse_config_id(config_id)["to"], spec.n_trees
-        )
-        passive_cost = ledger.total
-        passive_par10 = evaluate_selector(ensemble.without_timeouts(), plan.test, scenario)
-        test_par10 = passive_par10
-        if ensemble.timeout_at is not None:
-            test_par10 = evaluate_selector(ensemble, plan.test, scenario)
         n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
-        records = [(1, scenario.cutoff, n_cells, passive_cost, 1.0, test_par10)]
+        test_par10 = baseline.par10_to if timeouts else baseline.par10
+        records = [(1, scenario.cutoff, n_cells, baseline.cost, 1.0, test_par10)]
     else:
-        passive_par10, passive_cost = run_passive_baseline(
-            scenario, fold, plan.test, seed, timeout_models=False, n_trees=spec.n_trees
-        )
         loop = FrugalLoop(scenario, fold, plan.test, spec.loop_config(config_id, seed))
         records = [
             (r.step, r.timeout, r.requests, r.cost, r.data_frac, r.test_par10)
             for r in loop.run()
         ]
+        if not records:
+            # The initial phase settled every pool cell, so the loop never
+            # stepped: log what it had at step 0.
+            test_par10 = evaluate_selector(loop.ensemble, plan.test, scenario)
+            records = [(0, loop.controller.current, 0, loop.ledger.total, 1.0, test_par10)]
     rows = [
         {
             "config": config_id,
@@ -248,10 +288,10 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
             "timeout_s": repr(timeout),
             "labels": labels,
             "cost_s": repr(cost),
-            "cost_frac": repr(_ratio(cost, passive_cost)),
+            "cost_frac": repr(_ratio(cost, baseline.cost)),
             "data_frac": repr(data_frac),
             "test_par10_s": repr(test_par10),
-            "perf_ratio": repr(_ratio(test_par10, passive_par10)),
+            "perf_ratio": repr(_ratio(test_par10, baseline.par10)),
         }
         for step, timeout, labels, cost, data_frac, test_par10 in records
     ]
@@ -311,7 +351,12 @@ def read_step_logs(log_dir) -> list[dict]:
     beside them is never taken for a step log."""
     rows = []
     for path in sorted(Path(log_dir).glob("*/fold[0-9][0-9]_seed*.csv")):
-        rows.extend(_read_csv(path, STEP_COLUMNS))
+        log = _read_csv(path, STEP_COLUMNS)
+        if not log:
+            # Every cell logs at least one row; without one, `summarize`
+            # would drop the run without a word.
+            raise ResultsError(f"{path}: a step log with no rows")
+        rows.extend(log)
     return rows
 
 

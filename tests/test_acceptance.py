@@ -83,9 +83,8 @@ def test_criterion_03_exhaustion_matches_passive_exactly():
     scenario = make_synthetic_scenario(60, 3, seed=0)
     plan = make_splits(scenario, seed=0)
     fold = plan.folds[0]
-    passive_par10, passive_cost = run_passive_baseline(
-        scenario, fold, plan.test, seed=0, n_trees=100
-    )
+    passive = run_passive_baseline(scenario, fold, plan.test, seed=0, n_trees=100)
+    passive_par10, passive_cost = passive.par10, passive.cost
     cfg = LoopConfig(
         selection="random",
         seed=0,
@@ -106,9 +105,8 @@ def test_criterion_03_exhaustion_matches_passive_exactly():
 def _first_reach_cost_frac(scenario, selection, seed):
     plan = make_splits(scenario, seed)
     fold = plan.folds[0]
-    passive_par10, passive_cost = run_passive_baseline(
-        scenario, fold, plan.test, seed, n_trees=100
-    )
+    passive = run_passive_baseline(scenario, fold, plan.test, seed, n_trees=100)
+    passive_par10, passive_cost = passive.par10, passive.cost
     cfg = LoopConfig(
         selection=selection,
         timeout_predictor=True,

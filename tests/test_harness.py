@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import build_scenario, training_block
+from frugalas import harness
 from frugalas.harness import (
     FRUGAL_CONFIGS,
     _ratio,
@@ -9,6 +12,7 @@ from frugalas.harness import (
     RATIO_GRID,
     STEP_COLUMNS,
     ExperimentSpec,
+    ResultsError,
     parse_config_id,
     passive_ensemble,
     read_step_logs,
@@ -78,7 +82,7 @@ class TestPassiveBaseline:
         ]
         assert {e.step for e in ledger.entries} == {0}
         assert ledger.total == sum(e.charged for e in ledger.entries)
-        _, cost = run_passive_baseline(s, fold, plan.test, seed=0, n_trees=3)
+        cost = run_passive_baseline(s, fold, plan.test, seed=0, n_trees=3).cost
         assert cost == ledger.total
 
     @pytest.mark.parametrize("timeout_models", [False, True])
@@ -124,7 +128,7 @@ class TestPassiveBaseline:
         s = self._dominant_scenario()
         plan = make_splits(s, seed=0)
         fold = plan.folds[0]
-        par10, _ = run_passive_baseline(s, fold, plan.test, seed=0, n_trees=10)
+        par10 = run_passive_baseline(s, fold, plan.test, seed=0, n_trees=10).par10
         vbs = sum(s.run(i, "a0").runtime for i in plan.test)
         assert par10 == pytest.approx(vbs)
 
@@ -132,12 +136,10 @@ class TestPassiveBaseline:
         s = self._dominant_scenario()
         plan = make_splits(s, seed=1)
         fold = plan.folds[0]
-        off, cost_off = run_passive_baseline(
-            s, fold, plan.test, seed=0, timeout_models=False, n_trees=10
-        )
-        on, cost_on = run_passive_baseline(
-            s, fold, plan.test, seed=0, timeout_models=True, n_trees=10
-        )
+        plain = run_passive_baseline(s, fold, plan.test, seed=0, timeout_models=False, n_trees=10)
+        timed = run_passive_baseline(s, fold, plan.test, seed=0, timeout_models=True, n_trees=10)
+        off, cost_off = plain.par10, plain.cost
+        on, cost_on = timed.par10_to, timed.cost
         assert on == off
         assert cost_on == cost_off
 
@@ -212,9 +214,9 @@ class TestGrid:
         run_grid(spec)
         last = read_step_logs(spec.out_dir)[-1]
         plan = make_splits(scenario, seed=0)
-        passive_par10, _ = run_passive_baseline(
+        passive_par10 = run_passive_baseline(
             scenario, plan.folds[0], plan.test, seed=0, n_trees=spec.n_trees
-        )
+        ).par10
         assert float(last["test_par10_s"]) == passive_par10
         assert float(last["data_frac"]) == 1.0
 
@@ -268,6 +270,139 @@ class TestGrid:
             sorted((tmp_path / "par" / "runs").rglob("*.csv")),
         ):
             assert a.read_bytes() == b.read_bytes()
+
+
+def _count_baselines(monkeypatch) -> list:
+    """Patch `harness.run_passive_baseline` to record the (seed,
+    timeout_models) of each call before it runs."""
+    calls = []
+    fit = harness.run_passive_baseline
+
+    def counting(scenario, fold, test_instances, seed, timeout_models=False, **kwargs):
+        calls.append((seed, timeout_models))
+        return fit(scenario, fold, test_instances, seed, timeout_models, **kwargs)
+
+    monkeypatch.setattr(harness, "run_passive_baseline", counting)
+    return calls
+
+
+def _logs(out_dir) -> dict:
+    return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
+
+
+class TestBaselineMemo:
+    CONFIGS = ["passive", "passive-to", "random", "uncertainty-to"]
+
+    def test_one_baseline_per_fold_and_seed(self, tmp_path, monkeypatch):
+        spec = _small_spec(tmp_path, configurations=self.CONFIGS, folds=[0, 1], seeds=[0, 1])
+        calls = _count_baselines(monkeypatch)
+        assert len(run_grid(spec)) == 16
+        assert len(calls) == 4
+        # `passive-to` is in the grid, so each fit has its timeout models
+        assert sorted(calls) == [(0, True), (0, True), (1, True), (1, True)]
+        assert sorted(spec._baselines) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for baseline in spec._baselines.values():
+            assert baseline.par10_to is not None
+
+    def test_shared_baseline_matches_a_fresh_spec_per_cell(self, tmp_path):
+        shared = _small_spec(
+            tmp_path / "shared", configurations=self.CONFIGS, folds=[0, 1], seeds=[0, 1]
+        )
+        run_grid(shared)
+        # the unshared path: a fresh one-configuration spec per cell fits
+        # its own baseline, with timeout models only for `passive-to`
+        fresh_dir = tmp_path / "fresh"
+        for config_id in self.CONFIGS:
+            for fold in (0, 1):
+                for seed in (0, 1):
+                    fresh = _small_spec(fresh_dir, configurations=[config_id])
+                    run_cell(fresh, config_id, fold, seed)
+        logs = _logs(shared.out_dir)
+        assert len(logs) == 16
+        assert logs == _logs(fresh_dir / "runs")
+
+    def test_failed_baseline_caches_nothing(self, tmp_path, monkeypatch):
+        # every run ties, so no pair has a label and the baseline raises
+        rng = np.random.default_rng(0)
+        scenario = build_scenario(np.ones((30, 2)), features=rng.uniform(size=(30, 2)))
+        spec = _small_spec(tmp_path, scenario=scenario, configurations=self.CONFIGS)
+        calls = _count_baselines(monkeypatch)
+        for config_id in self.CONFIGS:
+            with pytest.raises(PreprocessError, match="no labelled data"):
+                run_cell(spec, config_id, 0, 0)
+        assert len(calls) == len(self.CONFIGS)
+        assert spec._baselines == {}
+        assert not spec.out_dir.exists()
+
+    def test_finished_grid_fits_no_baseline(self, tmp_path, monkeypatch):
+        kwargs = dict(configurations=self.CONFIGS, folds=[0, 1], seeds=[0])
+        first = run_grid(_small_spec(tmp_path, **kwargs))
+        calls = _count_baselines(monkeypatch)
+        again = _small_spec(tmp_path, **kwargs)
+        assert run_grid(again) == first
+        assert calls == []
+        assert again._baselines == {}
+
+    def test_passive_to_outside_the_grid_refits_with_timeout_models(self, tmp_path, monkeypatch):
+        spec = _small_spec(tmp_path)
+        calls = _count_baselines(monkeypatch)
+        run_cell(spec, "random", 0, 0)
+        run_cell(spec, "passive-to", 0, 0)
+        run_cell(spec, "passive", 0, 0)
+        assert calls == [(0, False), (0, True)]
+        assert spec._baselines[0, 0].par10_to is not None
+
+    def test_parallel_spec_fits_timeout_models_for_passive_to_only(self, tmp_path, monkeypatch):
+        # each task of a parallel grid holds its own copy of the spec
+        spec = _small_spec(tmp_path, configurations=self.CONFIGS, jobs=2)
+        calls = _count_baselines(monkeypatch)
+        for config_id in self.CONFIGS:
+            run_cell(dataclasses.replace(spec), config_id, 0, 0)
+        assert [timeout_models for _, timeout_models in calls] == [False, True, False, False]
+
+    def test_replaced_spec_starts_empty(self, tmp_path):
+        spec = _small_spec(tmp_path)
+        run_cell(spec, "random", 0, 0)
+        assert list(spec._baselines) == [(0, 0)]
+        assert dataclasses.replace(spec, n_trees=3)._baselines == {}
+        # the memo is no part of a spec's value
+        assert dataclasses.replace(spec) == spec
+        assert "_baselines" not in repr(spec)
+
+
+class TestLoopThatNeverSteps:
+    def _spec(self, tmp_path):
+        # a batch of the whole fold: the initial phase settles every pool
+        # cell of the static-timeout `random` cells, so their loops never step
+        return ExperimentSpec(
+            make_synthetic_scenario(40, 3), tmp_path / "runs",
+            configurations=["random", "uncertainty-dt", "passive"],
+            folds=[0], seeds=[0, 1], n_trees=2, batch_frac=1.0,
+        )
+
+    def test_writes_one_row_at_step_zero(self, tmp_path):
+        spec = self._spec(tmp_path)
+        run_grid(spec)
+        rows = read_step_logs(spec.out_dir)
+        for seed in (0, 1):
+            (row,) = [r for r in rows if r["config"] == "random" and r["seed"] == str(seed)]
+            (passive,) = [r for r in rows if r["config"] == "passive" and r["seed"] == str(seed)]
+            assert (row["step"], row["labels"], row["data_frac"]) == ("0", "0", "1.0")
+            assert float(row["timeout_s"]) == spec.scenario.cutoff
+            # the initial phase labelled the whole fold at the cutoff, in
+            # fold order: the passive ledger and the passive selector
+            assert row["cost_s"] == passive["cost_s"]
+            assert row["test_par10_s"] == passive["test_par10_s"]
+            assert (row["cost_frac"], row["perf_ratio"]) == ("1.0", "1.0")
+        summary = summarize(rows)
+        assert {r["config"] for r in summary} == {"random", "uncertainty-dt", "passive"}
+
+    def test_step_log_with_no_rows_is_a_results_error(self, tmp_path):
+        log = tmp_path / "runs" / "random" / "fold00_seed0.csv"
+        log.parent.mkdir(parents=True)
+        log.write_text(",".join(STEP_COLUMNS) + "\n")
+        with pytest.raises(ResultsError, match="fold00_seed0.csv: a step log with no rows"):
+            read_step_logs(tmp_path / "runs")
 
 
 def _step_row(config, fold, seed, step, ratio, cost_frac, data_frac):

@@ -574,6 +574,19 @@ class TestSummarizeAndPlotCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_summarize_header_only_step_log_is_data_error(self, tmp_path, capsys):
+        # beside a log with rows, a header-only log would otherwise drop its
+        # run from the summary without a word
+        logs = tmp_path / "res" / "random"
+        logs.mkdir(parents=True)
+        (logs / "fold00_seed0.csv").write_text(_STEP_LOG)
+        empty = logs / "fold00_seed1.csv"
+        empty.write_text(_STEP_LOG.splitlines()[0] + "\n")
+        assert main(["summarize", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {empty}: a step log with no rows\n"
+        assert not (tmp_path / "res" / "summary.csv").exists()
+
     def test_summarize_empty_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()
