@@ -4,9 +4,9 @@ recorded solver runs as the execution oracle."""
 
 from .forest import KERNEL_IMPL, ForestConfig, RandomForest, fit_forest
 from .loop import FrugalLoop, LoopConfig
-from .preprocess import fit_imputer, make_splits, par10
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_stats
-from .selector import evaluate_selector, select_algorithm, train_ensemble
+from .preprocess import fit_imputer, make_splits
+from .scenario import Scenario, ScenarioError, load_scenario, par10, scenario_stats
+from .selector import evaluate_selector, train_ensemble
 
 __all__ = [
     "KERNEL_IMPL",
@@ -23,7 +23,6 @@ __all__ = [
     "load_scenario",
     "scenario_stats",
     "evaluate_selector",
-    "select_algorithm",
     "train_ensemble",
 ]
 

@@ -149,11 +149,6 @@ class RandomForest:
         k, v = len(self.roots), forest_votes([self], X)[0]
         return np.column_stack([(k - v) / k, v / k])
 
-    def predict_label(self, X) -> np.ndarray:
-        """0/1 labels; a (0.5, 0.5) tie resolves to class 0."""
-        proba = self.predict_proba(X)
-        return (proba[:, 1] > proba[:, 0]).astype(np.int8)
-
 
 def forest_votes(forests, X) -> np.ndarray:
     """Class-1 tree votes: (len(forests), n) int64, one row per forest.

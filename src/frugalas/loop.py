@@ -35,29 +35,6 @@ from .selector import (
 
 DT_INITIAL_FRAC = 1 / 64  # the dynamic timeout's default start, over the cutoff
 
-# --- uncertainty scores -----------------------------------------------------
-# All three take the maximum posterior probability of a binary prediction and
-# grow with uncertainty, so they induce the same candidate ranking.
-
-
-def least_confidence_score(p_max):
-    return 1.0 - np.asarray(p_max, dtype=np.float64)
-
-
-def margin_score(p_max):
-    """Negated margin between the top two posteriors (binary: 2*p_max - 1)."""
-    p = np.asarray(p_max, dtype=np.float64)
-    return -(p - (1.0 - p))
-
-
-def entropy_score(p_max):
-    p = np.asarray(p_max, dtype=np.float64)
-    q = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(np.where(p > 0, p * np.log2(p), 0.0) + np.where(q > 0, q * np.log2(q), 0.0))
-    return h
-
-
 # --- components -------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario, par10  # par10 is re-exported
+from .scenario import Scenario
 
 MISSING_RATE_THRESHOLD = 0.20
 N_FOLDS = 10

@@ -51,9 +51,6 @@ class Scenario:
     def instance_index(self, instance: str) -> int:
         return self._index[instance]
 
-    def feature_row(self, instance: str) -> np.ndarray:
-        return self.feature_matrix[self._index[instance]]
-
     def run(self, instance: str, algorithm: str) -> RunRecord:
         return self.runs[(instance, algorithm)]
 

@@ -174,10 +174,6 @@ def _vote(ensemble: SelectorEnsemble, votes: np.ndarray) -> list[str]:
     return [ensemble.algorithms[a] for a in counts.argmax(axis=0).tolist()]
 
 
-def select_algorithm(ensemble: SelectorEnsemble, raw_row) -> str:
-    return select_batch(ensemble, np.asarray(raw_row, dtype=np.float64).reshape(1, -1))[0]
-
-
 def evaluate_selector(
     ensemble: SelectorEnsemble, instances, scenario: Scenario, votes=None
 ) -> float:

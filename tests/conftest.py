@@ -35,6 +35,29 @@ def build_scenario(runtimes, statuses=None, cutoff=100.0, features=None, scenari
     )
 
 
+# The three uncertainty scores of a binary prediction, from its maximum
+# posterior `p_max`. Each grows with uncertainty, so all three rank candidates
+# alike; the loop ranks by `pair_confidences` (that is, `p_max`) directly.
+
+
+def least_confidence_score(p_max):
+    return 1.0 - np.asarray(p_max, dtype=np.float64)
+
+
+def margin_score(p_max):
+    """Negated margin between the top two posteriors (binary: 2*p_max - 1)."""
+    p = np.asarray(p_max, dtype=np.float64)
+    return -(p - (1.0 - p))
+
+
+def entropy_score(p_max):
+    p = np.asarray(p_max, dtype=np.float64)
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(np.where(p > 0, p * np.log2(p), 0.0) + np.where(q > 0, q * np.log2(q), 0.0))
+    return h
+
+
 def training_block(scenario, train, store, imputer):
     """`train_ensemble`'s training block for the instances `train`: their
     feature rows imputed by `imputer`, then their rows of `store`'s solved

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_scenario
+from conftest import build_scenario, entropy_score, least_confidence_score, margin_score
 from frugalas.arff import ArffError, parse_arff, serialize_arff
 from frugalas.forest import ForestConfig, fit_forest
 from frugalas.harness import (
@@ -22,14 +22,14 @@ from frugalas.harness import (
     summarize,
     write_summary,
 )
-from frugalas.loop import DynamicTimeoutController, FrugalLoop, LoopConfig, entropy_score, least_confidence_score, margin_score
+from frugalas.loop import DynamicTimeoutController, FrugalLoop, LoopConfig
 from frugalas.plotsvg import emit_plot
-from frugalas.preprocess import make_splits, par10
-from frugalas.scenario import OK, TIMEOUT, ScenarioError, load_scenario, scenario_stats
+from frugalas.preprocess import make_splits
+from frugalas.scenario import OK, TIMEOUT, ScenarioError, load_scenario, par10, scenario_stats
 from frugalas.synthetic import make_synthetic_scenario
 
 from test_selector import _ensemble
-from frugalas.selector import select_algorithm
+from frugalas.selector import select_batch
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -76,7 +76,22 @@ def test_criterion_02_uncertainty_ranking_equivalence():
         if not (np.array_equal(by_lc, by_margin) and np.array_equal(by_lc, by_entropy)):
             ok = False
             break
-    report(2, "least-confidence, margin and entropy rank candidates identically", ok)
+    # The loop's own query rule picks its open cells in each score's stable
+    # descending order over `pair_confidences`.
+    s = make_synthetic_scenario(60, 3, seed=0)
+    plan = make_splits(s, seed=0)
+    loop = FrugalLoop(s, plan.folds[0], plan.test,
+                      LoopConfig(selection="uncertainty", forest=ForestConfig(n_trees=5, seed=0)))
+    for _ in range(3):
+        pair, pos = np.nonzero(loop.pool)
+        p_max = loop.pair_confidences()[pair, pos]
+        picked_pair, picked_pos = loop.select_queries(pos.size)
+        for score in (least_confidence_score, margin_score, entropy_score):
+            order = np.argsort(-score(p_max), kind="stable")
+            ok = ok and np.array_equal(picked_pair, pair[order]) and np.array_equal(picked_pos, pos[order])
+        loop.step()
+    report(2, "least-confidence, margin and entropy rank candidates identically, "
+              "and as the uncertainty query does", ok)
 
 
 def test_criterion_03_exhaustion_matches_passive_exactly():
@@ -183,7 +198,7 @@ def test_criterion_07_forest_sanity():
     f1 = fit_forest(X[train], y[train], ForestConfig(seed=3))
     f2 = fit_forest(X[train], y[train], ForestConfig(seed=3))
     proba = f1.predict_proba(X[test])
-    accuracy = (f1.predict_label(X[test]) == y[test]).mean()
+    accuracy = ((proba[:, 1] > proba[:, 0]) == y[test]).mean()
     ok = (
         accuracy >= 0.9
         and (proba >= 0).all()
@@ -197,14 +212,14 @@ def test_criterion_07_forest_sanity():
 
 def test_criterion_08_selector_rules():
     s = build_scenario(np.ones((4, 3)))
-    row = s.feature_row("i0")
+    row = s.feature_matrix[s.instance_index("i0")]
     all_a = {("a0", "a1"): "a", ("a0", "a2"): "a", ("a1", "a2"): "a"}
-    vote_ok = select_algorithm(_ensemble(s, all_a), row) == "a0"
+    vote_ok = select_batch(_ensemble(s, all_a), [row])[0] == "a0"
     cycle = {("a0", "a1"): "a", ("a1", "a2"): "a", ("a0", "a2"): "b"}
-    tie_ok = select_algorithm(_ensemble(s, cycle), row) == "a0"
-    excl_ok = select_algorithm(_ensemble(s, all_a, timeouts={"a0"}), row) == "a1"
+    tie_ok = select_batch(_ensemble(s, cycle), [row])[0] == "a0"
+    excl_ok = select_batch(_ensemble(s, all_a, timeouts={"a0"}), [row])[0] == "a1"
     all_to = _ensemble(s, all_a, timeouts={"a0", "a1", "a2"})
-    exception_ok = select_algorithm(all_to, row) == "a0"
+    exception_ok = select_batch(all_to, [row])[0] == "a0"
     ok = vote_ok and tie_ok and excl_ok and exception_ok
     report(8, "vote counting, tie-break, timeout exclusion and the "
               "all-predicted-timeout exception", ok)

@@ -16,6 +16,8 @@ from frugalas.forest import (
     fit_forest,
     forest_votes,
 )
+from frugalas.preprocess import ImputerModel
+from frugalas.selector import SelectorEnsemble, select_batch
 
 
 class TestFit:
@@ -23,7 +25,8 @@ class TestFit:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         f = fit_forest(X, y, ForestConfig(n_trees=10, seed=0))
-        assert np.array_equal(f.predict_label(X), y)
+        proba = f.predict_proba(X)
+        assert np.array_equal(proba[:, 1] > proba[:, 0], y)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
@@ -76,7 +79,10 @@ class TestPredict:
         f = fit_forest(X, y, ForestConfig(n_trees=30, seed=2))
         probe = rng.uniform(size=(40, 3))
         proba = f.predict_proba(probe)
-        labels = f.predict_label(probe)
+        # The label the selector acts on: a lone pair slot votes for its
+        # second algorithm on class 1.
+        pair = SelectorEnsemble(["a0", "a1"], [f], ImputerModel(["x", "y", "z"], np.arange(3), np.zeros(3)))
+        labels = [int(a == "a1") for a in select_batch(pair, probe)]
         assert (proba >= 0).all() and (proba <= 1).all()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         for p, lab in zip(proba, labels):
@@ -265,7 +271,8 @@ class TestAccuracy:
         order = rng.permutation(200)
         train, test = order[:100], order[100:]
         f = fit_forest(X[train], y[train], ForestConfig(seed=6))
-        accuracy = (f.predict_label(X[test]) == y[test]).mean()
+        proba = f.predict_proba(X[test])
+        accuracy = ((proba[:, 1] > proba[:, 0]) == y[test]).mean()
         assert accuracy >= 0.9
 
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import frugalas.loop as loop_mod
-from conftest import build_scenario, reference_proba, training_block
+from conftest import (
+    build_scenario,
+    entropy_score,
+    least_confidence_score,
+    margin_score,
+    reference_proba,
+    training_block,
+)
 from frugalas.forest import ForestConfig, dump_trees
 from frugalas.harness import ExperimentSpec, passive_ensemble
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
@@ -14,9 +21,6 @@ from frugalas.loop import (
     FrugalLoop,
     LedgerEntry,
     LoopConfig,
-    entropy_score,
-    least_confidence_score,
-    margin_score,
 )
 from frugalas.preprocess import FoldSplit, ImputerModel, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT

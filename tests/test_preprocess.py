@@ -6,9 +6,8 @@ from frugalas.preprocess import (
     PreprocessError,
     fit_imputer,
     make_splits,
-    par10,
 )
-from frugalas.scenario import OK, TIMEOUT
+from frugalas.scenario import OK, TIMEOUT, par10
 from frugalas.synthetic import make_synthetic_scenario
 
 NAN = np.nan

@@ -162,4 +162,3 @@ def test_instance_index_matches_list_position():
     s = make_synthetic_scenario(40, 3, seed=0)
     for k, inst in enumerate(s.instances):
         assert s.instance_index(inst) == k
-        assert np.array_equal(s.feature_row(inst), s.feature_matrix[k])

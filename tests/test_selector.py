@@ -12,13 +12,12 @@ from frugalas.forest import (
     forest_votes,
 )
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeout_label
-from frugalas.preprocess import ImputerModel, fit_imputer, par10
-from frugalas.scenario import OK, TIMEOUT, par1
+from frugalas.preprocess import ImputerModel, fit_imputer
+from frugalas.scenario import OK, TIMEOUT, par1, par10
 from frugalas.selector import (
     SelectorEnsemble,
     algorithm_pairs,
     evaluate_selector,
-    select_algorithm,
     select_batch,
     train_ensemble,
 )
@@ -93,18 +92,18 @@ class TestVoting:
     def test_clear_winner(self, three_algo_scenario):
         s = three_algo_scenario
         ens = _ensemble(s, {("a0", "a1"): "a", ("a0", "a2"): "a", ("a1", "a2"): "a"})
-        assert select_algorithm(ens, s.feature_row("i0")) == "a0"
+        assert select_batch(ens, [s.feature_matrix[s.instance_index("i0")]])[0] == "a0"
 
     def test_cycle_breaks_by_portfolio_order(self, three_algo_scenario):
         s = three_algo_scenario
         # a0>a1, a1>a2, a2>a0: all tied at one vote
         ens = _ensemble(s, {("a0", "a1"): "a", ("a1", "a2"): "a", ("a0", "a2"): "b"})
-        assert select_algorithm(ens, s.feature_row("i0")) == "a0"
+        assert select_batch(ens, [s.feature_matrix[s.instance_index("i0")]])[0] == "a0"
 
     def test_abstaining_pairs(self, three_algo_scenario):
         s = three_algo_scenario
         ens = _ensemble(s, {("a0", "a1"): "b"})  # (a0,a2), (a1,a2) untrained
-        assert select_algorithm(ens, s.feature_row("i0")) == "a1"
+        assert select_batch(ens, [s.feature_matrix[s.instance_index("i0")]])[0] == "a1"
 
     def test_timeout_exclusion(self, three_algo_scenario):
         s = three_algo_scenario
@@ -114,7 +113,7 @@ class TestVoting:
             timeouts={"a0"},
         )
         # a0 would win but is excluded; remaining prediction a1>a2
-        assert select_algorithm(ens, s.feature_row("i0")) == "a1"
+        assert select_batch(ens, [s.feature_matrix[s.instance_index("i0")]])[0] == "a1"
 
     def test_all_predicted_timeout_falls_back_to_full_vote(self, three_algo_scenario):
         s = three_algo_scenario
@@ -122,8 +121,8 @@ class TestVoting:
         with_to = _ensemble(s, predictions, timeouts={"a0", "a1", "a2"})
         without = _ensemble(s, predictions, timeouts=None)
         for inst in s.instances:
-            row = s.feature_row(inst)
-            assert select_algorithm(with_to, row) == select_algorithm(without, row)
+            row = s.feature_matrix[s.instance_index(inst)]
+            assert select_batch(with_to, [row])[0] == select_batch(without, [row])[0]
 
     def test_vote_conservation(self):
         rng = np.random.default_rng(1)
@@ -136,7 +135,7 @@ class TestVoting:
                 a for a in s.algorithms if rng.random() < 0.3
             }
             ens = _ensemble(s, predictions, timeouts=excluded)
-            row = s.feature_row("i0")
+            row = s.feature_matrix[s.instance_index("i0")]
             candidates = (
                 s.algorithms
                 if excluded == set(s.algorithms)
@@ -146,7 +145,7 @@ class TestVoting:
                 1 for a, b in pairs if a in candidates and b in candidates
             )
             # re-derive the winner's vote count from the constant predictions
-            winner = select_algorithm(ens, row)
+            winner = select_batch(ens, [row])[0]
             assert winner in candidates
             tallies = {a: 0 for a in candidates}
             for (a, b), side in predictions.items():
@@ -158,7 +157,7 @@ class TestVoting:
     def test_total_function(self, three_algo_scenario):
         s = three_algo_scenario
         ens = _ensemble(s, {})  # everything abstains
-        assert select_algorithm(ens, s.feature_row("i0")) == "a0"
+        assert select_batch(ens, [s.feature_matrix[s.instance_index("i0")]])[0] == "a0"
 
 
 def preset_forest(tree_classes):
@@ -322,8 +321,8 @@ class TestSlotLayout:
         assert plain.timeout_at is None
         assert len(plain.forests) == 3
         assert all(a is b for a, b in zip(plain.forests, ens.forests))
-        row = s.feature_row("i0")
-        assert select_algorithm(plain, row) == select_algorithm(_ensemble(s, predictions), row)
+        row = s.feature_matrix[s.instance_index("i0")]
+        assert select_batch(plain, [row])[0] == select_batch(_ensemble(s, predictions), [row])[0]
 
 
 class TestTrainEnsemble:
