@@ -10,6 +10,7 @@ supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 
 class ArffError(ValueError):
@@ -148,7 +149,18 @@ def _quote(name: str) -> str:
     return name
 
 
+def _same(a, b) -> bool:
+    """Equal, where NaN equals NaN."""
+    return a == b or (a != a and b != b)
+
+
 def serialize_arff(rel: ArffRelation) -> str:
+    """ARFF text that `parse_arff` reads back as `rel`, exactly. A relation
+    it would not, such as one with a comma in a cell or a nominal value (the
+    parser splits on every comma), is a ValueError."""
+    if not rel.name:
+        # `@relation` with no name is not ARFF that `parse_arff` reads
+        raise ValueError("a relation needs a name")
     lines = [f"@relation {_quote(rel.name)}"]
     for attr in rel.attributes:
         if attr.kind == "nominal":
@@ -167,4 +179,20 @@ def serialize_arff(rel: ArffRelation) -> str:
             else:
                 cells.append(_quote(str(value)))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        back = parse_arff(text)
+    except ArffError as exc:
+        line = text.splitlines()[exc.line - 1]
+        raise ValueError(f"relation '{rel.name}' would not read back: {exc}: {line!r}") from None
+    if back.name != rel.name:
+        raise ValueError(f"relation name {rel.name!r} would read back as {back.name!r}")
+    for ours, theirs in zip_longest(rel.attributes, back.attributes):
+        if ours != theirs:
+            raise ValueError(f"relation '{rel.name}': {ours!r} would read back as {theirs!r}")
+    for ours, theirs in zip_longest(rel.rows, back.rows, fillvalue=()):
+        if len(ours) != len(theirs) or not all(map(_same, ours, theirs)):
+            raise ValueError(
+                f"relation '{rel.name}': row {ours!r} would read back as {theirs!r}"
+            )
+    return text

@@ -3,10 +3,12 @@ aggregation of per-step logs into cost-vs-performance curves.
 
 The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
 the loop is the one engine that labels and trains for every configuration.
-An `ExperimentSpec` fits one passive baseline per (fold, seed), the first
-time a cell of that (fold, seed) needs it, and keeps only its cost and test
-PAR10 values: the `passive` and `passive-to` rows and every frugal cell's
-ratio denominators read them.
+A grid's task is one (fold, seed) unit: it runs the unit's cells in
+configuration order on one copy of the spec, on one job or many. The unit
+fits its passive baseline once, with timeout models exactly when the grid
+runs `passive-to`, and keeps only its cost and test PAR10 values: the
+`passive` and `passive-to` rows and every frugal cell's ratio denominators
+read them.
 
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
 columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
@@ -115,9 +117,10 @@ class ExperimentSpec:
     dt_window: int = LoopConfig.dt_window
     dt_tolerance: float = LoopConfig.dt_tolerance
     jobs: int = 1
-    # Passive baselines by (fold, seed), filled by `run_cell`: three floats
-    # each and no forests. Left out of __init__ (a `dataclasses.replace`
-    # copy starts empty), of repr and of ==.
+    # Passive baselines by (fold, seed), filled by the unit's first cell to
+    # run: three floats each and no forests. A parallel grid's task gets its
+    # own copy of the spec, and with it its unit's entry. Left out of
+    # __init__ (a `dataclasses.replace` copy starts empty), of repr and of ==.
     _baselines: dict[tuple[int, int], PassiveBaseline] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -234,15 +237,21 @@ def _cell_path(out_dir: Path, config_id: str, fold: int, seed: int) -> Path:
 
 
 def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> Path:
-    """Run one (configuration, fold, seed) cell and write its step log; a
-    cell whose step log exists computes nothing.
+    """Run one (configuration, fold, seed) cell of `spec`'s grid and write its
+    step log; a cell whose step log exists computes nothing. A cell outside
+    the grid is a ValueError.
 
     The passive baseline comes from `spec`'s memo. The first cell of a (fold,
-    seed) fits it through `run_passive_baseline`, with timeout models when
-    the spec runs `passive-to` on one job, and every later cell of that
+    seed) to run fits it through `run_passive_baseline`, with timeout models
+    exactly when the grid runs `passive-to`, and every later cell of that
     (fold, seed) reads it: the passive rows and the frugal ratio
     denominators alike.
     """
+    if (config_id not in spec.configurations or fold_index not in spec.folds
+            or seed not in spec.seeds):
+        raise ValueError(
+            f"cell ({config_id!r}, fold {fold_index}, seed {seed}) is outside the spec's grid"
+        )
     path = _cell_path(spec.out_dir, config_id, fold_index, seed)
     if path.exists():
         return path
@@ -251,14 +260,11 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     plan = make_splits(scenario, seed)
     fold = plan.folds[fold_index]
     timeouts = config_id == "passive-to"
-    # With `jobs` above 1, each task of `run_grid` gets its own copy of the
-    # spec, so a baseline fitted there serves its own cell only.
-    shared = spec.jobs == 1 and "passive-to" in spec.configurations
     baseline = spec._baselines.get((fold_index, seed))
-    if baseline is None or (timeouts and baseline.par10_to is None):
+    if baseline is None:
         baseline = run_passive_baseline(
-            scenario, fold, plan.test, seed, timeout_models=timeouts or shared,
-            n_trees=spec.n_trees,
+            scenario, fold, plan.test, seed,
+            timeout_models="passive-to" in spec.configurations, n_trees=spec.n_trees,
         )
         spec._baselines[fold_index, seed] = baseline
 
@@ -299,22 +305,31 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     return path
 
 
+def _run_unit(spec: ExperimentSpec, fold: int, seed: int) -> list[Path]:
+    """Run the cells of one (fold, seed) unit in `spec.configurations` order;
+    they share the unit's passive baseline. `run_cell` is looked up when each
+    cell runs, so a wrapper on `harness.run_cell` sees every cell."""
+    return [run_cell(spec, config_id, fold, seed) for config_id in spec.configurations]
+
+
 def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
-    """Run every grid cell; returns the step-log paths in grid order."""
-    cells = [
-        (spec, config_id, fold, seed)
-        for config_id in spec.configurations
-        for fold in spec.folds
-        for seed in spec.seeds
-    ]
+    """Run every grid cell, one (fold, seed) unit per task, and return the
+    step-log paths in run order: by fold, then seed, then configuration.
+    `progress(config_id, fold, seed, path)` is called once per cell, in the
+    same order, as each unit finishes. With `jobs` above 1 the units run in
+    a pool of `min(jobs, units)` processes, each task on its own copy of
+    the spec."""
+    units = [(fold, seed) for fold in spec.folds for seed in spec.seeds]
     parallel = spec.jobs > 1
+    workers = min(spec.jobs, len(units))
     paths = []
-    with ProcessPoolExecutor(max_workers=spec.jobs) if parallel else nullcontext() as pool:
-        results = (pool.map if parallel else map)(run_cell, *zip(*cells))
-        for (_, config_id, fold, seed), path in zip(cells, results):
-            paths.append(path)
-            if progress:
-                progress(config_id, fold, seed, path)
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        results = (pool.map if parallel else map)(_run_unit, [spec] * len(units), *zip(*units))
+        for (fold, seed), unit_paths in zip(units, results):
+            for config_id, path in zip(spec.configurations, unit_paths):
+                paths.append(path)
+                if progress:
+                    progress(config_id, fold, seed, path)
     return paths
 
 

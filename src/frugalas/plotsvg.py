@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .harness import ResultsError, parse_config_id
+
 PALETTE = [
     "#1f77b4",
     "#d62728",
@@ -30,16 +32,20 @@ Y_MIN, Y_MAX = 0.0, 1.0
 
 
 def _group_key(config: str, aggregate_by: str | None) -> str:
-    parts = config.split("-")
+    """The group a summary row's configuration falls in; `harness` decides
+    what its id means, and an id it does not know is a ResultsError."""
     if aggregate_by in (None, "none"):
         return config
+    if aggregate_by not in ("selection", "to", "dt"):
+        raise ValueError(f"unknown aggregation '{aggregate_by}'")
+    try:
+        flags = parse_config_id(config)
+    except ValueError as exc:
+        raise ResultsError(f"summary row: {exc}") from None
     if aggregate_by == "selection":
-        return parts[0]
-    if aggregate_by == "to":
-        return "TO on" if "to" in parts[1:] else "TO off"
-    if aggregate_by == "dt":
-        return "DT on" if "dt" in parts[1:] else "DT off"
-    raise ValueError(f"unknown aggregation '{aggregate_by}'")
+        return flags["selection"]
+    label = aggregate_by.upper()
+    return f"{label} on" if flags[aggregate_by] else f"{label} off"
 
 
 def _aggregate(summary_rows: list[dict], aggregate_by: str | None, y_axis: str):

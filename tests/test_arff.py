@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from frugalas.arff import ArffError, ArffRelation, Attribute, parse_arff, serialize_arff
@@ -82,3 +84,59 @@ def test_round_trip_of_parsed_relation():
     assert again.name == rel.name
     assert again.attributes == rel.attributes
     assert again.rows == rel.rows
+
+
+def _relation(*cells, kind="string", values=None, name="r"):
+    """A relation of one `kind` column `c` beside a numeric `x`, one row per cell."""
+    attrs = [Attribute("c", kind, values), Attribute("x", "numeric")]
+    return ArffRelation(name, attrs, [(c, 1.0) for c in cells])
+
+
+def _nan_safe(rows):
+    return [tuple("NaN" if v != v else v for v in row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rel",
+    [
+        _relation("a", "long value", " padded ", None, "it's", "", "50%", name="round trip"),
+        _relation("red", "dark blue", kind="nominal", values=("red", "dark blue", "")),
+        ArffRelation("nan", [Attribute("x", "numeric")], [(math.nan,), (-0.0,), (1e300,)]),
+        ArffRelation("r", [Attribute("a,b", "numeric"), Attribute("it's", "string")], [(1.5, "s")]),
+        ArffRelation("a,b", [Attribute("x", "numeric")], []),
+    ],
+    ids=["strings", "nominal", "numbers", "names", "comma-name"],
+)
+def test_accepted_relations_round_trip_exactly(rel):
+    back = parse_arff(serialize_arff(rel))
+    assert back.name == rel.name
+    assert back.attributes == rel.attributes
+    assert _nan_safe(back.rows) == _nan_safe(rel.rows)
+
+
+@pytest.mark.parametrize(
+    "rel, message",
+    [
+        (ArffRelation("r", [Attribute("instance_id", "string"), Attribute("x", "numeric")],
+                      [("a,b", 1.0)]), "'a,b'"),
+        (_relation("a,b", kind="nominal", values=("a,b",)), "a,b"),
+        (_relation("?"), "'\\?'"),
+        (_relation("'quoted'"), "quoted"),
+        (_relation("two\nlines"), "two"),
+        (_relation("%comment"), "%comment"),
+        (ArffRelation("r", [Attribute("c", "string")], [("",)]), "row"),
+        (_relation(3), "3"),
+        (_relation(kind="nominal", values=()), "nominal"),
+        (ArffRelation("r", [Attribute("x", "numeric")], [(1.0, 2.0)]), "row"),
+        (ArffRelation("r", [Attribute("x", "real")], []), "real"),
+        (ArffRelation("r", [Attribute("it's here", "numeric")], []), "it's here"),
+        (ArffRelation("it's here", [Attribute("x", "numeric")], []), "'it'"),
+        (ArffRelation("", [Attribute("x", "numeric")], []), "name"),
+    ],
+    ids=["comma-cell", "comma-nominal", "question-mark", "quotes", "newline", "percent-first",
+         "empty-first", "non-string", "empty-nominal-set", "extra-cell", "real-kind",
+         "quote-in-quoted-name", "quote-in-relation-name", "empty-name"],
+)
+def test_values_that_would_not_read_back_are_rejected(rel, message):
+    with pytest.raises(ValueError, match=message):
+        serialize_arff(rel)

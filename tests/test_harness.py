@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -173,6 +174,23 @@ class TestGrid:
         ]
         assert (tmp_path / "runs" / "random" / "fold01_seed1.csv").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_paths_and_progress_run_by_fold_then_seed_then_configuration(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        _in_process_pool(monkeypatch)
+        spec = _small_spec(
+            tmp_path, configurations=["random", "passive"], folds=[0, 1], seeds=[0, 1],
+            jobs=jobs,
+        )
+        seen = []
+        paths = run_grid(spec, progress=lambda *cell: seen.append(cell))
+        cells = [(c, f, s) for f in (0, 1) for s in (0, 1) for c in ("random", "passive")]
+        assert seen == [
+            (c, f, s, spec.out_dir / c / f"fold{f:02d}_seed{s}.csv") for c, f, s in cells
+        ]
+        assert paths == [path for *_, path in seen]
+
     def test_resume_skips_existing_cells(self, tmp_path):
         spec = _small_spec(tmp_path)
         (path,) = run_grid(spec)
@@ -286,6 +304,29 @@ def _count_baselines(monkeypatch) -> list:
     return calls
 
 
+def _in_process_pool(monkeypatch) -> list:
+    """Patch `harness.ProcessPoolExecutor` with a pool that runs its tasks
+    in this process, each on a pickled copy of its arguments as a worker
+    process gets them; returns the `max_workers` of each pool made."""
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return workers
+
+
 def _logs(out_dir) -> dict:
     return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
 
@@ -315,7 +356,9 @@ class TestBaselineMemo:
         for config_id in self.CONFIGS:
             for fold in (0, 1):
                 for seed in (0, 1):
-                    fresh = _small_spec(fresh_dir, configurations=[config_id])
+                    fresh = _small_spec(
+                        fresh_dir, configurations=[config_id], folds=[fold], seeds=[seed]
+                    )
                     run_cell(fresh, config_id, fold, seed)
         logs = _logs(shared.out_dir)
         assert len(logs) == 16
@@ -343,22 +386,36 @@ class TestBaselineMemo:
         assert calls == []
         assert again._baselines == {}
 
-    def test_passive_to_outside_the_grid_refits_with_timeout_models(self, tmp_path, monkeypatch):
+    def test_grid_without_passive_to_fits_no_timeout_models(self, tmp_path, monkeypatch):
+        spec = _small_spec(tmp_path, configurations=["random", "passive"], seeds=[0, 1])
+        calls = _count_baselines(monkeypatch)
+        run_grid(spec)
+        assert calls == [(0, False), (1, False)]
+
+    def test_parallel_grid_fits_one_baseline_per_fold_and_seed(self, tmp_path, monkeypatch):
+        kwargs = dict(configurations=self.CONFIGS, folds=[0], seeds=[0, 1])
+        run_grid(_small_spec(tmp_path / "seq", **kwargs))
+        workers = _in_process_pool(monkeypatch)
+        calls = _count_baselines(monkeypatch)
+        spec = _small_spec(tmp_path / "par", jobs=3, **kwargs)
+        assert len(run_grid(spec)) == 8
+        assert workers == [2]  # one process per unit, and no more than `jobs`
+        # one fit per unit, with the timeout models that `passive-to` reads
+        assert sorted(calls) == [(0, True), (1, True)]
+        assert spec._baselines == {}  # each task filled its own copy
+        assert _logs(spec.out_dir) == _logs(tmp_path / "seq" / "runs")
+
+    @pytest.mark.parametrize(
+        "cell", [("passive", 0, 0), ("random", 1, 0), ("random", 0, 1)],
+        ids=["configuration", "fold", "seed"],
+    )
+    def test_cell_outside_the_grid_is_rejected(self, tmp_path, monkeypatch, cell):
         spec = _small_spec(tmp_path)
         calls = _count_baselines(monkeypatch)
-        run_cell(spec, "random", 0, 0)
-        run_cell(spec, "passive-to", 0, 0)
-        run_cell(spec, "passive", 0, 0)
-        assert calls == [(0, False), (0, True)]
-        assert spec._baselines[0, 0].par10_to is not None
-
-    def test_parallel_spec_fits_timeout_models_for_passive_to_only(self, tmp_path, monkeypatch):
-        # each task of a parallel grid holds its own copy of the spec
-        spec = _small_spec(tmp_path, configurations=self.CONFIGS, jobs=2)
-        calls = _count_baselines(monkeypatch)
-        for config_id in self.CONFIGS:
-            run_cell(dataclasses.replace(spec), config_id, 0, 0)
-        assert [timeout_models for _, timeout_models in calls] == [False, True, False, False]
+        with pytest.raises(ValueError, match="outside the spec's grid"):
+            run_cell(spec, *cell)
+        assert calls == []
+        assert not spec.out_dir.exists()
 
     def test_replaced_spec_starts_empty(self, tmp_path):
         spec = _small_spec(tmp_path)

@@ -535,6 +535,18 @@ class TestSummarizeAndPlotCommands:
         ) == 0
         assert ">DT off</text>" in dest.read_text()
 
+    def test_unknown_config_id_is_data_error_when_aggregated(self, tmp_path, capsys):
+        summary = tmp_path / "s.csv"
+        write_summary(_summary_rows(["bogus-to"]), summary)
+        assert main(["plot", str(summary), "--aggregate-by", "to"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'bogus-to'" in err
+        assert "Traceback" not in err
+        assert not summary.with_suffix(".svg").exists()
+        # unaggregated, a row is plotted under its own id, whatever it is
+        assert main(["plot", str(summary)]) == 0
+        assert ">bogus-to</text>" in summary.with_suffix(".svg").read_text()
+
     def test_summarize_reads_step_logs_only(self, tmp_path, capsys):
         # the first summary lands beside the step logs; the second run must
         # not take it for one
