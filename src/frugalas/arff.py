@@ -47,7 +47,8 @@ def _unquote(token: str) -> str:
 
 
 def _split_name_rest(body: str) -> tuple[str, str]:
-    """Split an @attribute body into (name, remainder), honouring quotes."""
+    """Split an @relation or @attribute body into (name, remainder),
+    honouring quotes; a body with no name is a ValueError."""
     body = body.strip()
     if body and body[0] in ("'", '"'):
         quote = body[0]
@@ -56,6 +57,8 @@ def _split_name_rest(body: str) -> tuple[str, str]:
             raise ValueError("unterminated quoted name")
         return body[1:end], body[end + 1 :].strip()
     parts = body.split(None, 1)
+    if not parts:
+        raise ValueError("missing name")
     if len(parts) == 1:
         return parts[0], ""
     return parts[0], parts[1].strip()

@@ -19,7 +19,10 @@ level.
 
 Tree t of a forest with seed s draws its bootstrap and its candidate
 features from `draws.ForestDraws`, so it depends on numpy only through
-`SeedSequence` and PCG64's raw output.
+`SeedSequence` and PCG64's raw output. A caller that refits one slot many
+times passes the slot's `draws.TreeStreams` record to every fit, so each
+tree is seeded once and its words are drawn once (see `draws`); the forests
+are the same as with no record.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .draws import ForestDraws
+from .draws import ForestDraws, TreeStreams
 
 # Recorded by benchmark reports; the split scan has a single numpy
 # implementation.
@@ -245,8 +248,15 @@ def _grow_tree(XT, y, draws, t, nodes) -> int:
     return depth
 
 
-def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
-    """Train a forest; (seed, data) fully determine the result."""
+def fit_forest(
+    X, y, config: ForestConfig = ForestConfig(), streams: TreeStreams | None = None
+) -> RandomForest:
+    """Train a forest; (seed, data) fully determine the result.
+
+    `streams`, when given, is the record of the config's seed and n_trees
+    that the trees read their words from, and keep for the next fit; a
+    record of another seed or tree count is a ValueError. None draws on a
+    fresh record."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y).ravel()
     if X.shape[0] == 0:
@@ -268,7 +278,7 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig()) -> RandomForest:
     y64 = y.astype(np.int64)
     # Each tree's draws depend on (seed, tree) alone, so a parallel fit would
     # match the sequential result.
-    draws = ForestDraws(config.seed, config.n_trees, n, n_features, max_features)
+    draws = ForestDraws(config.seed, config.n_trees, n, n_features, max_features, streams)
     nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, n0, n1
     roots, depth = [], 0
     for t in range(config.n_trees):

@@ -9,10 +9,10 @@ every algorithm is predicted to time out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
+from .draws import TreeStreams
 from .forest import ForestConfig, RandomForest, fit_forest, forest_votes
 from .labels import pair_classes, timeout_classes
 from .preprocess import ImputerModel
@@ -42,7 +42,9 @@ class SelectorEnsemble:
     `timeout_at` is set, one slot per algorithm in portfolio order (class 1 =
     will time out at `timeout_at`). A None forest is untrained and abstains.
     `labels` (int8, slot x train instance, -1 where unlabelled) is what each
-    slot was fit on, None when unknown.
+    slot was fit on, None when unknown. `streams` holds each slot's
+    `TreeStreams`, which its next refit reads (None for a slot never fit),
+    or is None when unknown; `train_ensemble` sets both.
     """
 
     algorithms: list[str]
@@ -50,6 +52,7 @@ class SelectorEnsemble:
     imputer: ImputerModel
     timeout_at: float | None = None
     labels: np.ndarray | None = None
+    streams: list[TreeStreams | None] | None = None
 
     def __post_init__(self):
         # Slots carry no names, so a wrong count would vote with the wrong
@@ -72,7 +75,6 @@ class SelectorEnsemble:
         return SelectorEnsemble(self.algorithms, self.pair_forests, self.imputer)
 
 
-@lru_cache(maxsize=4096)  # a loop asks again for each refit of a slot
 def _sub_seed(base_seed: int, *path: int) -> int:
     return int(np.random.SeedSequence((base_seed, *path)).generate_state(1)[0])
 
@@ -102,7 +104,9 @@ def train_ensemble(
     function returned for the same `X`, `algorithms`, `imputer`,
     `forest_config` and slot layout, whatever its labels: every slot whose
     label vector is unchanged keeps `previous`'s forest, and only the rest
-    refit.
+    refit, on the tree streams `previous` holds for them. A slot's streams
+    are made, and its seed derived, at its first fit; streams of another
+    tree count raise ValueError.
     """
     algorithms = list(algorithms)
     side_a, side_b = pair_columns(len(algorithms))
@@ -112,8 +116,10 @@ def train_ensemble(
         timeout_labels = timeout_classes(solved, censored, np.arange(len(algorithms)), timeout_at)
         labels = np.concatenate((labels, timeout_labels.T))
     unchanged = np.zeros(labels.shape[0], dtype=bool)
+    streams: list[TreeStreams | None] = [None] * labels.shape[0]
     if previous is not None:
         unchanged = (previous.labels == labels).all(axis=1)
+        streams = list(previous.streams)
 
     forests = []
     for s, slot_labels in enumerate(labels):
@@ -123,10 +129,14 @@ def train_ensemble(
         elif not labelled.any():
             forests.append(None)
         else:
-            path = (1, s) if s < len(side_a) else (2, s - len(side_a))
-            cfg = replace(forest_config, seed=_sub_seed(forest_config.seed, *path))
-            forests.append(fit_forest(X[labelled], slot_labels[labelled], cfg))
-    return SelectorEnsemble(algorithms, forests, imputer, timeout_at, labels)
+            if streams[s] is None:
+                path = (1, s) if s < len(side_a) else (2, s - len(side_a))
+                streams[s] = TreeStreams(
+                    _sub_seed(forest_config.seed, *path), forest_config.n_trees
+                )
+            cfg = replace(forest_config, seed=streams[s].seed)
+            forests.append(fit_forest(X[labelled], slot_labels[labelled], cfg, streams[s]))
+    return SelectorEnsemble(algorithms, forests, imputer, timeout_at, labels, streams)
 
 
 def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:

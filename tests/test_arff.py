@@ -50,6 +50,16 @@ def test_malformed_header():
         parse_arff("@relation t\n@attribute x numeric\n")  # no @data
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["@relation\n@attribute x numeric", "@relation t\n@attribute", "@relation t\n@attribute   "],
+    ids=["relation", "attribute", "attribute-spaces"],
+)
+def test_a_directive_with_no_name_is_an_arff_error(header):
+    with pytest.raises(ArffError, match="missing name"):
+        parse_arff(header + "\n@data\n1\n")
+
+
 def test_non_numeric_cell():
     with pytest.raises(ArffError):
         parse_arff("@relation t\n@attribute x numeric\n@data\nabc\n")

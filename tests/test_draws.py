@@ -10,11 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frugalas.draws import (
     CHUNK,
     ForestDraws,
     Stream,
+    TreeStreams,
     choice_bounds,
     floors,
     lemire,
@@ -123,3 +126,55 @@ def test_a_rejected_draw_redraws_the_tree(n_rows, n_features, k):
 
         sample, rows = numpy_tree(11, t, n_rows, n_features, k, min(n_rows - 1, CHUNK + 10))
         assert_tree_matches(draws, t, sample, rows)
+
+
+# The two shapes of `test_a_rejected_draw_redraws_the_tree`, a shape whose
+# trees pass the first table, and a small one: (rows, features, k).
+RECORD_SHAPES = [(3 * 2**16, 40, 6), (70, 3 * 2**30, 2), (150, 30, 5), (12, 4, 2)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from(RECORD_SHAPES),
+    st.lists(st.integers(-40, 40), min_size=2, max_size=5),
+    st.integers(0, 2**63),
+    st.integers(1, 3),
+    st.integers(0, CHUNK + 20),
+)
+def test_a_record_serves_each_fit_the_draws_of_a_fresh_one(shape, steps, seed, n_trees, nodes):
+    # One slot's fits at row counts that grow and shrink, all through one
+    # record, draw what a fresh record draws for each.
+    n_rows, n_features, k = shape
+    record = TreeStreams(seed, n_trees)
+    for step in steps:
+        rows = max(1, n_rows + step)
+        shared = ForestDraws(seed, n_trees, rows, n_features, k, record)
+        fresh = ForestDraws(seed, n_trees, rows, n_features, k)
+        assert np.array_equal(shared.samples, fresh.samples)
+        # Tree by tree, past the first table where the tree has the rows.
+        for t in range(n_trees):
+            for i in range(min(rows - 1, nodes)):
+                assert np.array_equal(shared.candidates(t, i), fresh.candidates(t, i)), (t, i)
+
+
+def test_a_record_draws_each_word_once():
+    record = TreeStreams(5, 2)
+    first = record.block(3).copy()
+    # A tree's words past the block, then a wider block over them.
+    tail = record.words_of(1, 2, 6).copy()
+    assert record.block(4).shape == (2, 4)
+    assert record.words.shape == (2, 6)  # the width at least doubles
+    assert np.array_equal(record.words[:, :3], first)
+    assert np.array_equal(record.words[1, 2:6], tail[:4])
+    assert np.array_equal(record.words_of(1, 2, 6), tail)
+    for t in range(2):
+        bitgen = np.random.PCG64(np.random.SeedSequence((5, t)))
+        assert np.array_equal(record.words_of(t, 0, 10), bitgen.random_raw(10))
+
+
+def test_a_record_of_another_seed_or_tree_count_is_refused():
+    record = TreeStreams(7, 3)
+    with pytest.raises(ValueError, match="seed 7 and 3 trees"):
+        ForestDraws(8, 3, 10, 4, 2, record)
+    with pytest.raises(ValueError, match="seed 7 and 3 trees"):
+        ForestDraws(7, 2, 10, 4, 2, record)

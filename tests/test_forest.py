@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_proba, reference_votes
+from frugalas.draws import CHUNK, TreeStreams
 from frugalas.forest import (
     ForestConfig,
     dump_trees,
@@ -472,3 +473,60 @@ class TestReferenceBuild:
         assert nodes.n0.tolist() == n0 and nodes.n1.tolist() == n1
         assert forest.roots.tolist() == roots
         assert forest.depth == depth
+
+
+def assert_same_nodes(forest, fresh):
+    for name, column in vars(forest.nodes).items():
+        assert column.tobytes() == getattr(fresh.nodes, name).tobytes(), name
+    assert forest.roots.tolist() == fresh.roots.tolist()
+    assert forest.depth == fresh.depth
+
+
+@st.composite
+def refits(draw):
+    """(X, y, row counts): one slot's data and the rows of its fits in turn,
+    small, then enough noisy rows that trees pass `CHUNK` impure nodes, then
+    small again."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    most = draw(st.integers(6 * CHUNK, 7 * CHUNK))
+    X = rng.normal(size=(most, draw(st.integers(1, 9))))
+    y = (rng.uniform(size=most) < 0.5).astype(np.int64)
+    small = st.integers(1, CHUNK)
+    counts = [draw(small), most, *draw(st.lists(small, min_size=1, max_size=3))]
+    return X, y, counts
+
+
+class TestTreeStreams:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(refits(), st.integers(1, 3), st.integers(0, 2**40))
+    def test_refits_through_one_record_equal_fresh_fits(self, data, n_trees, seed):
+        X, y, counts = data
+        config = ForestConfig(n_trees=n_trees, seed=seed)
+        record = TreeStreams(seed, n_trees)
+        for n in counts:
+            forest = fit_forest(X[:n], y[:n], config, record)
+            assert_same_nodes(forest, fit_forest(X[:n], y[:n], config))
+            if n == X.shape[0]:
+                # Every tree grew more impure nodes than its first table.
+                splits = np.add.reduceat(forest.nodes.feature >= 0, forest.roots)
+                assert splits.min() > CHUNK
+
+    def test_a_rejected_bootstrap_draw_refits_alike(self):
+        # The bootstrap shape of `test_a_rejected_draw_redraws_the_tree`:
+        # about three draws a tree are rejected. Every column is constant,
+        # so each tree is a root leaf that counts its bootstrap's classes.
+        rows = 3 * 2**16
+        y = (np.arange(rows + 8) % 3 == 0).astype(np.int64)
+        X = np.zeros((rows + 8, 40))
+        config = ForestConfig(n_trees=2, seed=11)
+        record = TreeStreams(11, 2)
+        for n in (rows, rows - 8, rows + 8):
+            forest = fit_forest(X[:n], y[:n], config, record)
+            assert_same_nodes(forest, fit_forest(X[:n], y[:n], config))
+
+    def test_a_record_of_another_seed_or_tree_count_is_refused(self):
+        X, y = np.arange(6.0).reshape(-1, 1), np.array([0, 1, 0, 1, 0, 1])
+        with pytest.raises(ValueError, match="tree streams"):
+            fit_forest(X, y, ForestConfig(n_trees=2, seed=3), TreeStreams(4, 2))
+        with pytest.raises(ValueError, match="tree streams"):
+            fit_forest(X, y, ForestConfig(n_trees=2, seed=3), TreeStreams(3, 3))

@@ -660,6 +660,36 @@ class TestRetrainReuse:
                     )
         assert reused and refit_on_growth
 
+    def test_each_slot_seeds_its_trees_once_per_loop(self, monkeypatch, tmp_path):
+        # Every refit of a slot reads the tree streams its first fit seeded,
+        # so a loop run to exhaustion seeds at most slots x trees generators.
+        import frugalas.draws as draws_mod
+        import frugalas.selector as selector_mod
+
+        seeded, fits = [], []
+        seed_sequence, fit_forest = draws_mod.SeedSequence, selector_mod.fit_forest
+
+        def counted_seeding(entropy):
+            seeded.append(entropy)
+            return seed_sequence(entropy)
+
+        def counted_fit(*args, **kwargs):
+            fits.append(args[2])
+            return fit_forest(*args, **kwargs)
+
+        monkeypatch.setattr(draws_mod, "SeedSequence", counted_seeding)
+        monkeypatch.setattr(selector_mod, "fit_forest", counted_fit)
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("uncertainty-to-dt", 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        loop.run()
+        n_slots, n_trees = len(loop.ensemble.forests), cfg.forest.n_trees
+        assert len(seeded) <= n_slots * n_trees
+        assert len(set(seeded)) == len(seeded)
+        # Without the streams each fit would seed all its trees again.
+        assert len(fits) > 5 * n_slots
+
     def test_a_round_imputes_nothing(self, monkeypatch, tmp_path):
         # Each row block is imputed once, when the loop is built: the
         # training rows, then the validation and test rows.

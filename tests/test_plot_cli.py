@@ -121,6 +121,15 @@ class TestStatsCommand:
         assert main(["stats", str(tmp_path / "nope")]) == 2
         assert "description.txt" in capsys.readouterr().err
 
+    def test_a_nameless_relation_is_data_error(self, scenario_dir, capsys):
+        runs = scenario_dir / "algorithm_runs.arff"
+        lines = runs.read_text().splitlines(keepends=True)
+        runs.write_text("@relation\n" + "".join(lines[1:]))
+        assert main(["stats", str(scenario_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing name" in err
+        assert "Traceback" not in err
+
 
 class TestArgumentErrors:
     def test_invalid_choice_exits_with_usage(self, scenario_dir, capsys):

@@ -8,6 +8,7 @@ from frugalas.forest import (
     DecisionTree,
     ForestConfig,
     RandomForest,
+    dump_trees,
     fit_forest,
     forest_votes,
 )
@@ -368,6 +369,26 @@ class TestTrainEnsemble:
             *block, s.algorithms, imputer, cfg, timeout_at=s.cutoff, previous=first
         )
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
+
+    def test_refits_read_previous_tree_streams(self):
+        s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
+        store = self._store_full(s)
+        imputer = fit_imputer(s, s.instances)
+        cfg = ForestConfig(n_trees=5, seed=0)
+        X, solved, censored = training_block(s, s.instances, store, imputer)
+        first = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg)
+        solved[0], censored[0] = np.nan, np.nan  # every slot loses a row
+        again = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, previous=first)
+        assert all(new is not old for new, old in zip(again.forests, first.forests))
+        assert all(new is old for new, old in zip(again.streams, first.streams, strict=True))
+        fresh = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg)
+        assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
+        # Streams of another tree count cannot serve a refit.
+        with pytest.raises(ValueError, match="tree streams"):
+            train_ensemble(
+                X, solved, censored, s.algorithms, imputer, ForestConfig(n_trees=4, seed=0),
+                previous=first,
+            )
 
     def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
