@@ -32,10 +32,11 @@ holds.
 Tree t's raw words are a pure function of (s, t), so the refits of one
 forest slot, which keep its seed, can share them. `TreeStreams` is that
 per-slot record: each tree is seeded once, its words are drawn once, and
-every later fit reads them as a view. A record holds one (n_trees, W) block
-of the first W words of every tree, W at most twice the widest fit's need,
-plus the words a single tree read past the block; so a learning loop keeps
-about slots x trees x W x 8 bytes, freed with the loop.
+every later fit reads them as a view. A record is one (n_trees, W) block of
+the first W words of every tree and nothing else: when any tree reads past
+W, every row widens and W at least doubles. So a record holds at most
+2 x trees x the words of its widest tree, and a learning loop keeps about
+slots x trees x W x 8 bytes, freed with the loop.
 
 The tests compare these replays with numpy's own methods by name. If one of
 them fails after a numpy upgrade, numpy changed a sampling algorithm: the
@@ -56,7 +57,6 @@ _32 = np.uint64(32)
 # Impure nodes per tree in the first candidate table; a tree that grows more
 # extends its own table.
 CHUNK = 64
-_NO_WORDS = np.empty(0, dtype=np.uint64)
 
 
 def split_halves(raw: np.ndarray) -> np.ndarray:
@@ -83,18 +83,39 @@ def lemire(halves: np.ndarray, bounds, floor) -> tuple[np.ndarray, np.ndarray]:
     return m.view(np.int64), rejected
 
 
-class Stream:
-    """One generator's raw words as a stream of halves.
+class TreeStreams:
+    """Every tree's raw words for one forest slot, shared by its refits.
 
-    `halves` are halves already read from `bitgen` (a bit generator, or
-    anything with its `random_raw`), the stream starts at half `at` of them,
-    and the rest comes from `bitgen.random_raw`.
+    Tree t reads `PCG64(SeedSequence((seed, t)))`, seeded here and nowhere
+    else. `words` holds the first W words of every tree as one
+    (n_trees, W) block, which `block` widens for every tree at once, at least
+    doubling W. Each tree's generator sits after exactly W words, so a word
+    is drawn once, whoever reads it.
     """
 
-    def __init__(self, bitgen, halves=None, at: int = 0):
-        self.bitgen = bitgen
-        self.halves = np.empty(0, dtype="<u4") if halves is None else halves
-        self.at = at
+    def __init__(self, seed: int, n_trees: int):
+        self.seed, self.n_trees = seed, n_trees
+        self._bitgens = [PCG64(SeedSequence((seed, t))) for t in range(n_trees)]
+        self.words = np.empty((n_trees, 0), dtype=np.uint64)
+
+    def block(self, width: int) -> np.ndarray:
+        """(n_trees, width) uint64 view: every tree's first `width` words."""
+        have = self.words.shape[1]
+        if width > have:
+            grown = np.empty((self.n_trees, max(width, 2 * have)), dtype=np.uint64)
+            grown[:, :have] = self.words
+            for t, bitgen in enumerate(self._bitgens):
+                grown[t, have:] = bitgen.random_raw(grown.shape[1] - have)
+            self.words = grown
+        return self.words[:, :width]
+
+
+class Stream:
+    """Tree t's words in a `TreeStreams` record as a stream of halves, from
+    half `at` on; a draw past the record's block widens it."""
+
+    def __init__(self, record: TreeStreams, t: int, at: int = 0):
+        self.record, self.t, self.at = record, t, at
 
     def draw(self, bounds) -> np.ndarray:
         """One Lemire draw below each of `bounds` in turn, each rejected draw
@@ -105,79 +126,15 @@ class Stream:
         done = 0
         while done < out.shape[0]:
             todo = bounds[done:]
-            short = self.at + todo.shape[0] - self.halves.shape[0]
-            if short > 0:
-                raw = self.bitgen.random_raw(short // 2 + 1)
-                self.halves = np.concatenate((self.halves[self.at :], split_halves(raw)))
-                self.at = 0
-            values, rejected = lemire(
-                self.halves[self.at : self.at + todo.shape[0]], todo, floor[done:]
-            )
+            end = self.at + todo.shape[0]
+            halves = split_halves(self.record.block((end + 1) // 2)[self.t])
+            values, rejected = lemire(halves[self.at : end], todo, floor[done:])
             r = int(rejected.argmax()) if rejected.any() else todo.shape[0]
             out[done : done + r] = values[:r]
             done += r
             # A rejected half is skipped; its draw is made again from the next.
             self.at += r + (done < out.shape[0])
         return out
-
-
-class TreeStreams:
-    """Every tree's raw words for one forest slot, shared by its refits.
-
-    Tree t reads `PCG64(SeedSequence((seed, t)))`, seeded here and nowhere
-    else. `words` holds the first W words of every tree as one
-    (n_trees, W) block, which `block` widens on demand, at least doubling W;
-    a tree's words past the block are its own tail. Tree t's generator sits
-    after W + len(tail t) words, so a word is drawn once, whoever reads it.
-    """
-
-    def __init__(self, seed: int, n_trees: int):
-        self.seed, self.n_trees = seed, n_trees
-        self._bitgens = [PCG64(SeedSequence((seed, t))) for t in range(n_trees)]
-        self.words = np.empty((n_trees, 0), dtype=np.uint64)
-        self._tails = [_NO_WORDS] * n_trees
-
-    def block(self, width: int) -> np.ndarray:
-        """(n_trees, width) uint64 view: every tree's first `width` words."""
-        have = self.words.shape[1]
-        if width > have:
-            grown = np.empty((self.n_trees, max(width, 2 * have)), dtype=np.uint64)
-            grown[:, :have] = self.words
-            extra = grown.shape[1] - have
-            for t, tail in enumerate(self._tails):
-                used = min(extra, tail.shape[0])
-                grown[t, have : have + used] = tail[:used]
-                grown[t, have + used :] = self._bitgens[t].random_raw(extra - used)
-                self._tails[t] = tail[used:] if used < tail.shape[0] else _NO_WORDS
-            self.words = grown
-        return self.words[:, :width]
-
-    def words_of(self, t: int, start: int, n: int) -> np.ndarray:
-        """Tree t's words [start, start + n), drawing those not yet read."""
-        width = self.words.shape[1]
-        if start + n <= width:
-            return self.words[t, start : start + n]
-        tail = self._tails[t]
-        short = start + n - width - tail.shape[0]
-        if short > 0:
-            tail = self._tails[t] = np.concatenate((tail, self._bitgens[t].random_raw(short)))
-        if start >= width:
-            return tail[start - width : start + n - width]
-        return np.concatenate((self.words[t, start:], tail[: start + n - width]))
-
-
-class _TreeReader:
-    """Tree t's words of a `TreeStreams` from word `at` on, served by
-    `random_raw` as a generator serves its own: the source a `Stream` reads
-    once its halves run out."""
-
-    def __init__(self, streams: TreeStreams, t: int, at: int):
-        self.streams, self.t, self.at = streams, t, at
-
-    def random_raw(self, n: int) -> np.ndarray:
-        words = self.streams.words_of(self.t, self.at, n)
-        self.at += n
-        return words
 
 
 @lru_cache(maxsize=64)  # fit_forest's k follows from F: one entry per feature count
@@ -230,46 +187,29 @@ def choices(values: np.ndarray, n_features: int, k: int) -> np.ndarray:
 class ForestDraws:
     """Every tree's bootstrap and candidate features for one forest.
 
-    Tree t reads `PCG64(SeedSequence((seed, t)))`, through `streams` when
-    given (a `TreeStreams` of the same seed and n_trees, which may have
-    served earlier fits) and through a fresh record otherwise.
-    `samples[t]` is its bootstrap, sorted. `candidates(t, i)` is its i-th
-    impure node's candidate features, in the order the tree reaches them.
-    The first request builds every tree's table of `min(CHUNK, n_rows - 1)`
-    rows at once, so a forest whose trees are all pure draws none; a tree
-    that needs more doubles its own. A tree has at most n_rows - 1 impure
-    nodes (each impure leaf holds two rows or more), so a tree of few rows
-    costs few draws.
+    Tree t reads its words from `record`, a `TreeStreams` that may have
+    served earlier fits. `samples[t]` is its bootstrap, sorted.
+    `candidates(t, i)` is its i-th impure node's candidate features, in the
+    order the tree reaches them. The first request builds every tree's table
+    of `min(CHUNK, n_rows - 1)` rows at once, so a forest whose trees are all
+    pure draws none; a tree that needs more doubles its own. A tree has at
+    most n_rows - 1 impure nodes (each impure leaf holds two rows or more),
+    so a tree of few rows costs few draws.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        n_trees: int,
-        n_rows: int,
-        n_features: int,
-        k: int,
-        streams: TreeStreams | None = None,
-    ):
-        if streams is None:
-            streams = TreeStreams(seed, n_trees)
-        elif (streams.seed, streams.n_trees) != (seed, n_trees):
-            raise ValueError(
-                f"tree streams of seed {streams.seed} and {streams.n_trees} trees "
-                f"cannot draw for seed {seed} and {n_trees} trees"
-            )
+    def __init__(self, record: TreeStreams, n_rows: int, n_features: int, k: int):
         self.n_features, self.k = n_features, k
         self.bounds, self._floor = choice_bounds(n_features, k)
         self._boot = n_rows if n_rows > 1 else 0
         self._chunk = min(CHUNK, n_rows - 1)
         self._end = self._boot + self._chunk * self.bounds.shape[0]
-        self._record = streams
-        self._halves = split_halves(streams.block((self._end + 1) // 2))
+        self._record = record
+        self._halves = split_halves(record.block((self._end + 1) // 2))
 
         bound = np.uint64(n_rows)
         samples, rejected = lemire(self._halves[:, : self._boot], bound, floors(bound))
         if not self._boot:  # numpy draws nothing for a bootstrap of one row
-            samples = np.zeros((n_trees, 1), dtype=np.int64)
+            samples = np.zeros((record.n_trees, 1), dtype=np.int64)
         # A tree with a rejected draw reads the rest of its draws from its
         # own stream, one half further on per rejection.
         self._streams: dict[int, Stream] = {}
@@ -308,12 +248,10 @@ class ForestDraws:
         return tables
 
     def _stream_of(self, t: int, at: int) -> Stream:
-        """Tree t's stream, which goes on past this fit's halves in the
-        record's words; a tree without one starts it at half `at`, where its
-        draws so far end."""
+        """Tree t's stream; a tree without one starts it at half `at`, where
+        its draws so far end."""
         if t not in self._streams:
-            reader = _TreeReader(self._record, t, self._halves.shape[1] // 2)
-            self._streams[t] = Stream(reader, self._halves[t], at)
+            self._streams[t] = Stream(self._record, t, at)
         return self._streams[t]
 
     def _draw_table(self, stream: Stream, rows: int) -> np.ndarray:

@@ -19,10 +19,12 @@ level.
 
 Tree t of a forest with seed s draws its bootstrap and its candidate
 features from `draws.ForestDraws`, so it depends on numpy only through
-`SeedSequence` and PCG64's raw output. A caller that refits one slot many
-times passes the slot's `draws.TreeStreams` record to every fit, so each
-tree is seeded once and its words are drawn once (see `draws`); the forests
-are the same as with no record.
+`SeedSequence` and PCG64's raw output. `fit_forest` is the one place that
+makes a fresh `draws.TreeStreams` record. A caller that refits one slot many
+times passes the slot's record to every fit instead, so each tree is seeded
+once and its words are drawn once: one (trees, W) block that widens for
+every tree at once (see `draws`). The forests are the same as with no
+record.
 """
 
 from __future__ import annotations
@@ -261,6 +263,8 @@ def fit_forest(
     y = np.asarray(y).ravel()
     if X.shape[0] == 0:
         raise ValueError("cannot fit a forest on zero rows")
+    if X.shape[1] == 0:
+        raise ValueError("cannot fit a forest on zero features")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
     if not np.isfinite(X).all():
@@ -276,9 +280,16 @@ def fit_forest(
 
     XT = np.ascontiguousarray(X.T)
     y64 = y.astype(np.int64)
+    if streams is None:
+        streams = TreeStreams(config.seed, config.n_trees)
+    elif (streams.seed, streams.n_trees) != (config.seed, config.n_trees):
+        raise ValueError(
+            f"tree streams of seed {streams.seed} and {streams.n_trees} trees "
+            f"cannot draw for seed {config.seed} and {config.n_trees} trees"
+        )
     # Each tree's draws depend on (seed, tree) alone, so a parallel fit would
     # match the sequential result.
-    draws = ForestDraws(config.seed, config.n_trees, n, n_features, max_features, streams)
+    draws = ForestDraws(streams, n, n_features, max_features)
     nodes = ([], [], [], [], [], [])  # feature, threshold, left, right, n0, n1
     roots, depth = [], 0
     for t in range(config.n_trees):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 from .harness import ResultsError, parse_config_id
 
@@ -156,7 +157,7 @@ def emit_plot(summary_rows: list[dict], path, aggregate_by: str | None = None,
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="11">{group}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="11">{escape(group)}</text>'
         )
 
     parts.append("</svg>")

@@ -51,7 +51,7 @@ def test_forest_draws_equal_generator_integers_then_choice():
         k = int(rng.choice([math.isqrt(n_features), small, rng.integers(1, small + 1)]))
         seed = int(rng.integers(2**32))
         n_trees = int(rng.integers(1, 4))
-        draws = ForestDraws(seed, n_trees, n_rows, n_features, k)
+        draws = ForestDraws(TreeStreams(seed, n_trees), n_rows, n_features, k)
         for t in range(n_trees):
             # A tree reaches at most n_rows - 1 impure nodes; one in ten may
             # pass the first table and extend it.
@@ -78,13 +78,13 @@ def test_rejected_draws_are_redrawn_as_generator_integers_does():
     bound = 3 * 2**30
     rejections = 0
     for seed in range(200):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         expected = rng.integers(0, bound, size=40)
         after = rng.integers(0, 7, size=5)
 
-        halves = split_halves(np.random.PCG64(np.random.SeedSequence(seed)).random_raw(20))
+        halves = split_halves(np.random.PCG64(np.random.SeedSequence((seed, 0))).random_raw(20))
         rejections += int(lemire(halves, np.uint64(bound), floors(np.uint64(bound)))[1].sum())
-        stream = Stream(np.random.PCG64(np.random.SeedSequence(seed)))
+        stream = Stream(TreeStreams(seed, 1), 0)
         assert np.array_equal(stream.draw(np.full(40, bound)), expected)
         # The next draw starts where numpy's did.
         assert np.array_equal(stream.draw(np.full(5, 7)), after)
@@ -95,9 +95,9 @@ def test_mixed_bounds_follow_generator_integers_one_at_a_time():
     rng = np.random.default_rng(5)
     for seed in range(50):
         bounds = rng.choice([2, 3, 1000, 3 * 2**30, 2**32 - 1, 2**32], size=60)
-        numpy_rng = np.random.default_rng(np.random.SeedSequence(seed))
+        numpy_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         expected = [numpy_rng.integers(0, int(b)) for b in bounds]
-        stream = Stream(np.random.PCG64(np.random.SeedSequence(seed)))
+        stream = Stream(TreeStreams(seed, 1), 0)
         assert stream.draw(bounds).tolist() == expected
 
 
@@ -113,7 +113,7 @@ def test_mixed_bounds_follow_generator_integers_one_at_a_time():
     ids=["bootstrap", "candidates"],
 )
 def test_a_rejected_draw_redraws_the_tree(n_rows, n_features, k):
-    draws = ForestDraws(11, 2, n_rows, n_features, k)
+    draws = ForestDraws(TreeStreams(11, 2), n_rows, n_features, k)
     for t in range(2):
         # The tree's first draws, read as if none were rejected, hold a
         # rejection.
@@ -148,8 +148,8 @@ def test_a_record_serves_each_fit_the_draws_of_a_fresh_one(shape, steps, seed, n
     record = TreeStreams(seed, n_trees)
     for step in steps:
         rows = max(1, n_rows + step)
-        shared = ForestDraws(seed, n_trees, rows, n_features, k, record)
-        fresh = ForestDraws(seed, n_trees, rows, n_features, k)
+        shared = ForestDraws(record, rows, n_features, k)
+        fresh = ForestDraws(TreeStreams(seed, n_trees), rows, n_features, k)
         assert np.array_equal(shared.samples, fresh.samples)
         # Tree by tree, past the first table where the tree has the rows.
         for t in range(n_trees):
@@ -157,24 +157,15 @@ def test_a_record_serves_each_fit_the_draws_of_a_fresh_one(shape, steps, seed, n
                 assert np.array_equal(shared.candidates(t, i), fresh.candidates(t, i)), (t, i)
 
 
-def test_a_record_draws_each_word_once():
-    record = TreeStreams(5, 2)
-    first = record.block(3).copy()
-    # A tree's words past the block, then a wider block over them.
-    tail = record.words_of(1, 2, 6).copy()
-    assert record.block(4).shape == (2, 4)
-    assert record.words.shape == (2, 6)  # the width at least doubles
-    assert np.array_equal(record.words[:, :3], first)
-    assert np.array_equal(record.words[1, 2:6], tail[:4])
-    assert np.array_equal(record.words_of(1, 2, 6), tail)
-    for t in range(2):
+def test_a_record_is_one_block_that_widens_every_row():
+    record = TreeStreams(5, 3)
+    first = record.block(3)
+    kept = first.copy()
+    # Tree 1 reads halves 4 to 9, words 2 to 4: past the block's 3 words.
+    Stream(record, 1, 4).draw(np.full(6, 7))
+    width = record.words.shape[1]
+    assert width >= 6  # every row at least doubles
+    assert np.array_equal(first, kept)  # a view taken earlier keeps its values
+    for t in range(3):
         bitgen = np.random.PCG64(np.random.SeedSequence((5, t)))
-        assert np.array_equal(record.words_of(t, 0, 10), bitgen.random_raw(10))
-
-
-def test_a_record_of_another_seed_or_tree_count_is_refused():
-    record = TreeStreams(7, 3)
-    with pytest.raises(ValueError, match="seed 7 and 3 trees"):
-        ForestDraws(8, 3, 10, 4, 2, record)
-    with pytest.raises(ValueError, match="seed 7 and 3 trees"):
-        ForestDraws(7, 2, 10, 4, 2, record)
+        assert np.array_equal(record.words[t], bitgen.random_raw(width))

@@ -49,6 +49,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_forest(np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("y", [[0, 1, 0, 1], [0, 0, 0, 0]])
+    def test_zero_features_rejected(self, y):
+        # With mixed labels a tree would reach a split with no candidates.
+        with pytest.raises(ValueError, match="zero features"):
+            fit_forest(np.zeros((4, 0)), y)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             fit_forest(np.array([[np.nan]]), np.array([0]))

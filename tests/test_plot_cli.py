@@ -1,5 +1,6 @@
 import itertools
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -555,6 +556,15 @@ class TestSummarizeAndPlotCommands:
         # unaggregated, a row is plotted under its own id, whatever it is
         assert main(["plot", str(summary)]) == 0
         assert ">bogus-to</text>" in summary.with_suffix(".svg").read_text()
+
+    def test_a_label_with_markup_characters_is_escaped(self, tmp_path):
+        # Unaggregated, the row plots under its own id, escaped as XML text.
+        summary = tmp_path / "s.csv"
+        write_summary(_summary_rows(["a<b&c"]), summary)
+        assert main(["plot", str(summary)]) == 0
+        root = ElementTree.parse(summary.with_suffix(".svg")).getroot()
+        labels = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b&c" in labels
 
     def test_summarize_reads_step_logs_only(self, tmp_path, capsys):
         # the first summary lands beside the step logs; the second run must
