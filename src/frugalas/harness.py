@@ -31,9 +31,9 @@ import numpy as np
 
 from .forest import ForestConfig
 from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig
-from .preprocess import N_FOLDS, FoldSplit, PreprocessError, make_splits
+from .preprocess import N_FOLDS, FoldSplit, PreprocessError, SplitPlan, make_splits
 from .scenario import Scenario
-from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector
+from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
 
 # perfbench/tracing.py wraps these two names here as well as in `loop`.
 from .preprocess import fit_imputer
@@ -124,6 +124,11 @@ class ExperimentSpec:
     _baselines: dict[tuple[int, int], PassiveBaseline] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Each seed's `make_splits` plan, filled by the first cell of that seed
+    # to run, like `_baselines` and on the same terms.
+    _splits: dict[int, SplitPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # A repeated entry would run a cell twice, into the same files.
@@ -199,13 +204,21 @@ def run_passive_baseline(
 ) -> PassiveBaseline:
     """Fit and evaluate the passive baseline of one fold. The pair forests of
     the timeout-model ensemble are the plain ensemble's, bit for bit (same
-    slot seed paths, same labels), so with `timeout_models` one fit gives
-    both test PAR10 values."""
+    slot seed paths, same labels), so with `timeout_models` one fit and one
+    walk of its forests on the test rows give both test PAR10 values: the
+    plain ensemble votes with the pair slots' rows of that walk."""
     ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
-    par10 = evaluate_selector(ensemble.without_timeouts(), test_instances, scenario)
-    par10_to = None
-    if ensemble.timeout_at is not None:
-        par10_to = evaluate_selector(ensemble, test_instances, scenario)
+    if ensemble.timeout_at is None:
+        # One evaluation, which walks its forests through `select_batch`
+        # (perfbench/test_checks.py plants a wrong selector there).
+        par10 = evaluate_selector(ensemble, test_instances, scenario)
+        return PassiveBaseline(ledger.total, par10, None)
+    test_instances = list(test_instances)
+    rows = [scenario.instance_index(i) for i in test_instances]
+    votes = slot_votes(ensemble, ensemble.imputer.transform(scenario.feature_matrix[rows]))
+    plain = ensemble.without_timeouts()
+    par10 = evaluate_selector(plain, test_instances, scenario, votes[: plain.n_pairs])
+    par10_to = evaluate_selector(ensemble, test_instances, scenario, votes)
     return PassiveBaseline(ledger.total, par10, par10_to)
 
 
@@ -241,11 +254,12 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     step log; a cell whose step log exists computes nothing. A cell outside
     the grid is a ValueError.
 
-    The passive baseline comes from `spec`'s memo. The first cell of a (fold,
-    seed) to run fits it through `run_passive_baseline`, with timeout models
-    exactly when the grid runs `passive-to`, and every later cell of that
-    (fold, seed) reads it: the passive rows and the frugal ratio
-    denominators alike.
+    The split and the passive baseline come from `spec`'s memos. The first
+    cell of a seed to run makes its split through `make_splits`, and the
+    first cell of a (fold, seed) fits its baseline through
+    `run_passive_baseline`, with timeout models exactly when the grid runs
+    `passive-to`; every later cell reads them: the passive rows and the
+    frugal ratio denominators alike.
     """
     if (config_id not in spec.configurations or fold_index not in spec.folds
             or seed not in spec.seeds):
@@ -257,7 +271,9 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
         return path
 
     scenario = spec.scenario
-    plan = make_splits(scenario, seed)
+    plan = spec._splits.get(seed)
+    if plan is None:
+        plan = spec._splits[seed] = make_splits(scenario, seed)
     fold = plan.folds[fold_index]
     timeouts = config_id == "passive-to"
     baseline = spec._baselines.get((fold_index, seed))

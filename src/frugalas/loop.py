@@ -7,10 +7,12 @@ that labels and trains: the passive baseline is its initial phase over the
 whole fold, and a static timeout is a controller that starts at its cap, the
 cutoff. `CostLedger.run` is the one place a cell runs: it replays the
 recorded run, records the observation and charges its CPU-seconds.
-`VoteCache` walks each forest once on each of the loop's fixed row blocks
-and keeps its class-1 tree votes, which the query and the evaluations read
-as integers. A loop's label store, pools, training votes and feature rows
-and its (pair, position) queries share one index: the training position.
+`VoteCache` walks each forest once, right after the retrain that made it,
+on the loop's one fixed row block (the training rows when the query ranks by
+uncertainty, then the validation and test rows) and keeps its class-1 tree
+votes, which the query and the evaluation read as integers. A loop's label
+store, pools, training votes and feature rows and its (pair, position)
+queries share one index: the training position.
 """
 
 from __future__ import annotations
@@ -168,8 +170,9 @@ class VoteCache:
     A slot is walked again only when it holds a forest object other than the
     one it was last walked with (`is`, not equality): `train_ensemble` keeps
     a slot's forest object exactly when its labels are unchanged, and a refit
-    is a new object. Walks happen on first read, not when a forest changes.
-    An untrained (None) slot keeps its last row, which readers ignore.
+    is a new object. The owner refreshes the cache after each retrain, so
+    each forest is walked once, on the whole block. An untrained (None) slot
+    keeps its last row, which readers ignore.
     """
 
     def __init__(self, X: np.ndarray, n_slots: int):
@@ -178,17 +181,15 @@ class VoteCache:
         self.forests: list = [object()] * n_slots
         self.votes = np.zeros((n_slots, X.shape[0]), dtype=np.int64)
 
-    def refresh(self, forests) -> bool:
+    def refresh(self, forests) -> None:
         """Walk, in one `forest_votes` call, the trained slots whose forest
-        is not the one last walked; True when any slot's forest changed,
-        untrained (None) slots included."""
+        is not the one last walked."""
         stale = [s for s, f in enumerate(forests) if f is not self.forests[s]]
         walk = [s for s in stale if forests[s] is not None]
         if walk:
             self.votes[walk] = forest_votes([forests[s] for s in walk], self.X)
         for s in stale:
             self.forests[s] = forests[s]
-        return bool(stale)
 
 
 class FrugalLoop:
@@ -223,7 +224,8 @@ class FrugalLoop:
         self._sides = pair_columns(len(scenario.algorithms))
         rows = [scenario.instance_index(i) for i in self.train]
         self._train_X = self.imputer.transform(scenario.feature_matrix[rows])
-        held_out = [scenario.instance_index(i) for i in self.validation + self.test]
+        self._held_out = self.validation + self.test
+        held_out = [scenario.instance_index(i) for i in self._held_out]
         held_out_X = self.imputer.transform(scenario.feature_matrix[held_out])
         self.rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 100)))
 
@@ -256,11 +258,16 @@ class FrugalLoop:
 
         self.ensemble: SelectorEnsemble | None = None
         self.ensemble = self._retrain()
-        # Pair slots on the training rows (the uncertainty query); every
-        # slot on the validation rows, then the test rows (the evaluations).
-        self._train_votes = VoteCache(self._train_X, len(self.ensemble.pair_forests))
-        self._held_out_votes = VoteCache(held_out_X, len(self.ensemble.forests))
-        # (validation, test) PAR10 of the forests `_held_out_votes` holds.
+        # Every slot on one block: the training rows, which only the
+        # uncertainty query reads, then the validation and test rows, which
+        # each evaluation reads. Nothing is walked before the first query or
+        # the first retrain.
+        self._query_rows = n if cfg.selection == "uncertainty" else 0
+        block = np.concatenate((self._train_X, held_out_X)) if self._query_rows else held_out_X
+        self._votes = VoteCache(block, len(self.ensemble.forests))
+        # The slot forests last evaluated (fresh objects: none yet), and
+        # their (validation, test) PAR10.
+        self._evaluated: list = [object()] * len(self.ensemble.forests)
         self._par10: tuple[float, float] | None = None
 
     # -- helpers -------------------------------------------------------------
@@ -291,14 +298,18 @@ class FrugalLoop:
     def pair_confidences(self) -> np.ndarray:
         """(n_pairs, n_train) max posterior of each pair's model on every
         training instance, `max(k - v, v) / k` from `k` trees with `v`
-        class-1 votes; an abstaining (untrained) pair scores 0.5. Votes come
-        from `_train_votes`, which walks only the pair forests that changed
-        since the last query."""
+        class-1 votes; an abstaining (untrained) pair scores 0.5. An
+        uncertainty loop reads the votes from `_votes`, which walks only
+        forests no retrain has walked yet (the first query's); a random loop,
+        whose block holds no training rows, walks its pair forests here."""
         forests = self.ensemble.pair_forests
-        self._train_votes.refresh(forests)
         trained = [p for p, f in enumerate(forests) if f is not None]
         k = np.array([len(forests[p].roots) for p in trained]).reshape(-1, 1)
-        v = self._train_votes.votes[trained]
+        if self._query_rows:
+            self._votes.refresh(self.ensemble.forests)
+            v = self._votes.votes[trained, : self._query_rows]
+        else:
+            v = forest_votes([forests[p] for p in trained], self._train_X)
         confidence = np.full(self.pool.shape, 0.5)
         confidence[trained] = np.maximum(k - v, v) / k
         return confidence
@@ -312,7 +323,7 @@ class FrugalLoop:
         position, so the pairs whose model is most uncertain contribute more
         cells. Random draws uniformly without replacement from the list and
         keeps the listed order. An empty pool selects nothing and reads
-        neither `rng` nor the vote caches.
+        neither `rng` nor the vote cache.
         """
         pair, pos = np.nonzero(self.pool)
         if not pos.size:
@@ -354,15 +365,19 @@ class FrugalLoop:
             self.execute_request(p, k)
         self._update_pools()
         self.ensemble = self._retrain()
+        forests = self.ensemble.forests
+        self._votes.refresh(forests)
 
         # Only the forests decide what the selector picks, so a round that
-        # kept the forests last evaluated keeps both PAR10 values as well.
-        if self._held_out_votes.refresh(self.ensemble.forests):
-            votes, v = self._held_out_votes.votes, len(self.validation)
-            self._par10 = (
-                evaluate_selector(self.ensemble, self.validation, self.scenario, votes[:, :v]),
-                evaluate_selector(self.ensemble, self.test, self.scenario, votes[:, v:]),
+        # holds the forests last evaluated keeps both PAR10 values as well.
+        # The loop keeps its own record of them: the first query's walk also
+        # refreshes the cache, before any evaluation.
+        if any(f is not e for f, e in zip(forests, self._evaluated)):
+            self._par10 = evaluate_selector(
+                self.ensemble, self._held_out, self.scenario,
+                self._votes.votes[:, self._query_rows :], split=len(self.validation),
             )
+            self._evaluated = list(forests)
         validation_par10, test_par10 = self._par10
         # A plateau-triggered increase takes effect from the next step on.
         self.controller.observe(validation_par10)

@@ -9,6 +9,7 @@ every algorithm is predicted to time out.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +28,14 @@ def algorithm_pairs(algorithms) -> list[tuple[str, str]]:
     ]
 
 
+@lru_cache(maxsize=64)  # one entry per portfolio size
 def pair_columns(n_algorithms: int) -> np.ndarray:
     """(2, n_pairs) intp: the portfolio positions of each pair's first and
-    second algorithm, in `algorithm_pairs` order."""
-    return np.array(algorithm_pairs(range(n_algorithms)), dtype=np.intp).reshape(-1, 2).T
+    second algorithm, in `algorithm_pairs` order. Read-only: every caller
+    shares it."""
+    columns = np.array(algorithm_pairs(range(n_algorithms)), dtype=np.intp).reshape(-1, 2).T
+    columns.flags.writeable = False
+    return columns
 
 
 @dataclass
@@ -139,6 +144,16 @@ def train_ensemble(
     return SelectorEnsemble(algorithms, forests, imputer, timeout_at, labels, streams)
 
 
+def slot_votes(ensemble: SelectorEnsemble, X) -> np.ndarray:
+    """(n_slots, n) int64 class-1 tree votes of every trained slot's forest
+    on the imputed rows `X`, walked in one `forest_votes` call; an untrained
+    slot's row is 0."""
+    trained = [s for s, f in enumerate(ensemble.forests) if f is not None]
+    votes = np.zeros((len(ensemble.forests), np.atleast_2d(X).shape[0]), dtype=np.int64)
+    votes[trained] = forest_votes([ensemble.forests[s] for s in trained], X)
+    return votes
+
+
 def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:
     """Pick an algorithm for each raw (unimputed) feature vector.
 
@@ -147,16 +162,16 @@ def select_batch(ensemble: SelectorEnsemble, raw_rows) -> list[str]:
     for its predicted winner; the earliest algorithm wins a tie.
     """
     X = ensemble.imputer.transform(np.atleast_2d(np.asarray(raw_rows, dtype=np.float64)))
-    trained = [s for s, f in enumerate(ensemble.forests) if f is not None]
-    votes = np.zeros((len(ensemble.forests), X.shape[0]), dtype=np.int64)
-    votes[trained] = forest_votes([ensemble.forests[s] for s in trained], X)
-    return _vote(ensemble, votes)
+    return [ensemble.algorithms[a] for a in _vote(ensemble, slot_votes(ensemble, X)).tolist()]
 
 
-def _vote(ensemble: SelectorEnsemble, votes: np.ndarray) -> list[str]:
+def _vote(ensemble: SelectorEnsemble, votes: np.ndarray) -> np.ndarray:
     """`select_batch`'s rule on `votes`, the class-1 tree votes of each
     slot's forest: one row per slot in slot order (an untrained slot's row is
-    ignored) and one column per row selected for.
+    ignored) and one column per row selected for. Returns the portfolio
+    position (in `ensemble.algorithms`) picked for each column, as intp.
+    Each column is decided on its own, so votes on several row blocks, laid
+    side by side, decide each block as its own call would.
 
     A forest of `k` trees with `v` class-1 votes predicts class 1 when
     `2 * v > k`. That is the float rule `v / k > (k - v) / k`, and for a
@@ -181,30 +196,41 @@ def _vote(ensemble: SelectorEnsemble, votes: np.ndarray) -> list[str]:
     cell = winner * n + np.arange(n)
     counts = np.bincount(cell[admitted], minlength=m * n).reshape(m, n)
     counts[excluded] = -1
-    return [ensemble.algorithms[a] for a in counts.argmax(axis=0).tolist()]
+    return counts.argmax(axis=0)
+
+
+def _total(scores) -> float:
+    """`scores` summed left to right in Python floats."""
+    total = 0.0
+    for score in scores:
+        total += score
+    return total
 
 
 def evaluate_selector(
-    ensemble: SelectorEnsemble, instances, scenario: Scenario, votes=None
-) -> float:
+    ensemble: SelectorEnsemble, instances, scenario: Scenario, votes=None, split=None
+) -> float | tuple[float, float]:
     """Total PAR10 of the selected algorithms' true recorded runs, summed
-    left to right.
+    left to right; with `split`, the totals of `instances[:split]` and of
+    `instances[split:]`, each summed left to right, as a pair.
 
-    `votes` is the (n_slots, len(instances)) int64 `forest_votes` matrix of
-    every trained slot on `instances`, from a caller that already walked
-    those forests on those rows; an untrained slot's row is ignored. None
+    `votes` is the (n_slots, len(instances)) int64 vote matrix of every
+    trained slot on `instances` (as `slot_votes` makes it), from a caller
+    that already walked those forests on those rows; an untrained slot's row
+    is ignored, and the ensemble's portfolio must be the scenario's. None
     walks them here, through `select_batch`."""
     instances = list(instances)
     if not instances:
-        return 0.0
+        return 0.0 if split is None else (0.0, 0.0)
     rows = [scenario.instance_index(i) for i in instances]
-    column = {a: k for k, a in enumerate(scenario.algorithms)}
     if votes is None:
-        selected = select_batch(ensemble, scenario.feature_matrix[rows])
+        column = {a: k for k, a in enumerate(scenario.algorithms)}
+        selected = [column[a] for a in select_batch(ensemble, scenario.feature_matrix[rows])]
+    elif ensemble.algorithms != scenario.algorithms:
+        raise ValueError("votes index the ensemble's portfolio, which is not the scenario's")
     else:
         selected = _vote(ensemble, votes)
-    columns = [column[a] for a in selected]
-    total = 0.0
-    for score in scenario.par10[rows, columns].tolist():
-        total += score
-    return total
+    scores = scenario.par10[rows, selected].tolist()
+    if split is None:
+        return _total(scores)
+    return _total(scores[:split]), _total(scores[split:])

@@ -29,7 +29,7 @@ from frugalas.labels import Censored, LabelStore, Solved
 from frugalas.loop import CostLedger
 from frugalas.preprocess import FoldSplit, PreprocessError, fit_imputer, make_splits
 from frugalas.scenario import OK, TIMEOUT
-from frugalas.selector import train_ensemble
+from frugalas.selector import evaluate_selector, train_ensemble
 from frugalas.synthetic import make_synthetic_scenario
 
 
@@ -124,6 +124,35 @@ class TestPassiveBaseline:
         runtimes = np.column_stack([base, base + 5.0])
         features = rng.uniform(size=(n, 2))
         return build_scenario(runtimes, features=features)
+
+    @pytest.mark.parametrize("timeout_models", [False, True])
+    def test_walks_its_forests_once(self, monkeypatch, timeout_models):
+        import frugalas.selector as selector_mod
+
+        walks = []  # (forests, rows) of each `forest_votes` call
+        votes = selector_mod.forest_votes
+
+        def counted(forests, X):
+            walks.append((list(forests), np.shape(X)[0]))
+            return votes(forests, X)
+
+        monkeypatch.setattr(selector_mod, "forest_votes", counted)
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, seed=0)
+        fold = plan.folds[0]
+        baseline = run_passive_baseline(s, fold, plan.test, 0, timeout_models, n_trees=5)
+        # one walk of every trained slot on the test rows
+        [(forests, rows)] = walks
+        assert rows == len(plan.test)
+        ensemble, _ = passive_ensemble(s, fold, 0, timeout_models, n_trees=5)
+        trained = [f for f in ensemble.forests if f is not None]
+        assert [dump_trees(f) for f in forests] == [dump_trees(f) for f in trained]
+        # the same values as evaluations that walk their own forests
+        assert baseline.par10 == evaluate_selector(ensemble.without_timeouts(), plan.test, s)
+        if timeout_models:
+            assert baseline.par10_to == evaluate_selector(ensemble, plan.test, s)
+        else:
+            assert baseline.par10_to is None
 
     def test_separable_passive_reaches_test_vbs(self):
         s = self._dominant_scenario()
@@ -425,6 +454,33 @@ class TestBaselineMemo:
         # the memo is no part of a spec's value
         assert dataclasses.replace(spec) == spec
         assert "_baselines" not in repr(spec)
+
+
+class TestSplitMemo:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_split_per_seed_and_task(self, tmp_path, monkeypatch, jobs):
+        if jobs > 1:
+            _in_process_pool(monkeypatch)
+        seeds = []
+        split = harness.make_splits
+
+        def counting(scenario, seed):
+            seeds.append(seed)
+            return split(scenario, seed)
+
+        monkeypatch.setattr(harness, "make_splits", counting)
+        spec = _small_spec(
+            tmp_path, configurations=TestBaselineMemo.CONFIGS, folds=[0, 1], seeds=[0, 1],
+            jobs=jobs,
+        )
+        assert len(run_grid(spec)) == 16
+        if jobs == 1:
+            assert seeds == [0, 1]  # one split per seed
+            assert sorted(spec._splits) == [0, 1]
+        else:
+            assert sorted(seeds) == [0, 0, 1, 1]  # one per unit, on the task's own copy
+            assert spec._splits == {}
+        assert "_splits" not in repr(spec)
 
 
 class TestLoopThatNeverSteps:

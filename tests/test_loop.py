@@ -713,21 +713,23 @@ class TestRetrainReuse:
 
 
 class TestEvaluationReuse:
-    def test_round_that_refits_nothing_evaluates_nothing(self, monkeypatch):
-        import frugalas.loop as loop_mod
-
-        calls = []
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []  # the arguments of each `evaluate_selector` call in the loop
         evaluate = loop_mod.evaluate_selector
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return evaluate(*args)
+            return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(loop_mod, "evaluate_selector", counted)
+        return calls
+
+    def test_round_that_refits_nothing_evaluates_nothing(self, calls, monkeypatch):
         loop, s = make_loop(n_train=12, n_algorithms=3, batch_frac=0.15, timeout_predictor=True)
         assert loop.batch == 2
         first = loop.step()
-        assert len(calls) == 2  # validation and test
+        assert len(calls) == 1  # one evaluation: the validation and test rows together
 
         # Requests that run nothing change no label, so no forest is refit.
         monkeypatch.setattr(loop, "execute_request", lambda pair, position: None)
@@ -736,15 +738,42 @@ class TestEvaluationReuse:
         after = loop.ensemble
         for new, old in zip(after.forests, before.forests, strict=True):
             assert new is old
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert record.step == first.step + 1
-        assert record.validation_par10 == evaluate(after, loop.validation, s)
-        assert record.test_par10 == evaluate(after, loop.test, s)
+        assert record.validation_par10 == evaluate_selector(after, loop.validation, s)
+        assert record.test_par10 == evaluate_selector(after, loop.test, s)
+
+    @pytest.mark.parametrize("config_id", ["uncertainty-to-dt", "random-to"])
+    def test_one_evaluation_per_round_with_new_forests(self, calls, config_id, tmp_path):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        # A first round that refits nothing still evaluates, although an
+        # uncertainty query has walked every forest by then.
+        loop.execute_request = lambda pair, position: None
+        initial = list(loop.ensemble.forests)
+        record = loop.step()
+        assert all(new is old for new, old in zip(loop.ensemble.forests, initial, strict=True))
+        assert len(calls) == 1
+        assert record.test_par10 == evaluate_selector(loop.ensemble, loop.test, s)
+        del loop.execute_request
+
+        evaluated = rounds = 0
+        while True:
+            before, done = list(loop.ensemble.forests), len(calls)
+            if loop.step() is None:
+                break
+            rounds += 1
+            changed = any(new is not old for new, old in zip(loop.ensemble.forests, before))
+            assert len(calls) - done == changed
+            evaluated += changed
+        assert 0 < evaluated <= rounds
+        assert loop.resolved_cells == loop.total_cells
 
 
 class TestVoteCache:
-    """Counts the forests each `forest_votes` call in the loop walks, by the
-    block of rows it walks them on."""
+    """Counts the forests each `forest_votes` call in the loop walks."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -765,40 +794,50 @@ class TestVoteCache:
         cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
         loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
         assert walks == []
-        blocks = {"train": loop._train_votes.X, "held out": loop._held_out_votes.X}
-        walked = {name: [] for name in blocks}
-        # Per block, the slot forests it last read; None = not read yet.
-        last = {name: None for name in blocks}
+        # One block for every slot: the training rows for an uncertainty
+        # query, then the validation and test rows.
+        uncertainty = cfg.selection == "uncertainty"
+        held_out = loop.imputer.transform(
+            s.feature_matrix[[s.instance_index(i) for i in loop.validation + loop.test]]
+        )
+        block = loop._votes.X
+        expected_block = np.concatenate((loop._train_X, held_out)) if uncertainty else held_out
+        assert block.tobytes() == expected_block.tobytes()
+        # The slot forests last walked; a fresh object was never walked.
+        last = [object()] * len(loop.ensemble.forests)
 
-        def expect(name, forests):
-            old = last[name] or [object()] * len(forests)
-            last[name] = forests
-            return [f for f, o in zip(forests, old) if f is not None and f is not o]
+        def expect(forests):
+            changed = [f for slot, f in enumerate(forests) if f is not None and f is not last[slot]]
+            last[:] = forests
+            return changed
 
+        # Every forest a query or an evaluation reads: a random loop never
+        # reads the forests its first retrain replaces.
+        read = [f for f in loop.ensemble.forests if f is not None] if uncertainty else []
+        walked, first = [], True
         while True:
             start = len(walks)
-            pairs = loop.ensemble.pair_forests
+            # The query walks only what no retrain walked: the first
+            # uncertainty query's initial forests.
+            query = expect(loop.ensemble.forests) if uncertainty else []
+            assert not query or first
             if loop.step() is None:
                 break
-            forests = loop.ensemble.forests
-            expected = {
-                "train": expect("train", pairs) if cfg.selection == "uncertainty" else [],
-                "held out": expect("held out", forests),
-            }
-            for name, X in blocks.items():
-                calls = [fs for rows, fs in walks[start:] if rows is X]
-                assert len(calls) <= 1  # one `forest_votes` call per block and round
-                round_walks = [f for fs in calls for f in fs]
-                assert [id(f) for f in round_walks] == [id(f) for f in expected[name]]
-                walked[name] += round_walks
-        assert all(any(rows is X for X in blocks.values()) for rows, _ in walks)
-        for forests in walked.values():
-            assert len({id(f) for f in forests}) == len(forests)  # at most once per block
-        if cfg.selection == "random":
-            assert walked["train"] == []
-        else:
-            assert walked["train"]
-        assert walked["held out"]
+            retrain = expect(loop.ensemble.forests)
+            read += [f for f in loop.ensemble.forests if f is not None]
+            calls = [fs for _, fs in walks[start:]]
+            assert all(rows is block for rows, _ in walks[start:])
+            # one `forest_votes` call per round, after the retrain, and the
+            # first uncertainty query's before it
+            assert [[id(f) for f in fs] for fs in calls] == [
+                [id(f) for f in fs] for fs in (query, retrain) if fs
+            ]
+            walked += [f for fs in calls for f in fs]
+            first = False
+        # each forest of the loop is walked once
+        assert len({id(f) for f in walked}) == len(walked)
+        assert {id(f) for f in walked} == {id(f) for f in read}
+        assert walked
 
     def test_passive_baseline_walks_nothing(self, walks):
         s = make_synthetic_scenario(60, 3, seed=0)

@@ -20,6 +20,7 @@ from frugalas.selector import (
     algorithm_pairs,
     evaluate_selector,
     select_batch,
+    slot_votes,
     train_ensemble,
 )
 
@@ -449,6 +450,27 @@ class TestEvaluate:
         assert type(total) is float
         assert repr(total) == "0.9999999999999999"
         assert total != float(np.sum(np.full(10, 0.1)))
+
+    def test_split_totals_match_one_evaluation_per_part(self):
+        # one vote matrix over both parts; each part summed left to right,
+        # to the bit, as its own evaluation sums it
+        s = build_scenario(np.column_stack([np.full(10, 0.1), np.full(10, 5.0)]))
+        ens = _ensemble(s, {("a0", "a1"): "a"}, timeouts={"a1"})
+        votes = slot_votes(ens, ens.imputer.transform(s.feature_matrix))
+        first, second = evaluate_selector(ens, s.instances, s, votes, split=4)
+        assert first == evaluate_selector(ens, s.instances[:4], s)
+        assert second == evaluate_selector(ens, s.instances[4:], s)
+        assert repr(second) == repr(0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1)
+        assert evaluate_selector(ens, s.instances, s, votes) == evaluate_selector(ens, s.instances, s)
+
+    def test_votes_must_index_the_scenarios_portfolio(self):
+        s = build_scenario([[1.0, 9.0], [2.0, 9.0]])
+        ens = _ensemble(s, {("a0", "a1"): "a"})
+        votes = slot_votes(ens, ens.imputer.transform(s.feature_matrix))
+        swapped = SelectorEnsemble(["a1", "a0"], ens.forests, ens.imputer)
+        assert evaluate_selector(swapped, s.instances, s) == 18.0  # by name, without votes
+        with pytest.raises(ValueError, match="portfolio"):
+            evaluate_selector(swapped, s.instances, s, votes)
 
     def test_par10_table_is_built_on_first_use(self):
         s = build_scenario(
