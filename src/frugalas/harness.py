@@ -5,10 +5,16 @@ The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
 the loop is the one engine that labels and trains for every configuration.
 A grid's task is one (fold, seed) unit: it runs the unit's cells in
 configuration order on one copy of the spec, on one job or many. The unit
-fits its passive baseline once, with timeout models exactly when the grid
-runs `passive-to`, and keeps only its cost and test PAR10 values: the
-`passive` and `passive-to` rows and every frugal cell's ratio denominators
-read them.
+makes its imputer once and fits its passive baseline once, with timeout
+models exactly when the grid runs `passive-to`, and keeps only the
+baseline's cost and test PAR10 values: the `passive` and `passive-to` rows
+and every frugal cell's ratio denominators read them.
+
+Under a static timeout the timeout models only filter the vote, so an X-to
+loop (X `uncertainty` or `random`) queries, runs and fits its pair forests
+exactly as an X loop does. A unit that runs both cells of such a pair runs
+one X-to loop, which also scores its pair forests alone, and writes both
+step logs from it, bit for bit as two loops would.
 
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
 columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
@@ -31,7 +37,7 @@ import numpy as np
 
 from .forest import ForestConfig
 from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig
-from .preprocess import N_FOLDS, FoldSplit, PreprocessError, SplitPlan, make_splits
+from .preprocess import N_FOLDS, FoldSplit, ImputerModel, PreprocessError, SplitPlan, make_splits
 from .scenario import Scenario
 from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
 
@@ -50,6 +56,13 @@ FRUGAL_CONFIGS = [
     "random-to-dt",
 ]
 PASSIVE_CONFIGS = ["passive", "passive-to"]
+# Each static frugal configuration and its partner: X and X-to.
+STATIC_PARTNERS = {
+    "uncertainty": "uncertainty-to",
+    "uncertainty-to": "uncertainty",
+    "random": "random-to",
+    "random-to": "random",
+}
 N_SEEDS = 5
 
 STEP_COLUMNS = [
@@ -129,6 +142,17 @@ class ExperimentSpec:
     _splits: dict[int, SplitPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Each (fold, seed)'s imputer, fit on the fold's training instances by
+    # the unit's first loop or baseline, on the same terms.
+    _imputers: dict[tuple[int, int], ImputerModel] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # Step-log records of a static cell whose partner's loop computed them,
+    # by (config, fold, seed); the cell's `run_cell` pops its entry. On the
+    # same terms again: a unit leaves its entries on its own copy.
+    _paired: dict[tuple[str, int, int], list[tuple]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         # A repeated entry would run a cell twice, into the same files.
@@ -176,11 +200,13 @@ def passive_ensemble(
     seed: int,
     timeout_models: bool = False,
     n_trees: int = ForestConfig.n_trees,
+    imputer: ImputerModel | None = None,
 ) -> tuple[SelectorEnsemble, CostLedger]:
     """Selector trained on the full fold at cutoff, and the ledger that
     charged its labelling: `FrugalLoop`'s initial phase over the whole fold,
     which runs every training instance on every algorithm at the cutoff,
-    in fold order, before any model exists (step 0)."""
+    in fold order, before any model exists (step 0). `imputer` is the fold's,
+    as `FrugalLoop` takes it."""
     cfg = LoopConfig(
         timeout_predictor=timeout_models,
         # An empty fold fails in FrugalLoop, with PreprocessError.
@@ -188,7 +214,7 @@ def passive_ensemble(
         seed=seed,
         forest=ForestConfig(n_trees=n_trees, seed=seed),
     )
-    loop = FrugalLoop(scenario, fold, (), cfg)
+    loop = FrugalLoop(scenario, fold, (), cfg, imputer)
     if all(f is None for f in loop.ensemble.pair_forests):
         raise PreprocessError("no labelled data: every pairwise model would be untrained")
     return loop.ensemble, loop.ledger
@@ -201,13 +227,14 @@ def run_passive_baseline(
     seed: int,
     timeout_models: bool = False,
     n_trees: int = ForestConfig.n_trees,
+    imputer: ImputerModel | None = None,
 ) -> PassiveBaseline:
     """Fit and evaluate the passive baseline of one fold. The pair forests of
     the timeout-model ensemble are the plain ensemble's, bit for bit (same
     slot seed paths, same labels), so with `timeout_models` one fit and one
     walk of its forests on the test rows give both test PAR10 values: the
     plain ensemble votes with the pair slots' rows of that walk."""
-    ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees)
+    ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees, imputer)
     if ensemble.timeout_at is None:
         # One evaluation, which walks its forests through `select_batch`
         # (perfbench/test_checks.py plants a wrong selector there).
@@ -254,18 +281,26 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     step log; a cell whose step log exists computes nothing. A cell outside
     the grid is a ValueError.
 
-    The split and the passive baseline come from `spec`'s memos. The first
-    cell of a seed to run makes its split through `make_splits`, and the
-    first cell of a (fold, seed) fits its baseline through
-    `run_passive_baseline`, with timeout models exactly when the grid runs
-    `passive-to`; every later cell reads them: the passive rows and the
-    frugal ratio denominators alike.
+    The split, the imputer and the passive baseline come from `spec`'s
+    memos. The first cell of a seed to run makes its split through
+    `make_splits`, and the first cell of a (fold, seed) to need them fits
+    its imputer and its baseline, through `fit_imputer` and
+    `run_passive_baseline` (with timeout models exactly when the grid runs
+    `passive-to`); every later cell reads them: the loops, the passive rows
+    and the frugal ratio denominators alike.
+
+    A static frugal cell (X or X-to, for X `uncertainty` or `random`) whose
+    partner is in the grid with no step log yet runs one X-to loop for both
+    cells: it writes its own log and leaves the partner's records in
+    `spec._paired`, from which the partner's `run_cell` writes its log
+    without running a loop.
     """
     if (config_id not in spec.configurations or fold_index not in spec.folds
             or seed not in spec.seeds):
         raise ValueError(
             f"cell ({config_id!r}, fold {fold_index}, seed {seed}) is outside the spec's grid"
         )
+    records = spec._paired.pop((config_id, fold_index, seed), None)
     path = _cell_path(spec.out_dir, config_id, fold_index, seed)
     if path.exists():
         return path
@@ -281,6 +316,7 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
         baseline = run_passive_baseline(
             scenario, fold, plan.test, seed,
             timeout_models="passive-to" in spec.configurations, n_trees=spec.n_trees,
+            imputer=_imputer(spec, fold_index, seed),
         )
         spec._baselines[fold_index, seed] = baseline
 
@@ -289,17 +325,8 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
         n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
         test_par10 = baseline.par10_to if timeouts else baseline.par10
         records = [(1, scenario.cutoff, n_cells, baseline.cost, 1.0, test_par10)]
-    else:
-        loop = FrugalLoop(scenario, fold, plan.test, spec.loop_config(config_id, seed))
-        records = [
-            (r.step, r.timeout, r.requests, r.cost, r.data_frac, r.test_par10)
-            for r in loop.run()
-        ]
-        if not records:
-            # The initial phase settled every pool cell, so the loop never
-            # stepped: log what it had at step 0.
-            test_par10 = evaluate_selector(loop.ensemble, plan.test, scenario)
-            records = [(0, loop.controller.current, 0, loop.ledger.total, 1.0, test_par10)]
+    elif records is None:
+        records = _frugal_records(spec, config_id, fold_index, seed)
     rows = [
         {
             "config": config_id,
@@ -319,6 +346,60 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     ]
     _write_csv(path, STEP_COLUMNS, rows)
     return path
+
+
+def _imputer(spec: ExperimentSpec, fold_index: int, seed: int) -> ImputerModel:
+    """The (fold, seed)'s imputer from `spec._imputers`, fit on first use."""
+    imputer = spec._imputers.get((fold_index, seed))
+    if imputer is None:
+        fold = spec._splits[seed].folds[fold_index]
+        imputer = spec._imputers[fold_index, seed] = fit_imputer(spec.scenario, fold.train)
+    return imputer
+
+
+def _frugal_records(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> list:
+    """A frugal cell's step-log records, one per labelling round (one at
+    step 0 when its loop never steps).
+
+    Under a static timeout the timeout models only filter the vote: they
+    steer no query and no run, and the pair slots of an X-to ensemble are
+    X's, with the same seed paths and labels. So an X-to loop labels,
+    charges and fits its pair forests exactly as an X loop does, round for
+    round, and scores its pair forests alone as X does. When the cell's
+    static partner is in the grid with no step log yet, one X-to loop gives
+    both cells' records, bit for bit, and the partner's go to
+    `spec._paired`."""
+    flags = parse_config_id(config_id)
+    partner = STATIC_PARTNERS.get(config_id)
+    if (partner not in spec.configurations
+            or _cell_path(spec.out_dir, partner, fold_index, seed).exists()):
+        partner = None
+    run_id = config_id if partner is None else f"{flags['selection']}-to"
+    plan = spec._splits[seed]
+    loop = FrugalLoop(
+        spec.scenario, plan.folds[fold_index], plan.test, spec.loop_config(run_id, seed),
+        _imputer(spec, fold_index, seed),
+    )
+    steps = loop.run()
+
+    def records(plain: bool) -> list[tuple]:
+        if not steps:
+            # The initial phase settled every pool cell, so the loop never
+            # stepped: log what it had at step 0.
+            ensemble = loop.ensemble.without_timeouts() if plain else loop.ensemble
+            test_par10 = evaluate_selector(ensemble, plan.test, spec.scenario)
+            return [(0, loop.controller.current, 0, loop.ledger.total, 1.0, test_par10)]
+        return [
+            (r.step, r.timeout, r.requests, r.cost, r.data_frac,
+             r.plain_test_par10 if plain else r.test_par10)
+            for r in steps
+        ]
+
+    if partner is None:
+        return records(plain=False)
+    # Of the two cells, X logs the pair forests alone.
+    spec._paired[partner, fold_index, seed] = records(plain=partner == flags["selection"])
+    return records(plain=config_id == flags["selection"])
 
 
 def _run_unit(spec: ExperimentSpec, fold: int, seed: int) -> list[Path]:

@@ -7,6 +7,9 @@ that labels and trains: the passive baseline is its initial phase over the
 whole fold, and a static timeout is a controller that starts at its cap, the
 cutoff. `CostLedger.run` is the one place a cell runs: it replays the
 recorded run, records the observation and charges its CPU-seconds.
+A loop with timeout models under a static timeout also scores its pair
+forests alone, which is what the loop without them logs: the timeout models
+then steer no query and no run.
 `VoteCache` walks each forest once, right after the retrain that made it,
 on the loop's one fixed row block (the training rows when the query ranks by
 uncertainty, then the validation and test rows) and keeps its class-1 tree
@@ -162,6 +165,10 @@ class StepRecord:
     cost: float  # cumulative charged CPU-seconds
     validation_par10: float
     test_par10: float
+    # The test PAR10 of the pair forests alone, which a loop with timeout
+    # models under a static timeout scores too: the static X cell's value,
+    # as its X-to loop computes it. None for every other loop.
+    plain_test_par10: float | None = None
 
 
 class VoteCache:
@@ -199,7 +206,11 @@ class FrugalLoop:
     instead of sharing one.
     """
 
-    def __init__(self, scenario: Scenario, fold: FoldSplit, test_instances, cfg: LoopConfig):
+    def __init__(
+        self, scenario: Scenario, fold: FoldSplit, test_instances, cfg: LoopConfig, imputer=None
+    ):
+        """`imputer` is `fit_imputer(scenario, fold.train)`, when the caller
+        already holds it; None fits it here."""
         self.scenario = scenario
         self.cfg = cfg
         self.train = list(fold.train)
@@ -207,7 +218,7 @@ class FrugalLoop:
         self.test = list(test_instances)
         n = len(self.train)
         # An empty fold fails here, with PreprocessError.
-        self.imputer = fit_imputer(scenario, self.train)
+        self.imputer = fit_imputer(scenario, self.train) if imputer is None else imputer
 
         # The ceiling of the exact product with the decimal `batch_frac` was
         # written as: in floats, 0.07 * 100 is 7.000000000000001.
@@ -266,9 +277,12 @@ class FrugalLoop:
         block = np.concatenate((self._train_X, held_out_X)) if self._query_rows else held_out_X
         self._votes = VoteCache(block, len(self.ensemble.forests))
         # The slot forests last evaluated (fresh objects: none yet), and
-        # their (validation, test) PAR10.
+        # their (validation, test, plain test) PAR10. Under a static timeout
+        # the timeout models steer no query and no run, so a loop with them
+        # also scores its pair forests alone: the plain test PAR10.
         self._evaluated: list = [object()] * len(self.ensemble.forests)
-        self._par10: tuple[float, float] | None = None
+        self._par10: tuple[float, float, float | None] | None = None
+        self._scores_plain = cfg.timeout_predictor and not cfg.dynamic_timeout
 
     # -- helpers -------------------------------------------------------------
 
@@ -373,12 +387,20 @@ class FrugalLoop:
         # The loop keeps its own record of them: the first query's walk also
         # refreshes the cache, before any evaluation.
         if any(f is not e for f, e in zip(forests, self._evaluated)):
-            self._par10 = evaluate_selector(
-                self.ensemble, self._held_out, self.scenario,
-                self._votes.votes[:, self._query_rows :], split=len(self.validation),
+            votes = self._votes.votes[:, self._query_rows :]
+            validation_par10, test_par10 = evaluate_selector(
+                self.ensemble, self._held_out, self.scenario, votes, split=len(self.validation)
             )
+            plain_test_par10 = None
+            if self._scores_plain:
+                plain = self.ensemble.without_timeouts()
+                plain_test_par10 = evaluate_selector(
+                    plain, self.test, self.scenario,
+                    votes[: plain.n_pairs, len(self.validation) :],
+                )
+            self._par10 = validation_par10, test_par10, plain_test_par10
             self._evaluated = list(forests)
-        validation_par10, test_par10 = self._par10
+        validation_par10, test_par10, plain_test_par10 = self._par10
         # A plateau-triggered increase takes effect from the next step on.
         self.controller.observe(validation_par10)
         return StepRecord(
@@ -390,6 +412,7 @@ class FrugalLoop:
             cost=self.ledger.total,
             validation_par10=validation_par10,
             test_par10=test_par10,
+            plain_test_par10=plain_test_par10,
         )
 
     def run(self, max_steps: int | None = None) -> list[StepRecord]:

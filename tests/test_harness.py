@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import build_scenario, training_block
+import frugalas.loop as loop_mod
 from frugalas import harness
 from frugalas.harness import (
     FRUGAL_CONFIGS,
@@ -516,6 +517,135 @@ class TestLoopThatNeverSteps:
         log.write_text(",".join(STEP_COLUMNS) + "\n")
         with pytest.raises(ResultsError, match="fold00_seed0.csv: a step log with no rows"):
             read_step_logs(tmp_path / "runs")
+
+
+STATIC = ["uncertainty", "uncertainty-to", "random", "random-to"]
+
+
+def _count_loops(monkeypatch) -> list:
+    """Patch `FrugalLoop.run` to record the (selection, timeout predictor)
+    of each loop that runs; the passive baseline's loop never does."""
+    loops = []
+    run = loop_mod.FrugalLoop.run
+
+    def counting(loop, *args):
+        loops.append((loop.cfg.selection, loop.cfg.timeout_predictor))
+        return run(loop, *args)
+
+    monkeypatch.setattr(loop_mod.FrugalLoop, "run", counting)
+    return loops
+
+
+class TestStaticPairs:
+    """A unit that runs both cells of a static pair (X and X-to) runs one
+    X-to loop for the two."""
+
+    CASES = {
+        "three-algorithms": dict(scenario=make_synthetic_scenario(40, 3, seed=0)),
+        "two-algorithms": dict(scenario=make_synthetic_scenario(40, 2, seed=1)),
+        # the initial phase settles every pool cell, so no loop steps
+        "settled-initially": dict(scenario=make_synthetic_scenario(40, 3, seed=2), batch_frac=1.0),
+    }
+
+    def _spec(self, out_dir, case, **kwargs):
+        settings = dict(folds=[0, 1], seeds=[0], n_trees=3) | self.CASES[case] | kwargs
+        return ExperimentSpec(out_dir=out_dir, **settings)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("order", [STATIC, STATIC[::-1]], ids=["forward", "reverse"])
+    def test_paired_logs_equal_single_configuration_logs(self, tmp_path, monkeypatch, case, order):
+        for config_id in STATIC:
+            run_grid(self._spec(tmp_path / "single" / config_id, case, configurations=[config_id]))
+        single = {}
+        for config_id in STATIC:
+            single |= _logs(tmp_path / "single" / config_id)
+        loops = _count_loops(monkeypatch)
+        spec = self._spec(tmp_path / "paired", case, configurations=order)
+        run_grid(spec)
+        assert _logs(spec.out_dir) == single
+        # one loop per pair and unit, and it is the X-to loop
+        assert sorted(loops) == sorted([("random", True), ("uncertainty", True)] * 2)
+        assert spec._paired == {}
+
+    @pytest.mark.parametrize("deleted", STATIC)
+    def test_resume_recomputes_only_the_missing_cell(self, tmp_path, monkeypatch, deleted):
+        spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC)
+        run_grid(spec)
+        before = _logs(spec.out_dir)
+        stamps = {p: p.stat().st_mtime_ns for p in spec.out_dir.rglob("*.csv")}
+        missing = spec.out_dir / deleted / "fold01_seed0.csv"
+        missing.unlink()
+        loops = _count_loops(monkeypatch)
+        again = self._spec(tmp_path, "three-algorithms", configurations=STATIC)
+        run_grid(again)
+        assert _logs(again.out_dir) == before
+        # the partner's log exists, so the missing cell runs its own loop
+        # and the partner computes nothing
+        flags = parse_config_id(deleted)
+        assert loops == [(flags["selection"], flags["to"])]
+        for path, stamp in stamps.items():
+            if path != missing:
+                assert path.stat().st_mtime_ns == stamp
+        assert again._paired == {}
+
+    def test_a_unit_leaves_no_records_behind(self, tmp_path):
+        spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC + ["passive"])
+        seen = []
+        run_grid(spec, progress=lambda *cell: seen.append(dict(spec._paired)))
+        # progress runs as each unit finishes, before the next one starts
+        assert seen == [{}] * 10
+
+    def test_lone_cell_keeps_its_partners_records_until_it_runs(self, tmp_path, monkeypatch):
+        spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC)
+        loops = _count_loops(monkeypatch)
+        run_cell(spec, "random", 0, 0)
+        assert list(spec._paired) == [("random-to", 0, 0)]
+        assert not (spec.out_dir / "random-to" / "fold00_seed0.csv").exists()
+        run_cell(spec, "random-to", 0, 0)
+        assert spec._paired == {}
+        assert loops == [("random", True)]
+        assert "_paired" not in repr(spec)
+
+    def test_parallel_matches_sequential(self, tmp_path):
+        kwargs = dict(configurations=STATIC + ["passive-to"], seeds=[0, 1])
+        seq = self._spec(tmp_path / "seq", "three-algorithms", **kwargs)
+        par = self._spec(tmp_path / "par", "three-algorithms", jobs=2, **kwargs)
+        run_grid(seq)
+        run_grid(par)
+        assert _logs(par.out_dir) == _logs(seq.out_dir)
+        assert len(_logs(seq.out_dir)) == 20
+
+
+class TestImputerMemo:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_imputer_per_fold_and_seed(self, tmp_path, monkeypatch, jobs):
+        if jobs > 1:
+            _in_process_pool(monkeypatch)
+        fits = []
+        fit = harness.fit_imputer
+
+        def counting(scenario, train_instances):
+            fits.append(list(train_instances))
+            return fit(scenario, train_instances)
+
+        def refuse(*args):
+            raise AssertionError("a grid's loop fit its own imputer")
+
+        monkeypatch.setattr(harness, "fit_imputer", counting)
+        monkeypatch.setattr(loop_mod, "fit_imputer", refuse)
+        spec = _small_spec(
+            tmp_path, configurations=FRUGAL_CONFIGS + PASSIVE_CONFIGS, folds=[0, 1],
+            seeds=[0, 1], n_trees=2, jobs=jobs,
+        )
+        run_grid(spec)
+        plans = {seed: make_splits(spec.scenario, seed) for seed in (0, 1)}
+        expected = [plans[seed].folds[fold].train for fold in (0, 1) for seed in (0, 1)]
+        assert sorted(fits) == sorted(expected)
+        if jobs == 1:
+            assert sorted(spec._imputers) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        else:
+            assert spec._imputers == {}
+        assert "_imputers" not in repr(spec)
 
 
 def _step_row(config, fold, seed, step, ratio, cost_frac, data_frac):

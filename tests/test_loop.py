@@ -725,11 +725,32 @@ class TestEvaluationReuse:
         monkeypatch.setattr(loop_mod, "evaluate_selector", counted)
         return calls
 
+    @staticmethod
+    def scored(calls, loop) -> list[str]:
+        """The selector each call scored: "full" for the loop's ensemble on
+        the validation and test rows together, "plain" for its pair forests
+        alone on the test rows."""
+        names = []
+        for ensemble, instances, *_ in calls:
+            if ensemble is loop.ensemble:
+                assert instances == loop.validation + loop.test
+                names.append("full")
+            else:
+                assert ensemble.timeout_at is None
+                assert all(a is b for a, b in zip(
+                    ensemble.forests, loop.ensemble.pair_forests, strict=True
+                ))
+                assert instances == loop.test
+                names.append("plain")
+        return names
+
     def test_round_that_refits_nothing_evaluates_nothing(self, calls, monkeypatch):
         loop, s = make_loop(n_train=12, n_algorithms=3, batch_frac=0.15, timeout_predictor=True)
         assert loop.batch == 2
         first = loop.step()
-        assert len(calls) == 1  # one evaluation: the validation and test rows together
+        # One evaluation of each selector: under this static timeout the loop
+        # also scores its pair forests alone.
+        assert self.scored(calls, loop) == ["full", "plain"]
 
         # Requests that run nothing change no label, so no forest is refit.
         monkeypatch.setattr(loop, "execute_request", lambda pair, position: None)
@@ -738,10 +759,11 @@ class TestEvaluationReuse:
         after = loop.ensemble
         for new, old in zip(after.forests, before.forests, strict=True):
             assert new is old
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert record.step == first.step + 1
         assert record.validation_par10 == evaluate_selector(after, loop.validation, s)
         assert record.test_par10 == evaluate_selector(after, loop.test, s)
+        assert record.plain_test_par10 == evaluate_selector(after.without_timeouts(), loop.test, s)
 
     @pytest.mark.parametrize("config_id", ["uncertainty-to-dt", "random-to"])
     def test_one_evaluation_per_round_with_new_forests(self, calls, config_id, tmp_path):
@@ -749,13 +771,16 @@ class TestEvaluationReuse:
         plan = make_splits(s, 0)
         cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
         loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        # Each evaluated round scores each of its selectors once: a static
+        # timeout adds the pair forests alone.
+        selectors = ["full"] if cfg.dynamic_timeout else ["full", "plain"]
         # A first round that refits nothing still evaluates, although an
         # uncertainty query has walked every forest by then.
         loop.execute_request = lambda pair, position: None
         initial = list(loop.ensemble.forests)
         record = loop.step()
         assert all(new is old for new, old in zip(loop.ensemble.forests, initial, strict=True))
-        assert len(calls) == 1
+        assert self.scored(calls, loop) == selectors
         assert record.test_par10 == evaluate_selector(loop.ensemble, loop.test, s)
         del loop.execute_request
 
@@ -766,10 +791,72 @@ class TestEvaluationReuse:
                 break
             rounds += 1
             changed = any(new is not old for new, old in zip(loop.ensemble.forests, before))
-            assert len(calls) - done == changed
+            assert self.scored(calls[done:], loop) == selectors * changed
             evaluated += changed
         assert 0 < evaluated <= rounds
         assert loop.resolved_cells == loop.total_cells
+
+
+class TestPlainScore:
+    """A loop with timeout models under a static timeout also scores its
+    pair forests alone: the value its static partner cell logs."""
+
+    @staticmethod
+    def loop_of(config_id, tmp_path, scenario=None):
+        s = scenario or make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
+        return FrugalLoop(s, plan.folds[0], plan.test, cfg), s
+
+    @pytest.mark.parametrize("config_id", ["uncertainty-to", "random-to"])
+    def test_every_round_scores_the_pair_forests_alone(self, config_id, tmp_path):
+        loop, s = self.loop_of(config_id, tmp_path)
+        rounds = 0
+        while (record := loop.step()) is not None:
+            rounds += 1
+            plain = loop.ensemble.without_timeouts()
+            assert record.plain_test_par10 == evaluate_selector(plain, loop.test, s)
+        assert rounds > 0
+
+    @pytest.mark.parametrize(
+        "config_id", ["uncertainty", "random", "uncertainty-to-dt", "random-dt"]
+    )
+    def test_no_other_loop_scores_it(self, config_id, tmp_path):
+        loop, _ = self.loop_of(config_id, tmp_path)
+        records = loop.run()
+        assert records
+        assert all(r.plain_test_par10 is None for r in records)
+
+    @pytest.mark.parametrize("selection", ["uncertainty", "random"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_x_to_loop_steps_as_the_x_loop_does(self, selection, seed, tmp_path):
+        # The timeout models steer no query and no run under a static
+        # timeout, so the two loops label, charge and score the same.
+        s = make_synthetic_scenario(50, 4, seed=seed)
+        plain, _ = self.loop_of(selection, tmp_path, s)
+        timed, _ = self.loop_of(f"{selection}-to", tmp_path, s)
+        a, b = plain.run(), timed.run()
+        assert len(a) == len(b) > 0
+        for x, y in zip(a, b):
+            assert (x.step, x.timeout, x.requests, x.resolved_cells, x.cost, x.data_frac) == (
+                y.step, y.timeout, y.requests, y.resolved_cells, y.cost, y.data_frac
+            )
+            assert repr(x.test_par10) == repr(y.plain_test_par10)
+        assert plain.ledger.entries == timed.ledger.entries
+
+    def test_a_given_imputer_is_used_and_none_is_fit(self, monkeypatch, tmp_path):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        imputer = loop_mod.fit_imputer(s, plan.folds[0].train)
+
+        def refuse(*args):
+            raise AssertionError("the loop fit an imputer")
+
+        monkeypatch.setattr(loop_mod, "fit_imputer", refuse)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg, imputer)
+        assert loop.imputer is imputer
+        assert loop.ensemble.imputer is imputer
 
 
 class TestVoteCache:
