@@ -10,6 +10,13 @@ models exactly when the grid runs `passive-to`, and keeps only the
 baseline's cost and test PAR10 values: the `passive` and `passive-to` rows
 and every frugal cell's ratio denominators read them.
 
+Every loop and baseline of a unit trains on the same imputed rows with the
+same slot seeds, so a forest is a function of its slot and its label
+vector. The unit keeps one `ForestMemo` on those rows, imputed once, which
+its baseline and every loop read and fill: each distinct (slot, label
+vector) of the unit is fit once, whichever cell needs it first, and the
+memo goes when the unit ends.
+
 Under a static timeout the timeout models only filter the vote, so an X-to
 loop (X `uncertainty` or `random`) queries, runs and fits its pair forests
 exactly as an X loop does. A unit that runs both cells of such a pair runs
@@ -37,9 +44,9 @@ import numpy as np
 
 from .forest import ForestConfig
 from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig
-from .preprocess import N_FOLDS, FoldSplit, ImputerModel, PreprocessError, SplitPlan, make_splits
+from .preprocess import N_FOLDS, FoldSplit, PreprocessError, SplitPlan, make_splits
 from .scenario import Scenario
-from .selector import SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
+from .selector import ForestMemo, SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
 
 # perfbench/tracing.py wraps these two names here as well as in `loop`.
 from .preprocess import fit_imputer
@@ -142,9 +149,12 @@ class ExperimentSpec:
     _splits: dict[int, SplitPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # Each (fold, seed)'s imputer, fit on the fold's training instances by
-    # the unit's first loop or baseline, on the same terms.
-    _imputers: dict[tuple[int, int], ImputerModel] = field(
+    # Each (fold, seed)'s `ForestMemo`, with the imputer fit on the fold's
+    # training instances and the rows it imputed, made by the unit's first
+    # loop or baseline, on the same terms: every loop and the baseline of
+    # the unit read and fill it, and `run_cell` drops it after the unit's
+    # last configuration.
+    _memos: dict[tuple[int, int], ForestMemo] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # Step-log records of a static cell whose partner's loop computed them,
@@ -200,13 +210,13 @@ def passive_ensemble(
     seed: int,
     timeout_models: bool = False,
     n_trees: int = ForestConfig.n_trees,
-    imputer: ImputerModel | None = None,
+    memo: ForestMemo | None = None,
 ) -> tuple[SelectorEnsemble, CostLedger]:
     """Selector trained on the full fold at cutoff, and the ledger that
     charged its labelling: `FrugalLoop`'s initial phase over the whole fold,
     which runs every training instance on every algorithm at the cutoff,
-    in fold order, before any model exists (step 0). `imputer` is the fold's,
-    as `FrugalLoop` takes it."""
+    in fold order, before any model exists (step 0). `memo` is a forest
+    memo of the fold, as `FrugalLoop` takes it."""
     cfg = LoopConfig(
         timeout_predictor=timeout_models,
         # An empty fold fails in FrugalLoop, with PreprocessError.
@@ -214,7 +224,7 @@ def passive_ensemble(
         seed=seed,
         forest=ForestConfig(n_trees=n_trees, seed=seed),
     )
-    loop = FrugalLoop(scenario, fold, (), cfg, imputer)
+    loop = FrugalLoop(scenario, fold, (), cfg, memo=memo)
     if all(f is None for f in loop.ensemble.pair_forests):
         raise PreprocessError("no labelled data: every pairwise model would be untrained")
     return loop.ensemble, loop.ledger
@@ -227,14 +237,14 @@ def run_passive_baseline(
     seed: int,
     timeout_models: bool = False,
     n_trees: int = ForestConfig.n_trees,
-    imputer: ImputerModel | None = None,
+    memo: ForestMemo | None = None,
 ) -> PassiveBaseline:
     """Fit and evaluate the passive baseline of one fold. The pair forests of
     the timeout-model ensemble are the plain ensemble's, bit for bit (same
     slot seed paths, same labels), so with `timeout_models` one fit and one
     walk of its forests on the test rows give both test PAR10 values: the
     plain ensemble votes with the pair slots' rows of that walk."""
-    ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees, imputer)
+    ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees, memo)
     if ensemble.timeout_at is None:
         # One evaluation, which walks its forests through `select_batch`
         # (perfbench/test_checks.py plants a wrong selector there).
@@ -281,13 +291,19 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     step log; a cell whose step log exists computes nothing. A cell outside
     the grid is a ValueError.
 
-    The split, the imputer and the passive baseline come from `spec`'s
-    memos. The first cell of a seed to run makes its split through
-    `make_splits`, and the first cell of a (fold, seed) to need them fits
-    its imputer and its baseline, through `fit_imputer` and
-    `run_passive_baseline` (with timeout models exactly when the grid runs
-    `passive-to`); every later cell reads them: the loops, the passive rows
-    and the frugal ratio denominators alike.
+    The split, the forest memo (with the imputer) and the passive baseline
+    come from `spec`'s memos. The first cell of a seed to run makes its
+    split through `make_splits`, and the first cell of a (fold, seed) to
+    need them fits its imputer, makes its `ForestMemo` and fits its
+    baseline, through `fit_imputer` and `run_passive_baseline` (with timeout
+    models exactly when the grid runs `passive-to`); every later cell reads
+    them: the loops, the passive rows and the frugal ratio denominators
+    alike. The baseline and every loop of the (fold, seed) take any forest
+    the memo already holds for a slot's label vector instead of fitting it
+    again, so a cell's step log is the same whichever cells ran before it.
+    The memo is dropped when a cell of the last of `spec.configurations`
+    returns, or any cell of the (fold, seed) raises; a later cell of it
+    makes a new one.
 
     A static frugal cell (X or X-to, for X `uncertainty` or `random`) whose
     partner is in the grid with no step log yet runs one X-to loop for both
@@ -295,6 +311,17 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     `spec._paired`, from which the partner's `run_cell` writes its log
     without running a loop.
     """
+    try:
+        path = _run_cell(spec, config_id, fold_index, seed)
+    except BaseException:
+        spec._memos.pop((fold_index, seed), None)
+        raise
+    if config_id == spec.configurations[-1]:
+        spec._memos.pop((fold_index, seed), None)
+    return path
+
+
+def _run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> Path:
     if (config_id not in spec.configurations or fold_index not in spec.folds
             or seed not in spec.seeds):
         raise ValueError(
@@ -316,7 +343,7 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
         baseline = run_passive_baseline(
             scenario, fold, plan.test, seed,
             timeout_models="passive-to" in spec.configurations, n_trees=spec.n_trees,
-            imputer=_imputer(spec, fold_index, seed),
+            memo=_memo(spec, fold_index, seed),
         )
         spec._baselines[fold_index, seed] = baseline
 
@@ -348,13 +375,19 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     return path
 
 
-def _imputer(spec: ExperimentSpec, fold_index: int, seed: int) -> ImputerModel:
-    """The (fold, seed)'s imputer from `spec._imputers`, fit on first use."""
-    imputer = spec._imputers.get((fold_index, seed))
-    if imputer is None:
-        fold = spec._splits[seed].folds[fold_index]
-        imputer = spec._imputers[fold_index, seed] = fit_imputer(spec.scenario, fold.train)
-    return imputer
+def _memo(spec: ExperimentSpec, fold_index: int, seed: int) -> ForestMemo:
+    """The (fold, seed)'s forest memo from `spec._memos`, made on first use:
+    the imputer is fit on the fold's training rows, which it imputes once."""
+    memo = spec._memos.get((fold_index, seed))
+    if memo is None:
+        scenario, train = spec.scenario, spec._splits[seed].folds[fold_index].train
+        imputer = fit_imputer(scenario, train)
+        rows = [scenario.instance_index(i) for i in train]
+        memo = spec._memos[fold_index, seed] = ForestMemo(
+            imputer.transform(scenario.feature_matrix[rows]), imputer,
+            ForestConfig(n_trees=spec.n_trees, seed=seed),
+        )
+    return memo
 
 
 def _frugal_records(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> list:
@@ -378,7 +411,7 @@ def _frugal_records(spec: ExperimentSpec, config_id: str, fold_index: int, seed:
     plan = spec._splits[seed]
     loop = FrugalLoop(
         spec.scenario, plan.folds[fold_index], plan.test, spec.loop_config(run_id, seed),
-        _imputer(spec, fold_index, seed),
+        memo=_memo(spec, fold_index, seed),
     )
     steps = loop.run()
 
@@ -404,8 +437,9 @@ def _frugal_records(spec: ExperimentSpec, config_id: str, fold_index: int, seed:
 
 def _run_unit(spec: ExperimentSpec, fold: int, seed: int) -> list[Path]:
     """Run the cells of one (fold, seed) unit in `spec.configurations` order;
-    they share the unit's passive baseline. `run_cell` is looked up when each
-    cell runs, so a wrapper on `harness.run_cell` sees every cell."""
+    they share the unit's passive baseline and forest memo, which the last
+    cell drops. `run_cell` is looked up when each cell runs, so a wrapper on
+    `harness.run_cell` sees every cell."""
     return [run_cell(spec, config_id, fold, seed) for config_id in spec.configurations]
 
 

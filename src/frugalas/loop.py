@@ -15,7 +15,9 @@ on the loop's one fixed row block (the training rows when the query ranks by
 uncertainty, then the validation and test rows) and keeps its class-1 tree
 votes, which the query and the evaluation read as integers. A loop's label
 store, pools, training votes and feature rows and its (pair, position)
-queries share one index: the training position.
+queries share one index: the training position. A loop given a
+`selector.ForestMemo` trains on the memo's imputed rows and takes any forest
+that another loop of the memo already fit for a slot's label vector.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .labels import Censored, LabelStore, Observation, Solved, final, settled
 from .preprocess import FoldSplit, fit_imputer
 from .scenario import OK, Scenario
 from .selector import (
+    ForestMemo,
     SelectorEnsemble,
     algorithm_pairs,
     evaluate_selector,
@@ -207,10 +210,14 @@ class FrugalLoop:
     """
 
     def __init__(
-        self, scenario: Scenario, fold: FoldSplit, test_instances, cfg: LoopConfig, imputer=None
+        self, scenario: Scenario, fold: FoldSplit, test_instances, cfg: LoopConfig,
+        memo: ForestMemo | None = None,
     ):
-        """`imputer` is `fit_imputer(scenario, fold.train)`, when the caller
-        already holds it; None fits it here."""
+        """`memo`, when given, is a `ForestMemo` of the fold's imputed
+        training rows, with `cfg.forest`'s tree count and seed: the loop
+        trains on its block, its imputer is the memo's, and every retrain
+        reads and fills it (see `train_ensemble`). None fits the imputer
+        here and keeps no memo."""
         self.scenario = scenario
         self.cfg = cfg
         self.train = list(fold.train)
@@ -218,7 +225,8 @@ class FrugalLoop:
         self.test = list(test_instances)
         n = len(self.train)
         # An empty fold fails here, with PreprocessError.
-        self.imputer = fit_imputer(scenario, self.train) if imputer is None else imputer
+        self.imputer = fit_imputer(scenario, self.train) if memo is None else memo.imputer
+        self.memo = memo
 
         # The ceiling of the exact product with the decimal `batch_frac` was
         # written as: in floats, 0.07 * 100 is 7.000000000000001.
@@ -233,8 +241,11 @@ class FrugalLoop:
         self.pairs = algorithm_pairs(scenario.algorithms)
         # Store columns of the two sides of each pair: (2, n_pairs).
         self._sides = pair_columns(len(scenario.algorithms))
-        rows = [scenario.instance_index(i) for i in self.train]
-        self._train_X = self.imputer.transform(scenario.feature_matrix[rows])
+        if memo is None:
+            rows = [scenario.instance_index(i) for i in self.train]
+            self._train_X = self.imputer.transform(scenario.feature_matrix[rows])
+        else:
+            self._train_X = memo.X
         self._held_out = self.validation + self.test
         held_out = [scenario.instance_index(i) for i in self._held_out]
         held_out_X = self.imputer.transform(scenario.feature_matrix[held_out])
@@ -305,6 +316,7 @@ class FrugalLoop:
             self.cfg.forest,
             timeout_at=self.controller.current if self.cfg.timeout_predictor else None,
             previous=self.ensemble,
+            memo=self.memo,
         )
 
     # -- query selection -----------------------------------------------------

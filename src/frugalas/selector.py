@@ -48,8 +48,8 @@ class SelectorEnsemble:
     will time out at `timeout_at`). A None forest is untrained and abstains.
     `labels` (int8, slot x train instance, -1 where unlabelled) is what each
     slot was fit on, None when unknown. `streams` holds each slot's
-    `TreeStreams`, which its next refit reads (None for a slot never fit),
-    or is None when unknown; `train_ensemble` sets both.
+    `TreeStreams`, which its next refit reads (None for a slot with none
+    yet), or is None when unknown; `train_ensemble` sets both.
     """
 
     algorithms: list[str]
@@ -84,6 +84,52 @@ def _sub_seed(base_seed: int, *path: int) -> int:
     return int(np.random.SeedSequence((base_seed, *path)).generate_state(1)[0])
 
 
+# The most tree nodes a `ForestMemo` keeps, about 40 bytes each (40 MB in
+# all); past it the oldest entries go. The bound and the order were chosen
+# by replaying the lookups of 100-tree grid units, where a hit sits a whole
+# loop back (see the README).
+MEMO_NODES = 1 << 20
+
+
+class ForestMemo:
+    """Every forest fit on one training block, by slot and label vector.
+
+    `train_ensemble` takes a slot's forest from here when its (slot index,
+    label vector) was fit before, and stores each forest it fits. A forest is
+    a function of its slot's seed and of the rows and labels of its labelled
+    instances, so the memo belongs to one block `X` (the imputed training
+    rows, made by `imputer`) and one forest config's `n_trees` and `seed`;
+    every ensemble that reads it shares each slot's `TreeStreams` record as
+    well. `forests` keeps insertion order: once its forests hold more than
+    `MEMO_NODES` nodes, the oldest entries are dropped.
+    """
+
+    def __init__(self, X: np.ndarray, imputer: ImputerModel, forest_config: ForestConfig):
+        self.X, self.imputer = X, imputer
+        self.n_trees, self.seed = forest_config.n_trees, forest_config.seed
+        self.streams: dict[int, TreeStreams] = {}
+        self.forests: dict[tuple[int, bytes], RandomForest] = {}
+        self.nodes = 0
+
+    def check(self, X, imputer, forest_config: ForestConfig) -> None:
+        """ValueError unless the memo was built for this very block and
+        imputer (`is`, not equality) and this tree count and seed."""
+        if X is not self.X or imputer is not self.imputer:
+            raise ValueError("the forest memo belongs to another training block or imputer")
+        if (forest_config.n_trees, forest_config.seed) != (self.n_trees, self.seed):
+            raise ValueError(
+                f"the forest memo holds forests of {self.n_trees} trees and seed {self.seed}, "
+                f"not {forest_config.n_trees} and {forest_config.seed}"
+            )
+
+    def add(self, key: tuple[int, bytes], forest: RandomForest) -> None:
+        self.forests[key] = forest
+        self.nodes += forest.nodes.feature.shape[0]
+        while self.nodes > MEMO_NODES:
+            oldest = self.forests.pop(next(iter(self.forests)))
+            self.nodes -= oldest.nodes.feature.shape[0]
+
+
 def train_ensemble(
     X: np.ndarray,
     solved: np.ndarray,
@@ -93,6 +139,7 @@ def train_ensemble(
     forest_config: ForestConfig,
     timeout_at: float | None = None,
     previous: SelectorEnsemble | None = None,
+    memo: ForestMemo | None = None,
 ) -> SelectorEnsemble:
     """Fit pairwise forests, and timeout forests labelled at `timeout_at`
     unless it is None, from observed labels.
@@ -105,13 +152,18 @@ def train_ensemble(
     algorithm k by (2, k).
 
     A forest is a function of its slot's seed and of the rows and labels of
-    the labelled instances. `previous`, when given, must be an ensemble this
-    function returned for the same `X`, `algorithms`, `imputer`,
-    `forest_config` and slot layout, whatever its labels: every slot whose
-    label vector is unchanged keeps `previous`'s forest, and only the rest
-    refit, on the tree streams `previous` holds for them. A slot's streams
-    are made, and its seed derived, at its first fit; streams of another
-    tree count raise ValueError.
+    the labelled instances, so a slot takes an earlier forest whenever one
+    was fit on its label vector, in this order. `previous`, when given, must
+    be an ensemble this function returned for the same `X`, `algorithms`,
+    `imputer`, `forest_config` and slot layout, whatever its labels: every
+    slot whose label vector is unchanged keeps `previous`'s forest. Next,
+    `memo`, when given, must be a `ForestMemo` of this `X`, `imputer`, tree
+    count and seed (else ValueError), shared by ensembles of the same
+    `algorithms`: a slot whose (slot index, label vector) it holds takes the
+    memo's forest. Only the rest refit, and each refit goes into the memo.
+    A refit reads the slot's tree streams from the memo, else from
+    `previous`; a slot's streams are made, and its seed derived, at its
+    first fit. Streams of another tree count raise ValueError.
     """
     algorithms = list(algorithms)
     side_a, side_b = pair_columns(len(algorithms))
@@ -125,22 +177,35 @@ def train_ensemble(
     if previous is not None:
         unchanged = (previous.labels == labels).all(axis=1)
         streams = list(previous.streams)
+    if memo is not None:
+        memo.check(X, imputer, forest_config)
 
     forests = []
     for s, slot_labels in enumerate(labels):
         labelled = slot_labels >= 0
         if unchanged[s]:
             forests.append(previous.forests[s])
-        elif not labelled.any():
+            continue
+        if not labelled.any():
             forests.append(None)
-        else:
+            continue
+        forest = None
+        if memo is not None:
+            key = (s, slot_labels.tobytes())
+            forest = memo.forests.get(key)
+            streams[s] = memo.streams.get(s, streams[s])
+        if forest is None:
             if streams[s] is None:
                 path = (1, s) if s < len(side_a) else (2, s - len(side_a))
                 streams[s] = TreeStreams(
                     _sub_seed(forest_config.seed, *path), forest_config.n_trees
                 )
             cfg = replace(forest_config, seed=streams[s].seed)
-            forests.append(fit_forest(X[labelled], slot_labels[labelled], cfg, streams[s]))
+            forest = fit_forest(X[labelled], slot_labels[labelled], cfg, streams[s])
+            if memo is not None:
+                memo.streams[s] = streams[s]
+                memo.add(key, forest)
+        forests.append(forest)
     return SelectorEnsemble(algorithms, forests, imputer, timeout_at, labels, streams)
 
 

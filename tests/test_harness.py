@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import pickle
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import build_scenario, training_block
 import frugalas.loop as loop_mod
+import frugalas.selector as selector_mod
 from frugalas import harness
 from frugalas.harness import (
     FRUGAL_CONFIGS,
@@ -641,11 +644,105 @@ class TestImputerMemo:
         plans = {seed: make_splits(spec.scenario, seed) for seed in (0, 1)}
         expected = [plans[seed].folds[fold].train for fold in (0, 1) for seed in (0, 1)]
         assert sorted(fits) == sorted(expected)
-        if jobs == 1:
-            assert sorted(spec._imputers) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        else:
-            assert spec._imputers == {}
-        assert "_imputers" not in repr(spec)
+        # Each unit's imputer lived in its forest memo, which its last cell
+        # dropped.
+        assert spec._memos == {}
+        assert "_memos" not in repr(spec)
+
+
+class TestUnitForestMemo:
+    """Every cell of a (fold, seed) unit and its passive baseline share one
+    forest memo, and the step logs keep every bit."""
+
+    CONFIGS = FRUGAL_CONFIGS + PASSIVE_CONFIGS
+
+    def _spec(self, out_dir, **kwargs):
+        settings = dict(configurations=self.CONFIGS, folds=[0, 1], seeds=[0], n_trees=5)
+        return ExperimentSpec(make_synthetic_scenario(60, 3), out_dir, **settings | kwargs)
+
+    @pytest.fixture(scope="class")
+    def grid(self, tmp_path_factory):
+        spec = self._spec(tmp_path_factory.mktemp("memo") / "grid")
+        run_grid(spec)
+        assert spec._memos == {}
+        return spec.out_dir
+
+    def test_logs_equal_single_configuration_logs(self, grid, tmp_path):
+        single = {}
+        for config_id in self.CONFIGS:
+            spec = self._spec(tmp_path / config_id, configurations=[config_id])
+            run_grid(spec)
+            single |= _logs(spec.out_dir)
+        assert _logs(grid) == single
+
+    @pytest.mark.parametrize("deleted", ["uncertainty-dt", "random-to-dt"])
+    def test_resume_recomputes_only_the_missing_cell(self, grid, tmp_path, monkeypatch, deleted):
+        out_dir = tmp_path / "grid"
+        shutil.copytree(grid, out_dir)
+        stamps = {p: p.stat().st_mtime_ns for p in out_dir.rglob("*.csv")}
+        missing = out_dir / deleted / "fold01_seed0.csv"
+        missing.unlink()
+        loops = _count_loops(monkeypatch)
+        run_grid(self._spec(out_dir))
+        assert _logs(out_dir) == _logs(grid)
+        flags = parse_config_id(deleted)
+        assert loops == [(flags["selection"], flags["to"])]
+        for path, stamp in stamps.items():
+            if path != missing:
+                assert path.stat().st_mtime_ns == stamp
+
+    def test_parallel_matches_sequential(self, grid, tmp_path):
+        spec = self._spec(tmp_path / "par", jobs=2)
+        run_grid(spec)
+        assert _logs(spec.out_dir) == _logs(grid)
+
+    def test_run_cell_drops_the_memo_after_the_last_configuration(self, tmp_path):
+        spec = self._spec(tmp_path / "cells", seeds=[0, 1])
+        for fold in spec.folds:
+            for seed in spec.seeds:
+                for config_id in self.CONFIGS[:-1]:
+                    harness.run_cell(spec, config_id, fold, seed)
+                    assert (fold, seed) in spec._memos
+                harness.run_cell(spec, self.CONFIGS[-1], fold, seed)
+        assert spec._memos == {}
+
+    def test_a_cell_that_raises_drops_the_memo(self, tmp_path, monkeypatch):
+        spec = self._spec(tmp_path / "raises")
+        harness.run_cell(spec, "uncertainty", 0, 0)
+        assert (0, 0) in spec._memos
+
+        def fail(*args):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(harness, "_frugal_records", fail)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            harness.run_cell(spec, "random", 0, 0)
+        assert spec._memos == {}
+
+    def test_no_forest_is_fit_twice_in_a_unit(self, tmp_path, monkeypatch):
+        # Each fit keyed as perfbench/tracing.py keys it: the training rows,
+        # the labels and the forest config, which holds the slot's seed.
+        keys, repeats = set(), []
+        fit, run_unit = selector_mod.fit_forest, harness._run_unit
+
+        def keyed_fit(X, y, config, *args):
+            key = hashlib.blake2b(
+                np.ascontiguousarray(X).tobytes() + b"|" + y.tobytes() + b"|"
+                + repr(config).encode()
+            ).digest()
+            if key in keys:
+                repeats.append(config)
+            keys.add(key)
+            return fit(X, y, config, *args)
+
+        def unit(*args):
+            keys.clear()
+            return run_unit(*args)
+
+        monkeypatch.setattr(selector_mod, "fit_forest", keyed_fit)
+        monkeypatch.setattr(harness, "_run_unit", unit)
+        run_grid(self._spec(tmp_path / "grid"))
+        assert keys and repeats == []
 
 
 def _step_row(config, fold, seed, step, ratio, cost_frac, data_frac):

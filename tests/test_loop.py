@@ -24,7 +24,7 @@ from frugalas.loop import (
 )
 from frugalas.preprocess import FoldSplit, ImputerModel, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
-from frugalas.selector import SelectorEnsemble, evaluate_selector, train_ensemble
+from frugalas.selector import ForestMemo, SelectorEnsemble, evaluate_selector, train_ensemble
 from frugalas.synthetic import make_synthetic_scenario
 
 
@@ -690,6 +690,31 @@ class TestRetrainReuse:
         # Without the streams each fit would seed all its trees again.
         assert len(fits) > 5 * n_slots
 
+    def test_each_slot_seeds_its_trees_once_per_grid_unit(self, monkeypatch, tmp_path):
+        # Every loop and the passive baseline of a (fold, seed) unit read
+        # each slot's tree streams from the unit's forest memo, so the whole
+        # unit seeds about as many generators as one loop.
+        import frugalas.draws as draws_mod
+        from frugalas.harness import FRUGAL_CONFIGS, PASSIVE_CONFIGS, run_grid
+
+        seeded = []
+        seed_sequence = draws_mod.SeedSequence
+
+        def counted_seeding(entropy):
+            seeded.append(entropy)
+            return seed_sequence(entropy)
+
+        monkeypatch.setattr(draws_mod, "SeedSequence", counted_seeding)
+        s = make_synthetic_scenario(60, 3, seed=0)
+        spec = ExperimentSpec(
+            s, tmp_path, configurations=FRUGAL_CONFIGS + PASSIVE_CONFIGS, folds=[0], seeds=[0],
+            n_trees=5,
+        )
+        run_grid(spec)
+        n_slots = 3 + 3  # the pairs, then one timeout slot per algorithm
+        assert seeded and len(seeded) <= n_slots * (spec.n_trees + 1)
+        assert len(set(seeded)) == len(seeded)
+
     def test_a_round_imputes_nothing(self, monkeypatch, tmp_path):
         # Each row block is imputed once, when the loop is built: the
         # training rows, then the validation and test rows.
@@ -848,15 +873,18 @@ class TestPlainScore:
         s = make_synthetic_scenario(60, 3, seed=0)
         plan = make_splits(s, 0)
         imputer = loop_mod.fit_imputer(s, plan.folds[0].train)
+        rows = [s.instance_index(i) for i in plan.folds[0].train]
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
+        memo = ForestMemo(imputer.transform(s.feature_matrix[rows]), imputer, cfg.forest)
 
         def refuse(*args):
             raise AssertionError("the loop fit an imputer")
 
         monkeypatch.setattr(loop_mod, "fit_imputer", refuse)
-        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
-        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg, imputer)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
         assert loop.imputer is imputer
         assert loop.ensemble.imputer is imputer
+        assert loop._train_X is memo.X
 
 
 class TestVoteCache:

@@ -15,7 +15,10 @@ from frugalas.forest import (
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeout_label
 from frugalas.preprocess import ImputerModel, fit_imputer
 from frugalas.scenario import OK, TIMEOUT, par1, par10
+import frugalas.selector as selector_mod
+from frugalas import harness
 from frugalas.selector import (
+    ForestMemo,
     SelectorEnsemble,
     algorithm_pairs,
     evaluate_selector,
@@ -407,6 +410,102 @@ class TestTrainEnsemble:
         assert timeout_label(Solved(80), 60) == 1
         assert timeout_label(Censored(60), 60) == 1
         assert timeout_label(Censored(30), 60) is None
+
+
+class TestForestMemo:
+    def _block(self):
+        s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
+        store = TestTrainEnsemble()._store_full(s)
+        imputer = fit_imputer(s, s.instances)
+        return s, imputer, training_block(s, s.instances, store, imputer)
+
+    def test_a_hit_returns_the_stored_forest(self, monkeypatch):
+        s, imputer, (X, solved, censored) = self._block()
+        cfg = ForestConfig(n_trees=5, seed=0)
+        memo = ForestMemo(X, imputer, cfg)
+        first = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff, memo=memo)
+        assert len(memo.forests) == 6
+        assert memo.nodes == sum(f.nodes.feature.shape[0] for f in first.forests)
+        fits = []
+        fit = selector_mod.fit_forest
+        monkeypatch.setattr(
+            selector_mod, "fit_forest", lambda *args: fits.append(args) or fit(*args)
+        )
+        # No `previous`: every slot is a memo hit, and nothing refits.
+        again = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff, memo=memo)
+        assert fits == []
+        assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
+        fresh = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff)
+        assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
+        # A pair ensemble of the same algorithms hits on the pair slots, and
+        # a changed label vector misses and refits on the memo's streams.
+        del fits[:]
+        plain = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, memo=memo)
+        assert all(new is old for new, old in zip(plain.forests, first.forests[:3], strict=True))
+        assert fits == []
+        solved[0], censored[0] = np.nan, np.nan
+        changed = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, memo=memo)
+        assert len(fits) == 3 and len(memo.forests) == 9
+        assert all(changed.streams[p] is memo.streams[p] for p in range(3))
+
+    def test_a_memo_of_another_block_imputer_or_config_raises(self):
+        s, imputer, (X, solved, censored) = self._block()
+        cfg = ForestConfig(n_trees=5, seed=0)
+        memo = ForestMemo(X, imputer, cfg)
+        others = {
+            "block": (X.copy(), imputer, cfg),
+            "imputer": (X, fit_imputer(s, s.instances), cfg),
+            "tree count": (X, imputer, ForestConfig(n_trees=4, seed=0)),
+            "seed": (X, imputer, ForestConfig(n_trees=5, seed=1)),
+        }
+        for block, other_imputer, other_cfg in others.values():
+            with pytest.raises(ValueError, match="forest memo"):
+                train_ensemble(
+                    block, solved, censored, s.algorithms, other_imputer, other_cfg, memo=memo
+                )
+        assert memo.forests == {}
+
+    def test_the_oldest_entries_go_past_the_node_budget(self, monkeypatch):
+        s, imputer, (X, solved, censored) = self._block()
+        cfg = ForestConfig(n_trees=5, seed=0)
+        memo = ForestMemo(X, imputer, cfg)
+        ens = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff)
+        sizes = [f.nodes.feature.shape[0] for f in ens.forests]
+        monkeypatch.setattr(selector_mod, "MEMO_NODES", sizes[-2] + sizes[-1])
+        for slot, forest in enumerate(ens.forests):
+            memo.add((slot, b""), forest)
+        assert list(memo.forests) == [(4, b""), (5, b"")]
+        assert memo.nodes == sizes[-2] + sizes[-1]
+
+    def _grid(self, out_dir):
+        spec = harness.ExperimentSpec(
+            build_scenario(np.random.default_rng(7).uniform(1, 50, size=(40, 3))), out_dir,
+            configurations=harness.FRUGAL_CONFIGS + harness.PASSIVE_CONFIGS,
+            folds=[0], seeds=[0], n_trees=3,
+        )
+        harness.run_grid(spec)
+        assert spec._memos == {}
+        return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
+
+    def test_a_grid_with_no_node_budget_fits_what_it_fits_without_a_memo(
+        self, tmp_path, monkeypatch
+    ):
+        fits = []
+        fit = selector_mod.fit_forest
+        monkeypatch.setattr(
+            selector_mod, "fit_forest", lambda *args: fits.append(args) or fit(*args)
+        )
+        shared = self._grid(tmp_path / "shared")
+        n_shared = len(fits)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_memo", lambda *args: None)
+            del fits[:]
+            assert self._grid(tmp_path / "none") == shared
+            n_none = len(fits)
+        monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
+        del fits[:]
+        assert self._grid(tmp_path / "budget0") == shared
+        assert len(fits) == n_none > n_shared
 
 
 class TestEvaluate:
