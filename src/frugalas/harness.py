@@ -10,12 +10,12 @@ models exactly when the grid runs `passive-to`, and keeps only the
 baseline's cost and test PAR10 values: the `passive` and `passive-to` rows
 and every frugal cell's ratio denominators read them.
 
-Every loop and baseline of a unit trains on the same imputed rows with the
-same slot seeds, so a forest is a function of its slot and its label
-vector. The unit keeps one `ForestMemo` on those rows, imputed once, which
-its baseline and every loop read and fill: each distinct (slot, label
-vector) of the unit is fit once, whichever cell needs it first, and the
-memo goes when the unit ends.
+Every loop and baseline trains on a `ForestMemo` (`loop.fold_memo`), and
+those of a unit train on the same imputed rows with the same slot seeds, so
+a forest is a function of its slot and its label vector. The unit keeps one
+memo, imputed once, which its baseline and every loop read and fill: each
+distinct (slot, label vector) of the unit is fit once, whichever cell needs
+it first, and the memo goes once every cell of the unit has its step log.
 
 Under a static timeout the timeout models only filter the vote, so an X-to
 loop (X `uncertainty` or `random`) queries, runs and fits its pair forests
@@ -43,12 +43,13 @@ from pathlib import Path
 import numpy as np
 
 from .forest import ForestConfig
-from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig
+from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig, fold_memo
 from .preprocess import N_FOLDS, FoldSplit, PreprocessError, SplitPlan, make_splits
 from .scenario import Scenario
 from .selector import ForestMemo, SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
 
-# perfbench/tracing.py wraps these two names here as well as in `loop`.
+# Neither is called here: every imputer is fit, and every ensemble trained,
+# in `loop`. perfbench/tracing.py wraps both names here as well as there.
 from .preprocess import fit_imputer
 from .selector import train_ensemble
 
@@ -152,8 +153,8 @@ class ExperimentSpec:
     # Each (fold, seed)'s `ForestMemo`, with the imputer fit on the fold's
     # training instances and the rows it imputed, made by the unit's first
     # loop or baseline, on the same terms: every loop and the baseline of
-    # the unit read and fill it, and `run_cell` drops it after the unit's
-    # last configuration.
+    # the unit read and fill it, and `run_cell` drops it once every
+    # configuration of the unit has a step log.
     _memos: dict[tuple[int, int], ForestMemo] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -215,8 +216,8 @@ def passive_ensemble(
     """Selector trained on the full fold at cutoff, and the ledger that
     charged its labelling: `FrugalLoop`'s initial phase over the whole fold,
     which runs every training instance on every algorithm at the cutoff,
-    in fold order, before any model exists (step 0). `memo` is a forest
-    memo of the fold, as `FrugalLoop` takes it."""
+    in fold order, before any model exists (step 0). `memo` is the forest
+    memo it trains on, as `FrugalLoop` takes it."""
     cfg = LoopConfig(
         timeout_predictor=timeout_models,
         # An empty fold fails in FrugalLoop, with PreprocessError.
@@ -301,9 +302,9 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     alike. The baseline and every loop of the (fold, seed) take any forest
     the memo already holds for a slot's label vector instead of fitting it
     again, so a cell's step log is the same whichever cells ran before it.
-    The memo is dropped when a cell of the last of `spec.configurations`
-    returns, or any cell of the (fold, seed) raises; a later cell of it
-    makes a new one.
+    The memo is dropped once every one of `spec.configurations` has a step
+    log for the (fold, seed), whatever order its cells ran in, or as soon
+    as any cell of it raises; a later cell of it makes a new one.
 
     A static frugal cell (X or X-to, for X `uncertainty` or `random`) whose
     partner is in the grid with no step log yet runs one X-to loop for both
@@ -316,7 +317,7 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     except BaseException:
         spec._memos.pop((fold_index, seed), None)
         raise
-    if config_id == spec.configurations[-1]:
+    if all(_cell_path(spec.out_dir, c, fold_index, seed).exists() for c in spec.configurations):
         spec._memos.pop((fold_index, seed), None)
     return path
 
@@ -376,16 +377,13 @@ def _run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) 
 
 
 def _memo(spec: ExperimentSpec, fold_index: int, seed: int) -> ForestMemo:
-    """The (fold, seed)'s forest memo from `spec._memos`, made on first use:
-    the imputer is fit on the fold's training rows, which it imputes once."""
+    """The (fold, seed)'s forest memo from `spec._memos`, made by
+    `fold_memo` on first use."""
     memo = spec._memos.get((fold_index, seed))
     if memo is None:
-        scenario, train = spec.scenario, spec._splits[seed].folds[fold_index].train
-        imputer = fit_imputer(scenario, train)
-        rows = [scenario.instance_index(i) for i in train]
-        memo = spec._memos[fold_index, seed] = ForestMemo(
-            imputer.transform(scenario.feature_matrix[rows]), imputer,
-            ForestConfig(n_trees=spec.n_trees, seed=seed),
+        train = spec._splits[seed].folds[fold_index].train
+        memo = spec._memos[fold_index, seed] = fold_memo(
+            spec.scenario, train, ForestConfig(n_trees=spec.n_trees, seed=seed)
         )
     return memo
 
@@ -437,9 +435,9 @@ def _frugal_records(spec: ExperimentSpec, config_id: str, fold_index: int, seed:
 
 def _run_unit(spec: ExperimentSpec, fold: int, seed: int) -> list[Path]:
     """Run the cells of one (fold, seed) unit in `spec.configurations` order;
-    they share the unit's passive baseline and forest memo, which the last
-    cell drops. `run_cell` is looked up when each cell runs, so a wrapper on
-    `harness.run_cell` sees every cell."""
+    they share the unit's passive baseline and forest memo, which the cell
+    that writes the unit's last step log drops. `run_cell` is looked up when
+    each cell runs, so a wrapper on `harness.run_cell` sees every cell."""
     return [run_cell(spec, config_id, fold, seed) for config_id in spec.configurations]
 
 

@@ -15,9 +15,11 @@ on the loop's one fixed row block (the training rows when the query ranks by
 uncertainty, then the validation and test rows) and keeps its class-1 tree
 votes, which the query and the evaluation read as integers. A loop's label
 store, pools, training votes and feature rows and its (pair, position)
-queries share one index: the training position. A loop given a
-`selector.ForestMemo` trains on the memo's imputed rows and takes any forest
-that another loop of the memo already fit for a slot's label vector.
+queries share one index: the training position. Every loop trains on a
+`selector.ForestMemo`, made by `fold_memo`: the fold's imputer, the training
+rows it imputed once and every forest fit on them. A loop given no memo
+builds its own; loops given one memo take any forest another of them
+already fit for a slot's label vector.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ from .selector import (
 DT_INITIAL_FRAC = 1 / 64  # the dynamic timeout's default start, over the cutoff
 
 # --- components -------------------------------------------------------------
+
+
+def fold_memo(scenario: Scenario, train, forest_config: ForestConfig) -> ForestMemo:
+    """An empty `ForestMemo` of the training instances `train`: the imputer
+    is fit on their feature rows, which it imputes once. An empty `train`
+    fails here, with PreprocessError."""
+    imputer = fit_imputer(scenario, train)
+    rows = [scenario.instance_index(i) for i in train]
+    return ForestMemo(imputer.transform(scenario.feature_matrix[rows]), imputer, forest_config)
 
 
 @dataclass(frozen=True)
@@ -213,11 +224,11 @@ class FrugalLoop:
         self, scenario: Scenario, fold: FoldSplit, test_instances, cfg: LoopConfig,
         memo: ForestMemo | None = None,
     ):
-        """`memo`, when given, is a `ForestMemo` of the fold's imputed
-        training rows, with `cfg.forest`'s tree count and seed: the loop
-        trains on its block, its imputer is the memo's, and every retrain
-        reads and fills it (see `train_ensemble`). None fits the imputer
-        here and keeps no memo."""
+        """`memo` is the `ForestMemo` the loop trains on, one of
+        `fold_memo(scenario, fold.train, cfg.forest)`: the loop imputes its
+        held-out rows with the memo's imputer, and every retrain reads and
+        fills it (see `train_ensemble`). A memo of another tree count or
+        seed is a ValueError. None builds the loop its own."""
         self.scenario = scenario
         self.cfg = cfg
         self.train = list(fold.train)
@@ -225,8 +236,13 @@ class FrugalLoop:
         self.test = list(test_instances)
         n = len(self.train)
         # An empty fold fails here, with PreprocessError.
-        self.imputer = fit_imputer(scenario, self.train) if memo is None else memo.imputer
-        self.memo = memo
+        self.memo = fold_memo(scenario, self.train, cfg.forest) if memo is None else memo
+        if self.memo.config != cfg.forest:
+            raise ValueError(
+                f"the forest memo holds forests of {self.memo.config.n_trees} trees and seed "
+                f"{self.memo.config.seed}, not {cfg.forest.n_trees} and {cfg.forest.seed}"
+            )
+        self.imputer = self.memo.imputer
 
         # The ceiling of the exact product with the decimal `batch_frac` was
         # written as: in floats, 0.07 * 100 is 7.000000000000001.
@@ -241,11 +257,6 @@ class FrugalLoop:
         self.pairs = algorithm_pairs(scenario.algorithms)
         # Store columns of the two sides of each pair: (2, n_pairs).
         self._sides = pair_columns(len(scenario.algorithms))
-        if memo is None:
-            rows = [scenario.instance_index(i) for i in self.train]
-            self._train_X = self.imputer.transform(scenario.feature_matrix[rows])
-        else:
-            self._train_X = memo.X
         self._held_out = self.validation + self.test
         held_out = [scenario.instance_index(i) for i in self._held_out]
         held_out_X = self.imputer.transform(scenario.feature_matrix[held_out])
@@ -285,7 +296,7 @@ class FrugalLoop:
         # each evaluation reads. Nothing is walked before the first query or
         # the first retrain.
         self._query_rows = n if cfg.selection == "uncertainty" else 0
-        block = np.concatenate((self._train_X, held_out_X)) if self._query_rows else held_out_X
+        block = np.concatenate((self.memo.X, held_out_X)) if self._query_rows else held_out_X
         self._votes = VoteCache(block, len(self.ensemble.forests))
         # The slot forests last evaluated (fresh objects: none yet), and
         # their (validation, test, plain test) PAR10. Under a static timeout
@@ -308,15 +319,12 @@ class FrugalLoop:
 
     def _retrain(self) -> SelectorEnsemble:
         return train_ensemble(
-            self._train_X,
+            self.memo,
             self.store.solved,
             self.store.censored,
             self.scenario.algorithms,
-            self.imputer,
-            self.cfg.forest,
             timeout_at=self.controller.current if self.cfg.timeout_predictor else None,
             previous=self.ensemble,
-            memo=self.memo,
         )
 
     # -- query selection -----------------------------------------------------
@@ -324,18 +332,15 @@ class FrugalLoop:
     def pair_confidences(self) -> np.ndarray:
         """(n_pairs, n_train) max posterior of each pair's model on every
         training instance, `max(k - v, v) / k` from `k` trees with `v`
-        class-1 votes; an abstaining (untrained) pair scores 0.5. An
-        uncertainty loop reads the votes from `_votes`, which walks only
-        forests no retrain has walked yet (the first query's); a random loop,
-        whose block holds no training rows, walks its pair forests here."""
+        class-1 votes; an abstaining (untrained) pair scores 0.5. Only an
+        uncertainty loop, whose vote block starts with the training rows,
+        has these: it reads the votes from `_votes`, which walks only
+        forests no retrain has walked yet (the first query's)."""
         forests = self.ensemble.pair_forests
         trained = [p for p, f in enumerate(forests) if f is not None]
         k = np.array([len(forests[p].roots) for p in trained]).reshape(-1, 1)
-        if self._query_rows:
-            self._votes.refresh(self.ensemble.forests)
-            v = self._votes.votes[trained, : self._query_rows]
-        else:
-            v = forest_votes([forests[p] for p in trained], self._train_X)
+        self._votes.refresh(self.ensemble.forests)
+        v = self._votes.votes[trained, : self._query_rows]
         confidence = np.full(self.pool.shape, 0.5)
         confidence[trained] = np.maximum(k - v, v) / k
         return confidence

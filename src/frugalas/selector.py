@@ -3,7 +3,10 @@
 One binary forest per unordered algorithm pair predicts which side is faster;
 votes across all pairs pick the algorithm. Optional per-algorithm timeout
 forests exclude algorithms predicted to time out before the vote, unless
-every algorithm is predicted to time out.
+every algorithm is predicted to time out. Every ensemble is trained on a
+`ForestMemo`: one fold's imputed training rows, its imputer and forest
+config, each slot's tree streams and every forest fit on those rows, so a
+slot whose label vector was fit before takes that forest.
 """
 
 from __future__ import annotations
@@ -47,9 +50,7 @@ class SelectorEnsemble:
     `timeout_at` is set, one slot per algorithm in portfolio order (class 1 =
     will time out at `timeout_at`). A None forest is untrained and abstains.
     `labels` (int8, slot x train instance, -1 where unlabelled) is what each
-    slot was fit on, None when unknown. `streams` holds each slot's
-    `TreeStreams`, which its next refit reads (None for a slot with none
-    yet), or is None when unknown; `train_ensemble` sets both.
+    slot was fit on, None when unknown; `train_ensemble` sets it.
     """
 
     algorithms: list[str]
@@ -57,7 +58,6 @@ class SelectorEnsemble:
     imputer: ImputerModel
     timeout_at: float | None = None
     labels: np.ndarray | None = None
-    streams: list[TreeStreams | None] | None = None
 
     def __post_init__(self):
         # Slots carry no names, so a wrong count would vote with the wrong
@@ -92,35 +92,25 @@ MEMO_NODES = 1 << 20
 
 
 class ForestMemo:
-    """Every forest fit on one training block, by slot and label vector.
+    """One training block and every forest fit on it, by slot and label
+    vector: what `train_ensemble` trains on.
 
-    `train_ensemble` takes a slot's forest from here when its (slot index,
-    label vector) was fit before, and stores each forest it fits. A forest is
-    a function of its slot's seed and of the rows and labels of its labelled
-    instances, so the memo belongs to one block `X` (the imputed training
-    rows, made by `imputer`) and one forest config's `n_trees` and `seed`;
-    every ensemble that reads it shares each slot's `TreeStreams` record as
-    well. `forests` keeps insertion order: once its forests hold more than
-    `MEMO_NODES` nodes, the oldest entries are dropped.
+    The block is `X`, a fold's training rows imputed by `imputer`, and one
+    forest config, `config`. A forest is a function of its slot's seed and
+    of the rows and labels of its labelled instances, so `train_ensemble`
+    takes a slot's forest from `forests` when its (slot index, label vector)
+    was fit before, and stores each forest it fits. `streams` holds each
+    slot's `TreeStreams` record, made at the slot's first fit, which every
+    later fit of the slot reads. `forests` keeps insertion order: once its
+    forests hold more than `MEMO_NODES` nodes, the oldest entries are
+    dropped; the streams stay.
     """
 
-    def __init__(self, X: np.ndarray, imputer: ImputerModel, forest_config: ForestConfig):
-        self.X, self.imputer = X, imputer
-        self.n_trees, self.seed = forest_config.n_trees, forest_config.seed
+    def __init__(self, X: np.ndarray, imputer: ImputerModel, config: ForestConfig):
+        self.X, self.imputer, self.config = X, imputer, config
         self.streams: dict[int, TreeStreams] = {}
         self.forests: dict[tuple[int, bytes], RandomForest] = {}
         self.nodes = 0
-
-    def check(self, X, imputer, forest_config: ForestConfig) -> None:
-        """ValueError unless the memo was built for this very block and
-        imputer (`is`, not equality) and this tree count and seed."""
-        if X is not self.X or imputer is not self.imputer:
-            raise ValueError("the forest memo belongs to another training block or imputer")
-        if (forest_config.n_trees, forest_config.seed) != (self.n_trees, self.seed):
-            raise ValueError(
-                f"the forest memo holds forests of {self.n_trees} trees and seed {self.seed}, "
-                f"not {forest_config.n_trees} and {forest_config.seed}"
-            )
 
     def add(self, key: tuple[int, bytes], forest: RandomForest) -> None:
         self.forests[key] = forest
@@ -131,39 +121,32 @@ class ForestMemo:
 
 
 def train_ensemble(
-    X: np.ndarray,
+    memo: ForestMemo,
     solved: np.ndarray,
     censored: np.ndarray,
     algorithms,
-    imputer: ImputerModel,
-    forest_config: ForestConfig,
     timeout_at: float | None = None,
     previous: SelectorEnsemble | None = None,
-    memo: ForestMemo | None = None,
 ) -> SelectorEnsemble:
     """Fit pairwise forests, and timeout forests labelled at `timeout_at`
-    unless it is None, from observed labels.
+    unless it is None, from observed labels, on `memo`'s block.
 
-    The training block is `X`, the imputed (by `imputer`) feature rows of
-    the training instances, and `solved` and `censored`, a `LabelStore`'s
-    arrays on the same rows in the same order, one column per algorithm of
-    `algorithms`. A slot with no labelled row stays untrained and abstains.
-    Pair slot p is seeded by the path (1, p) and the timeout slot of
-    algorithm k by (2, k).
+    `solved` and `censored` are a `LabelStore`'s arrays on the rows of
+    `memo.X` in the same order, one column per algorithm of `algorithms`.
+    A slot with no labelled row stays untrained and abstains. Pair slot p
+    is seeded by the path (1, p) and the timeout slot of algorithm k by
+    (2, k), under `memo.config`'s seed.
 
     A forest is a function of its slot's seed and of the rows and labels of
     the labelled instances, so a slot takes an earlier forest whenever one
     was fit on its label vector, in this order. `previous`, when given, must
-    be an ensemble this function returned for the same `X`, `algorithms`,
-    `imputer`, `forest_config` and slot layout, whatever its labels: every
-    slot whose label vector is unchanged keeps `previous`'s forest. Next,
-    `memo`, when given, must be a `ForestMemo` of this `X`, `imputer`, tree
-    count and seed (else ValueError), shared by ensembles of the same
-    `algorithms`: a slot whose (slot index, label vector) it holds takes the
-    memo's forest. Only the rest refit, and each refit goes into the memo.
-    A refit reads the slot's tree streams from the memo, else from
-    `previous`; a slot's streams are made, and its seed derived, at its
-    first fit. Streams of another tree count raise ValueError.
+    be an ensemble this function returned for a memo of the same block and
+    config, the same `algorithms` and slot layout, whatever its labels:
+    every slot whose label vector is unchanged keeps `previous`'s forest.
+    Next, a slot whose (slot index, label vector) the memo holds takes the
+    memo's forest; a memo is shared only by ensembles of the same
+    `algorithms`. Only the rest refit, on the slot's tree streams in the
+    memo, and each refit goes into the memo.
     """
     algorithms = list(algorithms)
     side_a, side_b = pair_columns(len(algorithms))
@@ -173,12 +156,8 @@ def train_ensemble(
         timeout_labels = timeout_classes(solved, censored, np.arange(len(algorithms)), timeout_at)
         labels = np.concatenate((labels, timeout_labels.T))
     unchanged = np.zeros(labels.shape[0], dtype=bool)
-    streams: list[TreeStreams | None] = [None] * labels.shape[0]
     if previous is not None:
         unchanged = (previous.labels == labels).all(axis=1)
-        streams = list(previous.streams)
-    if memo is not None:
-        memo.check(X, imputer, forest_config)
 
     forests = []
     for s, slot_labels in enumerate(labels):
@@ -189,24 +168,20 @@ def train_ensemble(
         if not labelled.any():
             forests.append(None)
             continue
-        forest = None
-        if memo is not None:
-            key = (s, slot_labels.tobytes())
-            forest = memo.forests.get(key)
-            streams[s] = memo.streams.get(s, streams[s])
+        key = (s, slot_labels.tobytes())
+        forest = memo.forests.get(key)
         if forest is None:
-            if streams[s] is None:
+            streams = memo.streams.get(s)
+            if streams is None:
                 path = (1, s) if s < len(side_a) else (2, s - len(side_a))
-                streams[s] = TreeStreams(
-                    _sub_seed(forest_config.seed, *path), forest_config.n_trees
+                streams = memo.streams[s] = TreeStreams(
+                    _sub_seed(memo.config.seed, *path), memo.config.n_trees
                 )
-            cfg = replace(forest_config, seed=streams[s].seed)
-            forest = fit_forest(X[labelled], slot_labels[labelled], cfg, streams[s])
-            if memo is not None:
-                memo.streams[s] = streams[s]
-                memo.add(key, forest)
+            cfg = replace(memo.config, seed=streams.seed)
+            forest = fit_forest(memo.X[labelled], slot_labels[labelled], cfg, streams)
+            memo.add(key, forest)
         forests.append(forest)
-    return SelectorEnsemble(algorithms, forests, imputer, timeout_at, labels, streams)
+    return SelectorEnsemble(algorithms, forests, memo.imputer, timeout_at, labels)
 
 
 def slot_votes(ensemble: SelectorEnsemble, X) -> np.ndarray:

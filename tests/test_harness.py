@@ -33,7 +33,7 @@ from frugalas.labels import Censored, LabelStore, Solved
 from frugalas.loop import CostLedger
 from frugalas.preprocess import FoldSplit, PreprocessError, fit_imputer, make_splits
 from frugalas.scenario import OK, TIMEOUT
-from frugalas.selector import evaluate_selector, train_ensemble
+from frugalas.selector import ForestMemo, evaluate_selector, train_ensemble
 from frugalas.synthetic import make_synthetic_scenario
 
 
@@ -100,10 +100,10 @@ class TestPassiveBaseline:
         for inst in fold.train:
             ledger.run(0, inst, s.algorithms, s.cutoff)
         imputer = fit_imputer(s, fold.train)
+        X, solved, censored = training_block(s, fold.train, ledger.store, imputer)
         reference = train_ensemble(
-            *training_block(s, fold.train, ledger.store, imputer), s.algorithms, imputer,
-            ForestConfig(n_trees=3, seed=4),
-            timeout_at=s.cutoff if timeout_models else None,
+            ForestMemo(X, imputer, ForestConfig(n_trees=3, seed=4)), solved, censored,
+            s.algorithms, timeout_at=s.cutoff if timeout_models else None,
         )
         ensemble, passive = passive_ensemble(s, fold, 4, timeout_models, n_trees=3)
         assert passive.entries == ledger.entries
@@ -624,18 +624,16 @@ class TestImputerMemo:
     def test_one_imputer_per_fold_and_seed(self, tmp_path, monkeypatch, jobs):
         if jobs > 1:
             _in_process_pool(monkeypatch)
+        # Every imputer is fit in `loop.fold_memo`, for a unit's memo or a
+        # loop's own.
         fits = []
-        fit = harness.fit_imputer
+        fit = loop_mod.fit_imputer
 
         def counting(scenario, train_instances):
             fits.append(list(train_instances))
             return fit(scenario, train_instances)
 
-        def refuse(*args):
-            raise AssertionError("a grid's loop fit its own imputer")
-
-        monkeypatch.setattr(harness, "fit_imputer", counting)
-        monkeypatch.setattr(loop_mod, "fit_imputer", refuse)
+        monkeypatch.setattr(loop_mod, "fit_imputer", counting)
         spec = _small_spec(
             tmp_path, configurations=FRUGAL_CONFIGS + PASSIVE_CONFIGS, folds=[0, 1],
             seeds=[0, 1], n_trees=2, jobs=jobs,
@@ -705,6 +703,22 @@ class TestUnitForestMemo:
                     assert (fold, seed) in spec._memos
                 harness.run_cell(spec, self.CONFIGS[-1], fold, seed)
         assert spec._memos == {}
+
+    def test_run_cell_in_reverse_order_drops_the_memo(self, tmp_path):
+        # The memo goes once every configuration of the unit has a step log,
+        # whichever cell writes the last one, and the logs are the forward
+        # order's.
+        kwargs = dict(folds=[0], seeds=[0], n_trees=2)
+        forward = self._spec(tmp_path / "forward", **kwargs)
+        backward = self._spec(tmp_path / "backward", **kwargs)
+        run_grid(forward)
+        for config_id in reversed(self.CONFIGS):
+            harness.run_cell(backward, config_id, 0, 0)
+        assert backward._memos == {}
+        assert _logs(backward.out_dir) == _logs(forward.out_dir)
+        # A rerun over complete logs makes no memo.
+        harness.run_cell(backward, "random", 0, 0)
+        assert backward._memos == {}
 
     def test_a_cell_that_raises_drops_the_memo(self, tmp_path, monkeypatch):
         spec = self._spec(tmp_path / "raises")

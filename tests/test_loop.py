@@ -21,6 +21,7 @@ from frugalas.loop import (
     FrugalLoop,
     LedgerEntry,
     LoopConfig,
+    fold_memo,
 )
 from frugalas.preprocess import FoldSplit, ImputerModel, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
@@ -325,22 +326,23 @@ class TestUncertaintySelection:
 
     def test_pair_confidences_match_each_forest(self, tmp_path):
         # Through the vote caches, to exhaustion: every round's confidences
-        # equal a fresh walk of each pair forest, and every record's PAR10 an
-        # evaluation that walks the forests itself.
-        configs = ("uncertainty", "uncertainty-to", "uncertainty-to-dt", "random-to")
+        # (an uncertainty loop's) equal a fresh walk of each pair forest, and
+        # every record's PAR10 an evaluation that walks the forests itself.
+        configs = ("random-to", "uncertainty", "uncertainty-to", "uncertainty-to-dt")
         for seed, config_id in product(range(3), configs):
             s = make_synthetic_scenario(60, 3, seed=seed)
             plan = make_splits(s, seed)
             spec = ExperimentSpec(s, tmp_path, n_trees=5)
             loop = FrugalLoop(s, plan.folds[0], plan.test, spec.loop_config(config_id, seed))
             while True:
-                confidence = loop.pair_confidences()
-                assert confidence.shape == loop.pool.shape
-                for p, forest in enumerate(loop.ensemble.pair_forests):
-                    expected = np.full(len(loop.train), 0.5)
-                    if forest is not None:
-                        expected = reference_proba(forest, loop._train_X).max(axis=1)
-                    assert confidence[p].tobytes() == expected.tobytes()
+                if loop.cfg.selection == "uncertainty":
+                    confidence = loop.pair_confidences()
+                    assert confidence.shape == loop.pool.shape
+                    for p, forest in enumerate(loop.ensemble.pair_forests):
+                        expected = np.full(len(loop.train), 0.5)
+                        if forest is not None:
+                            expected = reference_proba(forest, loop.memo.X).max(axis=1)
+                        assert confidence[p].tobytes() == expected.tobytes()
                 record = loop.step()
                 if record is None:
                     break
@@ -633,9 +635,10 @@ class TestRetrainReuse:
                 break
             after = loop.ensemble
             timeout = after.timeout_at
+            X, solved, censored = training_block(s, loop.train, loop.store, loop.imputer)
             fresh = train_ensemble(
-                *training_block(s, loop.train, loop.store, loop.imputer), s.algorithms,
-                loop.imputer, loop.cfg.forest, timeout_at=timeout,
+                ForestMemo(X, loop.imputer, loop.cfg.forest), solved, censored, s.algorithms,
+                timeout_at=timeout,
             )
             # every slot equals a from-scratch fit on the same store
             assert np.array_equal(after.labels, fresh.labels)
@@ -884,7 +887,47 @@ class TestPlainScore:
         loop = FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
         assert loop.imputer is imputer
         assert loop.ensemble.imputer is imputer
-        assert loop._train_X is memo.X
+        assert loop.memo is memo
+
+
+class TestLoopMemo:
+    """Every loop trains on a forest memo: its own, or one it is given."""
+
+    @pytest.mark.parametrize("config_id", ["uncertainty-to-dt", "random-to"])
+    def test_a_lone_loop_equals_a_loop_given_a_memo(self, config_id, tmp_path):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        spec = ExperimentSpec(s, tmp_path, n_trees=5)
+        cfg = spec.loop_config(config_id, 0)
+        train = plan.folds[0].train
+        # A memo built here, and one another configuration's loop has filled.
+        given = fold_memo(s, train, cfg.forest)
+        filled = fold_memo(s, train, cfg.forest)
+        other = "random-to" if config_id == "uncertainty-to-dt" else "uncertainty-to-dt"
+        FrugalLoop(s, plan.folds[0], plan.test, spec.loop_config(other, 0), memo=filled).run()
+        assert filled.forests
+        lone = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        records = lone.run()
+        assert records
+        for memo in (given, filled):
+            loop = FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
+            assert loop.run() == records
+            assert loop.ledger.entries == lone.ledger.entries
+            assert len(loop.ensemble.forests) == len(lone.ensemble.forests)
+            for got, ref in zip(loop.ensemble.forests, lone.ensemble.forests):
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert dump_trees(got) == dump_trees(ref)
+
+    def test_a_memo_of_another_tree_count_or_seed_raises(self, tmp_path):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
+        for other in (ForestConfig(n_trees=4, seed=0), ForestConfig(n_trees=5, seed=1)):
+            memo = fold_memo(s, plan.folds[0].train, other)
+            with pytest.raises(ValueError, match="forest memo"):
+                FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
+            assert memo.forests == {}
 
 
 class TestVoteCache:
@@ -916,7 +959,7 @@ class TestVoteCache:
             s.feature_matrix[[s.instance_index(i) for i in loop.validation + loop.test]]
         )
         block = loop._votes.X
-        expected_block = np.concatenate((loop._train_X, held_out)) if uncertainty else held_out
+        expected_block = np.concatenate((loop.memo.X, held_out)) if uncertainty else held_out
         assert block.tobytes() == expected_block.tobytes()
         # The slot forests last walked; a fresh object was never walked.
         last = [object()] * len(loop.ensemble.forests)

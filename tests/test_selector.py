@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_scenario, reference_proba, training_block
+from conftest import build_scenario, reference_proba
 from frugalas.forest import (
     DecisionTree,
     ForestConfig,
@@ -13,12 +13,12 @@ from frugalas.forest import (
     forest_votes,
 )
 from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeout_label
+from frugalas.loop import fold_memo
 from frugalas.preprocess import ImputerModel, fit_imputer
 from frugalas.scenario import OK, TIMEOUT, par1, par10
 import frugalas.selector as selector_mod
 from frugalas import harness
 from frugalas.selector import (
-    ForestMemo,
     SelectorEnsemble,
     algorithm_pairs,
     evaluate_selector,
@@ -330,6 +330,12 @@ class TestSlotLayout:
         assert select_batch(plain, [row])[0] == select_batch(_ensemble(s, predictions), [row])[0]
 
 
+def _memo(scenario):
+    """A fresh 5-tree memo of every instance of `scenario`, in order: the
+    rows of a `LabelStore` of the whole scenario."""
+    return fold_memo(scenario, scenario.instances, ForestConfig(n_trees=5, seed=0))
+
+
 class TestTrainEnsemble:
     def _store_full(self, scenario):
         store = LabelStore(scenario.instances, scenario.algorithms)
@@ -343,9 +349,7 @@ class TestTrainEnsemble:
     def test_pair_count(self):
         s = build_scenario(np.random.default_rng(2).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        imputer = fit_imputer(s, s.instances)
-        block = training_block(s, s.instances, store, imputer)
-        ens = train_ensemble(*block, s.algorithms, imputer, ForestConfig(n_trees=5, seed=0))
+        ens = train_ensemble(_memo(s), store.solved, store.censored, s.algorithms)
         assert len(ens.forests) == 3
         assert ens.timeout_at is None
         assert ens.labels.shape == (3, 12)
@@ -353,10 +357,8 @@ class TestTrainEnsemble:
     def test_timeout_models_present_when_enabled(self):
         s = build_scenario(np.random.default_rng(3).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        imputer = fit_imputer(s, s.instances)
         ens = train_ensemble(
-            *training_block(s, s.instances, store, imputer), s.algorithms, imputer,
-            ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff,
+            _memo(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
         )
         assert len(ens.forests) == 3 + 3  # the pairs, then one timeout slot each
         assert ens.timeout_at == s.cutoff
@@ -365,42 +367,39 @@ class TestTrainEnsemble:
     def test_unchanged_labels_reuse_every_forest(self):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        imputer = fit_imputer(s, s.instances)
-        cfg = ForestConfig(n_trees=5, seed=0)
-        block = training_block(s, s.instances, store, imputer)
-        first = train_ensemble(*block, s.algorithms, imputer, cfg, timeout_at=s.cutoff)
-        again = train_ensemble(
-            *block, s.algorithms, imputer, cfg, timeout_at=s.cutoff, previous=first
-        )
+        block = store.solved, store.censored, s.algorithms
+        first = train_ensemble(_memo(s), *block, timeout_at=s.cutoff)
+        # A fresh memo of the same block holds no forest: `previous` gives
+        # every one.
+        again = train_ensemble(_memo(s), *block, timeout_at=s.cutoff, previous=first)
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
 
-    def test_refits_read_previous_tree_streams(self):
+    def test_refits_read_the_memos_tree_streams(self, monkeypatch):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        imputer = fit_imputer(s, s.instances)
-        cfg = ForestConfig(n_trees=5, seed=0)
-        X, solved, censored = training_block(s, s.instances, store, imputer)
-        first = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg)
+        memo = _memo(s)
+        solved, censored = store.solved, store.censored
+        first = train_ensemble(memo, solved, censored, s.algorithms)
+        streams = dict(memo.streams)
+        assert sorted(streams) == [0, 1, 2]
+        read = []
+        fit = selector_mod.fit_forest
+        monkeypatch.setattr(
+            selector_mod, "fit_forest", lambda *args: read.append(args[3]) or fit(*args)
+        )
         solved[0], censored[0] = np.nan, np.nan  # every slot loses a row
-        again = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, previous=first)
+        again = train_ensemble(memo, solved, censored, s.algorithms, previous=first)
         assert all(new is not old for new, old in zip(again.forests, first.forests))
-        assert all(new is old for new, old in zip(again.streams, first.streams, strict=True))
-        fresh = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg)
+        assert read == [streams[slot] for slot in range(3)]
+        assert memo.streams == streams
+        fresh = train_ensemble(_memo(s), solved, censored, s.algorithms)
         assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
-        # Streams of another tree count cannot serve a refit.
-        with pytest.raises(ValueError, match="tree streams"):
-            train_ensemble(
-                X, solved, censored, s.algorithms, imputer, ForestConfig(n_trees=4, seed=0),
-                previous=first,
-            )
 
     def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
         store = LabelStore(s.instances, s.algorithms)
-        imputer = fit_imputer(s, s.instances)
         ens = train_ensemble(
-            *training_block(s, s.instances, store, imputer), s.algorithms, imputer,
-            ForestConfig(n_trees=5, seed=0), timeout_at=s.cutoff,
+            _memo(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
         )
         assert len(ens.forests) == 1 + 2
         assert all(f is None for f in ens.forests)
@@ -416,14 +415,11 @@ class TestForestMemo:
     def _block(self):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = TestTrainEnsemble()._store_full(s)
-        imputer = fit_imputer(s, s.instances)
-        return s, imputer, training_block(s, s.instances, store, imputer)
+        return s, _memo(s), store.solved, store.censored
 
     def test_a_hit_returns_the_stored_forest(self, monkeypatch):
-        s, imputer, (X, solved, censored) = self._block()
-        cfg = ForestConfig(n_trees=5, seed=0)
-        memo = ForestMemo(X, imputer, cfg)
-        first = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff, memo=memo)
+        s, memo, solved, censored = self._block()
+        first = train_ensemble(memo, solved, censored, s.algorithms, s.cutoff)
         assert len(memo.forests) == 6
         assert memo.nodes == sum(f.nodes.feature.shape[0] for f in first.forests)
         fits = []
@@ -432,44 +428,28 @@ class TestForestMemo:
             selector_mod, "fit_forest", lambda *args: fits.append(args) or fit(*args)
         )
         # No `previous`: every slot is a memo hit, and nothing refits.
-        again = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff, memo=memo)
+        again = train_ensemble(memo, solved, censored, s.algorithms, s.cutoff)
         assert fits == []
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
-        fresh = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff)
+        fresh = train_ensemble(
+            _memo(s), solved, censored, s.algorithms, s.cutoff
+        )
         assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
         # A pair ensemble of the same algorithms hits on the pair slots, and
         # a changed label vector misses and refits on the memo's streams.
         del fits[:]
-        plain = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, memo=memo)
+        plain = train_ensemble(memo, solved, censored, s.algorithms)
         assert all(new is old for new, old in zip(plain.forests, first.forests[:3], strict=True))
         assert fits == []
+        streams = dict(memo.streams)
         solved[0], censored[0] = np.nan, np.nan
-        changed = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, memo=memo)
+        train_ensemble(memo, solved, censored, s.algorithms)
         assert len(fits) == 3 and len(memo.forests) == 9
-        assert all(changed.streams[p] is memo.streams[p] for p in range(3))
-
-    def test_a_memo_of_another_block_imputer_or_config_raises(self):
-        s, imputer, (X, solved, censored) = self._block()
-        cfg = ForestConfig(n_trees=5, seed=0)
-        memo = ForestMemo(X, imputer, cfg)
-        others = {
-            "block": (X.copy(), imputer, cfg),
-            "imputer": (X, fit_imputer(s, s.instances), cfg),
-            "tree count": (X, imputer, ForestConfig(n_trees=4, seed=0)),
-            "seed": (X, imputer, ForestConfig(n_trees=5, seed=1)),
-        }
-        for block, other_imputer, other_cfg in others.values():
-            with pytest.raises(ValueError, match="forest memo"):
-                train_ensemble(
-                    block, solved, censored, s.algorithms, other_imputer, other_cfg, memo=memo
-                )
-        assert memo.forests == {}
+        assert [args[3] for args in fits] == [streams[p] for p in range(3)]
 
     def test_the_oldest_entries_go_past_the_node_budget(self, monkeypatch):
-        s, imputer, (X, solved, censored) = self._block()
-        cfg = ForestConfig(n_trees=5, seed=0)
-        memo = ForestMemo(X, imputer, cfg)
-        ens = train_ensemble(X, solved, censored, s.algorithms, imputer, cfg, s.cutoff)
+        s, memo, solved, censored = self._block()
+        ens = train_ensemble(_memo(s), solved, censored, s.algorithms, s.cutoff)
         sizes = [f.nodes.feature.shape[0] for f in ens.forests]
         monkeypatch.setattr(selector_mod, "MEMO_NODES", sizes[-2] + sizes[-1])
         for slot, forest in enumerate(ens.forests):
@@ -497,12 +477,15 @@ class TestForestMemo:
         )
         shared = self._grid(tmp_path / "shared")
         n_shared = len(fits)
+        # With no node budget no memo keeps a forest, so only `previous`
+        # reuses one: one memo per loop and baseline fits what they fit
+        # without any memo, and so must the unit's one memo.
+        monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
         with monkeypatch.context() as m:
             m.setattr(harness, "_memo", lambda *args: None)
             del fits[:]
             assert self._grid(tmp_path / "none") == shared
             n_none = len(fits)
-        monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
         del fits[:]
         assert self._grid(tmp_path / "budget0") == shared
         assert len(fits) == n_none > n_shared
