@@ -4,18 +4,15 @@ aggregation of per-step logs into cost-vs-performance curves.
 The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
 the loop is the one engine that labels and trains for every configuration.
 A grid's task is one (fold, seed) unit: it runs the unit's cells in
-configuration order on one copy of the spec, on one job or many. The unit
-makes its imputer once and fits its passive baseline once, with timeout
-models exactly when the grid runs `passive-to`, and keeps only the
-baseline's cost and test PAR10 values: the `passive` and `passive-to` rows
-and every frugal cell's ratio denominators read them.
-
-Every loop and baseline trains on a `ForestMemo` (`loop.fold_memo`), and
-those of a unit train on the same imputed rows with the same slot seeds, so
-a forest is a function of its slot and its label vector. The unit keeps one
-memo, imputed once, which its baseline and every loop read and fill: each
-distinct (slot, label vector) of the unit is fit once, whichever cell needs
-it first, and the memo goes once every cell of the unit has its step log.
+configuration order on one copy of the spec, on one job or many. A `_Unit`
+holds what the cells share: the split, one `ForestMemo` (`loop.fold_memo`)
+with the imputer and the imputed training rows, and the passive baseline's
+cost and test PAR10 values, which the `passive` and `passive-to` rows and
+every frugal cell's ratio denominators read. The baseline and every loop of
+a unit train on the memo with the same slot seeds, so a forest is a
+function of its slot and its label vector, and each distinct one of the
+unit is fit once, whichever cell needs it first. `run_cell` states when a
+unit is made and when it goes.
 
 Under a static timeout the timeout models only filter the vote, so an X-to
 loop (X `uncertainty` or `random`) queries, runs and fits its pair forests
@@ -44,7 +41,7 @@ import numpy as np
 
 from .forest import ForestConfig
 from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig, fold_memo
-from .preprocess import N_FOLDS, FoldSplit, PreprocessError, SplitPlan, make_splits
+from .preprocess import N_FOLDS, FoldSplit, PreprocessError, make_splits
 from .scenario import Scenario
 from .selector import ForestMemo, SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
 
@@ -138,32 +135,11 @@ class ExperimentSpec:
     dt_window: int = LoopConfig.dt_window
     dt_tolerance: float = LoopConfig.dt_tolerance
     jobs: int = 1
-    # Passive baselines by (fold, seed), filled by the unit's first cell to
-    # run: three floats each and no forests. A parallel grid's task gets its
-    # own copy of the spec, and with it its unit's entry. Left out of
-    # __init__ (a `dataclasses.replace` copy starts empty), of repr and of ==.
-    _baselines: dict[tuple[int, int], PassiveBaseline] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # Each seed's `make_splits` plan, filled by the first cell of that seed
-    # to run, like `_baselines` and on the same terms.
-    _splits: dict[int, SplitPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # Each (fold, seed)'s `ForestMemo`, with the imputer fit on the fold's
-    # training instances and the rows it imputed, made by the unit's first
-    # loop or baseline, on the same terms: every loop and the baseline of
-    # the unit read and fill it, and `run_cell` drops it once every
-    # configuration of the unit has a step log.
-    _memos: dict[tuple[int, int], ForestMemo] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # Step-log records of a static cell whose partner's loop computed them,
-    # by (config, fold, seed); the cell's `run_cell` pops its entry. On the
-    # same terms again: a unit leaves its entries on its own copy.
-    _paired: dict[tuple[str, int, int], list[tuple]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # The `_Unit` of the last cell that had to compute, kept for the next
+    # cell of the same (fold, seed); `run_cell` states when it goes. Left
+    # out of __init__ (a `dataclasses.replace` copy starts with none), of
+    # repr and of ==.
+    _unit: _Unit | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A repeated entry would run a cell twice, into the same files.
@@ -287,157 +263,143 @@ def _cell_path(out_dir: Path, config_id: str, fold: int, seed: int) -> Path:
     return Path(out_dir) / config_id / f"fold{fold:02d}_seed{seed}.csv"
 
 
+class _Unit:
+    """One (fold, seed) unit of `spec`'s grid and the state its cells share,
+    all made with it: the seed's split (`make_splits`), the fold's forest
+    memo with its imputer and imputed training rows (`fold_memo`), and the
+    passive baseline, fit on the memo with timeout models exactly when the
+    grid runs `passive-to`. Its loops train on the same memo, and a hit is
+    the very forest a refit would grow, so a cell's step log is the same
+    whichever cells ran before it."""
+
+    def __init__(self, spec: ExperimentSpec, fold: int, seed: int):
+        self.spec, self.fold, self.seed = spec, fold, seed
+        plan = make_splits(spec.scenario, seed)
+        self.split, self.test = plan.folds[fold], plan.test
+        forests = ForestConfig(n_trees=spec.n_trees, seed=seed)
+        self.memo = fold_memo(spec.scenario, self.split.train, forests)
+        self.baseline = run_passive_baseline(
+            spec.scenario, self.split, self.test, seed,
+            timeout_models="passive-to" in spec.configurations, n_trees=spec.n_trees,
+            memo=self.memo,
+        )
+
+    def path(self, config_id: str) -> Path:
+        return _cell_path(self.spec.out_dir, config_id, self.fold, self.seed)
+
+    def complete(self) -> bool:
+        return all(self.path(c).exists() for c in self.spec.configurations)
+
+    def run(self, config_id: str) -> None:
+        """Write the step log of the unit's `config_id` cell.
+
+        Under a static timeout the timeout models only filter the vote: they
+        steer no query and no run, and the pair slots of an X-to ensemble
+        are X's, with the same seed paths and labels. So an X-to loop
+        labels, charges and fits its pair forests exactly as an X loop does,
+        round for round, and scores its pair forests alone as X does. A
+        static cell (X or X-to, for X `uncertainty` or `random`) whose
+        partner is in the grid with no step log yet runs one X-to loop and
+        writes both cells' logs from it, bit for bit as two loops would."""
+        spec, scenario = self.spec, self.spec.scenario
+        if config_id in PASSIVE_CONFIGS:
+            b = self.baseline
+            n_cells = len(algorithm_pairs(scenario.algorithms)) * len(self.split.train)
+            test_par10 = b.par10_to if config_id == "passive-to" else b.par10
+            self._write(config_id, [(1, scenario.cutoff, n_cells, b.cost, 1.0, test_par10)])
+            return
+        partner = STATIC_PARTNERS.get(config_id)
+        cells = [config_id]
+        if partner in spec.configurations and not self.path(partner).exists():
+            cells.append(partner)
+        run_id = f"{parse_config_id(config_id)['selection']}-to" if len(cells) == 2 else config_id
+        loop = FrugalLoop(
+            scenario, self.split, self.test, spec.loop_config(run_id, self.seed),
+            memo=self.memo,
+        )
+        steps = loop.run()
+        for cell in cells:
+            # The X cell of a shared loop logs the pair forests alone.
+            plain = cell != run_id
+            if not steps:
+                # The initial phase settled every pool cell, so the loop
+                # never stepped: log what it had at step 0.
+                ensemble = loop.ensemble.without_timeouts() if plain else loop.ensemble
+                test_par10 = evaluate_selector(ensemble, self.test, scenario)
+                records = [(0, loop.controller.current, 0, loop.ledger.total, 1.0, test_par10)]
+            else:
+                records = [
+                    (r.step, r.timeout, r.requests, r.cost, r.data_frac,
+                     r.plain_test_par10 if plain else r.test_par10)
+                    for r in steps
+                ]
+            self._write(cell, records)
+
+    def _write(self, config_id: str, records: list[tuple]) -> None:
+        """Write a cell's step log from its records: (step, timeout, labels,
+        cost, data fraction, test PAR10), priced against the baseline."""
+        b = self.baseline
+        rows = [
+            {
+                "config": config_id,
+                "scenario": self.spec.scenario.id,
+                "fold": self.fold,
+                "seed": self.seed,
+                "step": step,
+                "timeout_s": repr(timeout),
+                "labels": labels,
+                "cost_s": repr(cost),
+                "cost_frac": repr(_ratio(cost, b.cost)),
+                "data_frac": repr(data_frac),
+                "test_par10_s": repr(test_par10),
+                "perf_ratio": repr(_ratio(test_par10, b.par10)),
+            }
+            for step, timeout, labels, cost, data_frac, test_par10 in records
+        ]
+        _write_csv(self.path(config_id), STEP_COLUMNS, rows)
+
+
 def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> Path:
     """Run one (configuration, fold, seed) cell of `spec`'s grid and write its
     step log; a cell whose step log exists computes nothing. A cell outside
     the grid is a ValueError.
 
-    The split, the forest memo (with the imputer) and the passive baseline
-    come from `spec`'s memos. The first cell of a seed to run makes its
-    split through `make_splits`, and the first cell of a (fold, seed) to
-    need them fits its imputer, makes its `ForestMemo` and fits its
-    baseline, through `fit_imputer` and `run_passive_baseline` (with timeout
-    models exactly when the grid runs `passive-to`); every later cell reads
-    them: the loops, the passive rows and the frugal ratio denominators
-    alike. The baseline and every loop of the (fold, seed) take any forest
-    the memo already holds for a slot's label vector instead of fitting it
-    again, so a cell's step log is the same whichever cells ran before it.
-    The memo is dropped once every one of `spec.configurations` has a step
-    log for the (fold, seed), whatever order its cells ran in, or as soon
-    as any cell of it raises; a later cell of it makes a new one.
-
-    A static frugal cell (X or X-to, for X `uncertainty` or `random`) whose
-    partner is in the grid with no step log yet runs one X-to loop for both
-    cells: it writes its own log and leaves the partner's records in
-    `spec._paired`, from which the partner's `run_cell` writes its log
-    without running a loop.
+    A cell that computes runs on its unit's `_Unit`, which `spec._unit`
+    keeps for the unit's later cells, so a unit makes its split, memo and
+    baseline once while its cells run one after another. One rule governs
+    its lifetime: `spec._unit` holds at most one unit, and lets it go when
+    a cell of another (fold, seed) computes (which makes its own), when a
+    cell raises, or when every one of `spec.configurations` has a step log
+    for the unit, whatever order its cells ran in. A unit that comes back
+    after it went is made again.
     """
-    try:
-        path = _run_cell(spec, config_id, fold_index, seed)
-    except BaseException:
-        spec._memos.pop((fold_index, seed), None)
-        raise
-    if all(_cell_path(spec.out_dir, c, fold_index, seed).exists() for c in spec.configurations):
-        spec._memos.pop((fold_index, seed), None)
-    return path
-
-
-def _run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> Path:
     if (config_id not in spec.configurations or fold_index not in spec.folds
             or seed not in spec.seeds):
         raise ValueError(
             f"cell ({config_id!r}, fold {fold_index}, seed {seed}) is outside the spec's grid"
         )
-    records = spec._paired.pop((config_id, fold_index, seed), None)
     path = _cell_path(spec.out_dir, config_id, fold_index, seed)
     if path.exists():
         return path
-
-    scenario = spec.scenario
-    plan = spec._splits.get(seed)
-    if plan is None:
-        plan = spec._splits[seed] = make_splits(scenario, seed)
-    fold = plan.folds[fold_index]
-    timeouts = config_id == "passive-to"
-    baseline = spec._baselines.get((fold_index, seed))
-    if baseline is None:
-        baseline = run_passive_baseline(
-            scenario, fold, plan.test, seed,
-            timeout_models="passive-to" in spec.configurations, n_trees=spec.n_trees,
-            memo=_memo(spec, fold_index, seed),
-        )
-        spec._baselines[fold_index, seed] = baseline
-
-    # Records are (step, timeout, labels, cost, data fraction, test PAR10).
-    if config_id in PASSIVE_CONFIGS:
-        n_cells = len(algorithm_pairs(scenario.algorithms)) * len(fold.train)
-        test_par10 = baseline.par10_to if timeouts else baseline.par10
-        records = [(1, scenario.cutoff, n_cells, baseline.cost, 1.0, test_par10)]
-    elif records is None:
-        records = _frugal_records(spec, config_id, fold_index, seed)
-    rows = [
-        {
-            "config": config_id,
-            "scenario": scenario.id,
-            "fold": fold_index,
-            "seed": seed,
-            "step": step,
-            "timeout_s": repr(timeout),
-            "labels": labels,
-            "cost_s": repr(cost),
-            "cost_frac": repr(_ratio(cost, baseline.cost)),
-            "data_frac": repr(data_frac),
-            "test_par10_s": repr(test_par10),
-            "perf_ratio": repr(_ratio(test_par10, baseline.par10)),
-        }
-        for step, timeout, labels, cost, data_frac, test_par10 in records
-    ]
-    _write_csv(path, STEP_COLUMNS, rows)
+    unit = spec._unit
+    try:
+        if unit is None or (unit.fold, unit.seed) != (fold_index, seed):
+            spec._unit = None  # the old unit's memo goes before a new one is made
+            unit = spec._unit = _Unit(spec, fold_index, seed)
+        unit.run(config_id)
+    except BaseException:
+        spec._unit = None
+        raise
+    if unit.complete():
+        spec._unit = None
     return path
 
 
-def _memo(spec: ExperimentSpec, fold_index: int, seed: int) -> ForestMemo:
-    """The (fold, seed)'s forest memo from `spec._memos`, made by
-    `fold_memo` on first use."""
-    memo = spec._memos.get((fold_index, seed))
-    if memo is None:
-        train = spec._splits[seed].folds[fold_index].train
-        memo = spec._memos[fold_index, seed] = fold_memo(
-            spec.scenario, train, ForestConfig(n_trees=spec.n_trees, seed=seed)
-        )
-    return memo
-
-
-def _frugal_records(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -> list:
-    """A frugal cell's step-log records, one per labelling round (one at
-    step 0 when its loop never steps).
-
-    Under a static timeout the timeout models only filter the vote: they
-    steer no query and no run, and the pair slots of an X-to ensemble are
-    X's, with the same seed paths and labels. So an X-to loop labels,
-    charges and fits its pair forests exactly as an X loop does, round for
-    round, and scores its pair forests alone as X does. When the cell's
-    static partner is in the grid with no step log yet, one X-to loop gives
-    both cells' records, bit for bit, and the partner's go to
-    `spec._paired`."""
-    flags = parse_config_id(config_id)
-    partner = STATIC_PARTNERS.get(config_id)
-    if (partner not in spec.configurations
-            or _cell_path(spec.out_dir, partner, fold_index, seed).exists()):
-        partner = None
-    run_id = config_id if partner is None else f"{flags['selection']}-to"
-    plan = spec._splits[seed]
-    loop = FrugalLoop(
-        spec.scenario, plan.folds[fold_index], plan.test, spec.loop_config(run_id, seed),
-        memo=_memo(spec, fold_index, seed),
-    )
-    steps = loop.run()
-
-    def records(plain: bool) -> list[tuple]:
-        if not steps:
-            # The initial phase settled every pool cell, so the loop never
-            # stepped: log what it had at step 0.
-            ensemble = loop.ensemble.without_timeouts() if plain else loop.ensemble
-            test_par10 = evaluate_selector(ensemble, plan.test, spec.scenario)
-            return [(0, loop.controller.current, 0, loop.ledger.total, 1.0, test_par10)]
-        return [
-            (r.step, r.timeout, r.requests, r.cost, r.data_frac,
-             r.plain_test_par10 if plain else r.test_par10)
-            for r in steps
-        ]
-
-    if partner is None:
-        return records(plain=False)
-    # Of the two cells, X logs the pair forests alone.
-    spec._paired[partner, fold_index, seed] = records(plain=partner == flags["selection"])
-    return records(plain=config_id == flags["selection"])
-
-
 def _run_unit(spec: ExperimentSpec, fold: int, seed: int) -> list[Path]:
-    """Run the cells of one (fold, seed) unit in `spec.configurations` order;
-    they share the unit's passive baseline and forest memo, which the cell
-    that writes the unit's last step log drops. `run_cell` is looked up when
-    each cell runs, so a wrapper on `harness.run_cell` sees every cell."""
+    """Run the cells of one (fold, seed) unit in `spec.configurations` order,
+    on one `_Unit` that the cell writing the unit's last step log lets go.
+    `run_cell` is looked up when each cell runs, so a wrapper on
+    `harness.run_cell` sees every cell."""
     return [run_cell(spec, config_id, fold, seed) for config_id in spec.configurations]
 
 
@@ -451,6 +413,9 @@ def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
     units = [(fold, seed) for fold in spec.folds for seed in spec.seeds]
     parallel = spec.jobs > 1
     workers = min(spec.jobs, len(units))
+    if parallel:
+        # Each task pickles the spec, so it must hold no half-run unit.
+        spec._unit = None
     paths = []
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_run_unit, [spec] * len(units), *zip(*units))

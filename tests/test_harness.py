@@ -374,9 +374,11 @@ class TestBaselineMemo:
         assert len(calls) == 4
         # `passive-to` is in the grid, so each fit has its timeout models
         assert sorted(calls) == [(0, True), (0, True), (1, True), (1, True)]
-        assert sorted(spec._baselines) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for baseline in spec._baselines.values():
-            assert baseline.par10_to is not None
+        # every unit's `passive-to` row reads its baseline's timeout PAR10
+        passive_to = [r for r in read_step_logs(spec.out_dir) if r["config"] == "passive-to"]
+        assert len(passive_to) == 4
+        assert all(np.isfinite(float(r["test_par10_s"])) for r in passive_to)
+        assert spec._unit is None
 
     def test_shared_baseline_matches_a_fresh_spec_per_cell(self, tmp_path):
         shared = _small_spec(
@@ -407,7 +409,7 @@ class TestBaselineMemo:
             with pytest.raises(PreprocessError, match="no labelled data"):
                 run_cell(spec, config_id, 0, 0)
         assert len(calls) == len(self.CONFIGS)
-        assert spec._baselines == {}
+        assert spec._unit is None
         assert not spec.out_dir.exists()
 
     def test_finished_grid_fits_no_baseline(self, tmp_path, monkeypatch):
@@ -417,7 +419,7 @@ class TestBaselineMemo:
         again = _small_spec(tmp_path, **kwargs)
         assert run_grid(again) == first
         assert calls == []
-        assert again._baselines == {}
+        assert again._unit is None
 
     def test_grid_without_passive_to_fits_no_timeout_models(self, tmp_path, monkeypatch):
         spec = _small_spec(tmp_path, configurations=["random", "passive"], seeds=[0, 1])
@@ -435,7 +437,7 @@ class TestBaselineMemo:
         assert workers == [2]  # one process per unit, and no more than `jobs`
         # one fit per unit, with the timeout models that `passive-to` reads
         assert sorted(calls) == [(0, True), (1, True)]
-        assert spec._baselines == {}  # each task filled its own copy
+        assert spec._unit is None  # each task made its units on its own copy
         assert _logs(spec.out_dir) == _logs(tmp_path / "seq" / "runs")
 
     @pytest.mark.parametrize(
@@ -451,18 +453,18 @@ class TestBaselineMemo:
         assert not spec.out_dir.exists()
 
     def test_replaced_spec_starts_empty(self, tmp_path):
-        spec = _small_spec(tmp_path)
+        spec = _small_spec(tmp_path, configurations=["random", "passive"])
         run_cell(spec, "random", 0, 0)
-        assert list(spec._baselines) == [(0, 0)]
-        assert dataclasses.replace(spec, n_trees=3)._baselines == {}
-        # the memo is no part of a spec's value
+        assert (spec._unit.fold, spec._unit.seed) == (0, 0)
+        assert dataclasses.replace(spec, n_trees=3)._unit is None
+        # the unit is no part of a spec's value
         assert dataclasses.replace(spec) == spec
-        assert "_baselines" not in repr(spec)
+        assert "_unit" not in repr(spec)
 
 
 class TestSplitMemo:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_split_per_seed_and_task(self, tmp_path, monkeypatch, jobs):
+    def test_one_split_per_unit(self, tmp_path, monkeypatch, jobs):
         if jobs > 1:
             _in_process_pool(monkeypatch)
         seeds = []
@@ -478,13 +480,9 @@ class TestSplitMemo:
             jobs=jobs,
         )
         assert len(run_grid(spec)) == 16
-        if jobs == 1:
-            assert seeds == [0, 1]  # one split per seed
-            assert sorted(spec._splits) == [0, 1]
-        else:
-            assert sorted(seeds) == [0, 0, 1, 1]  # one per unit, on the task's own copy
-            assert spec._splits == {}
-        assert "_splits" not in repr(spec)
+        # one split per (fold, seed) unit, by fold and then seed
+        assert seeds == [0, 1, 0, 1] if jobs == 1 else sorted(seeds) == [0, 0, 1, 1]
+        assert spec._unit is None
 
 
 class TestLoopThatNeverSteps:
@@ -568,7 +566,7 @@ class TestStaticPairs:
         assert _logs(spec.out_dir) == single
         # one loop per pair and unit, and it is the X-to loop
         assert sorted(loops) == sorted([("random", True), ("uncertainty", True)] * 2)
-        assert spec._paired == {}
+        assert spec._unit is None
 
     @pytest.mark.parametrize("deleted", STATIC)
     def test_resume_recomputes_only_the_missing_cell(self, tmp_path, monkeypatch, deleted):
@@ -589,25 +587,31 @@ class TestStaticPairs:
         for path, stamp in stamps.items():
             if path != missing:
                 assert path.stat().st_mtime_ns == stamp
-        assert again._paired == {}
+        assert again._unit is None
 
     def test_a_unit_leaves_no_records_behind(self, tmp_path):
         spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC + ["passive"])
         seen = []
-        run_grid(spec, progress=lambda *cell: seen.append(dict(spec._paired)))
+        run_grid(spec, progress=lambda *cell: seen.append(spec._unit))
         # progress runs as each unit finishes, before the next one starts
-        assert seen == [{}] * 10
+        assert seen == [None] * 10
 
-    def test_lone_cell_keeps_its_partners_records_until_it_runs(self, tmp_path, monkeypatch):
+    def test_a_lone_static_cell_writes_its_partners_log(self, tmp_path, monkeypatch):
         spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC)
         loops = _count_loops(monkeypatch)
         run_cell(spec, "random", 0, 0)
-        assert list(spec._paired) == [("random-to", 0, 0)]
-        assert not (spec.out_dir / "random-to" / "fold00_seed0.csv").exists()
-        run_cell(spec, "random-to", 0, 0)
-        assert spec._paired == {}
+        assert (spec.out_dir / "random-to" / "fold00_seed0.csv").exists()
         assert loops == [("random", True)]
-        assert "_paired" not in repr(spec)
+        # the partner's `run_cell` finds its log and runs no loop
+        unit = spec._unit
+        run_cell(spec, "random-to", 0, 0)
+        assert loops == [("random", True)]
+        assert spec._unit is unit  # the uncertainty pair has no log yet
+        full = self._spec(tmp_path / "full", "three-algorithms", configurations=STATIC)
+        run_grid(full)
+        for config_id in ("random", "random-to"):
+            log = f"{config_id}/fold00_seed0.csv"
+            assert (spec.out_dir / log).read_bytes() == (full.out_dir / log).read_bytes()
 
     def test_parallel_matches_sequential(self, tmp_path):
         kwargs = dict(configurations=STATIC + ["passive-to"], seeds=[0, 1])
@@ -642,10 +646,9 @@ class TestImputerMemo:
         plans = {seed: make_splits(spec.scenario, seed) for seed in (0, 1)}
         expected = [plans[seed].folds[fold].train for fold in (0, 1) for seed in (0, 1)]
         assert sorted(fits) == sorted(expected)
-        # Each unit's imputer lived in its forest memo, which its last cell
-        # dropped.
-        assert spec._memos == {}
-        assert "_memos" not in repr(spec)
+        # Each unit's imputer lived in its forest memo, which went with the
+        # unit when its last cell ran.
+        assert spec._unit is None
 
 
 class TestUnitForestMemo:
@@ -662,7 +665,7 @@ class TestUnitForestMemo:
     def grid(self, tmp_path_factory):
         spec = self._spec(tmp_path_factory.mktemp("memo") / "grid")
         run_grid(spec)
-        assert spec._memos == {}
+        assert spec._unit is None
         return spec.out_dir
 
     def test_logs_equal_single_configuration_logs(self, grid, tmp_path):
@@ -698,11 +701,14 @@ class TestUnitForestMemo:
         spec = self._spec(tmp_path / "cells", seeds=[0, 1])
         for fold in spec.folds:
             for seed in spec.seeds:
-                for config_id in self.CONFIGS[:-1]:
+                harness.run_cell(spec, self.CONFIGS[0], fold, seed)
+                unit = spec._unit
+                assert (unit.fold, unit.seed) == (fold, seed)
+                for config_id in self.CONFIGS[1:-1]:
                     harness.run_cell(spec, config_id, fold, seed)
-                    assert (fold, seed) in spec._memos
+                    assert spec._unit is unit
                 harness.run_cell(spec, self.CONFIGS[-1], fold, seed)
-        assert spec._memos == {}
+                assert spec._unit is None
 
     def test_run_cell_in_reverse_order_drops_the_memo(self, tmp_path):
         # The memo goes once every configuration of the unit has a step log,
@@ -714,24 +720,71 @@ class TestUnitForestMemo:
         run_grid(forward)
         for config_id in reversed(self.CONFIGS):
             harness.run_cell(backward, config_id, 0, 0)
-        assert backward._memos == {}
+        assert backward._unit is None
         assert _logs(backward.out_dir) == _logs(forward.out_dir)
-        # A rerun over complete logs makes no memo.
+        # A rerun over complete logs makes no unit.
         harness.run_cell(backward, "random", 0, 0)
-        assert backward._memos == {}
+        assert backward._unit is None
+
+    def test_interleaved_units_remake_a_replaced_unit(self, grid, tmp_path, monkeypatch):
+        # The cells of two units in turn: a cell of the other unit replaces
+        # the one unit the spec keeps, so each unit that comes back fits its
+        # baseline again, and the logs keep every bit.
+        spec = self._spec(tmp_path / "interleaved")
+        calls = _count_baselines(monkeypatch)
+        computed = 0
+        for config_id in self.CONFIGS:
+            for fold in spec.folds:
+                before = spec._unit
+                computes = not (spec.out_dir / config_id / f"fold{fold:02d}_seed0.csv").exists()
+                computed += computes
+                harness.run_cell(spec, config_id, fold, 0)
+                # A cell that computes keeps a new unit of its own, unless it
+                # wrote its unit's last log; one that finds its log keeps the
+                # unit the spec had.
+                unit = spec._unit
+                if computes:
+                    assert unit is None or (unit is not before and unit.fold == fold)
+                else:
+                    assert unit is before
+        assert spec._unit is None
+        assert _logs(spec.out_dir) == _logs(grid)
+        # Each static pair's first cell writes both logs, so 8 of a unit's
+        # 10 cells compute, and each computing cell remade its unit.
+        assert computed == 16
+        assert len(calls) == computed
+
+    def test_parallel_grid_after_a_half_run_unit(self, grid, tmp_path, monkeypatch):
+        spec = self._spec(tmp_path / "half", jobs=2)
+        harness.run_cell(spec, "uncertainty", 0, 0)
+        assert spec._unit is not None
+        _in_process_pool(monkeypatch)
+        units, run_unit = [], harness._run_unit
+
+        def unit(task, *args):
+            units.append(task._unit)
+            return run_unit(task, *args)
+
+        monkeypatch.setattr(harness, "_run_unit", unit)
+        run_grid(spec)
+        # Each task got a spec with no unit, and the logs are the
+        # sequential grid's.
+        assert units == [None, None]
+        assert spec._unit is None
+        assert _logs(spec.out_dir) == _logs(grid)
 
     def test_a_cell_that_raises_drops_the_memo(self, tmp_path, monkeypatch):
         spec = self._spec(tmp_path / "raises")
         harness.run_cell(spec, "uncertainty", 0, 0)
-        assert (0, 0) in spec._memos
+        assert (spec._unit.fold, spec._unit.seed) == (0, 0)
 
         def fail(*args):
             raise RuntimeError("cell failed")
 
-        monkeypatch.setattr(harness, "_frugal_records", fail)
+        monkeypatch.setattr(loop_mod.FrugalLoop, "run", fail)
         with pytest.raises(RuntimeError, match="cell failed"):
             harness.run_cell(spec, "random", 0, 0)
-        assert spec._memos == {}
+        assert spec._unit is None
 
     def test_no_forest_is_fit_twice_in_a_unit(self, tmp_path, monkeypatch):
         # Each fit keyed as perfbench/tracing.py keys it: the training rows,

@@ -330,7 +330,7 @@ class TestSlotLayout:
         assert select_batch(plain, [row])[0] == select_batch(_ensemble(s, predictions), [row])[0]
 
 
-def _memo(scenario):
+def _memo_of(scenario):
     """A fresh 5-tree memo of every instance of `scenario`, in order: the
     rows of a `LabelStore` of the whole scenario."""
     return fold_memo(scenario, scenario.instances, ForestConfig(n_trees=5, seed=0))
@@ -349,7 +349,7 @@ class TestTrainEnsemble:
     def test_pair_count(self):
         s = build_scenario(np.random.default_rng(2).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        ens = train_ensemble(_memo(s), store.solved, store.censored, s.algorithms)
+        ens = train_ensemble(_memo_of(s), store.solved, store.censored, s.algorithms)
         assert len(ens.forests) == 3
         assert ens.timeout_at is None
         assert ens.labels.shape == (3, 12)
@@ -358,7 +358,7 @@ class TestTrainEnsemble:
         s = build_scenario(np.random.default_rng(3).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
         ens = train_ensemble(
-            _memo(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
+            _memo_of(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
         )
         assert len(ens.forests) == 3 + 3  # the pairs, then one timeout slot each
         assert ens.timeout_at == s.cutoff
@@ -368,16 +368,16 @@ class TestTrainEnsemble:
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
         block = store.solved, store.censored, s.algorithms
-        first = train_ensemble(_memo(s), *block, timeout_at=s.cutoff)
+        first = train_ensemble(_memo_of(s), *block, timeout_at=s.cutoff)
         # A fresh memo of the same block holds no forest: `previous` gives
         # every one.
-        again = train_ensemble(_memo(s), *block, timeout_at=s.cutoff, previous=first)
+        again = train_ensemble(_memo_of(s), *block, timeout_at=s.cutoff, previous=first)
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
 
     def test_refits_read_the_memos_tree_streams(self, monkeypatch):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        memo = _memo(s)
+        memo = _memo_of(s)
         solved, censored = store.solved, store.censored
         first = train_ensemble(memo, solved, censored, s.algorithms)
         streams = dict(memo.streams)
@@ -392,14 +392,14 @@ class TestTrainEnsemble:
         assert all(new is not old for new, old in zip(again.forests, first.forests))
         assert read == [streams[slot] for slot in range(3)]
         assert memo.streams == streams
-        fresh = train_ensemble(_memo(s), solved, censored, s.algorithms)
+        fresh = train_ensemble(_memo_of(s), solved, censored, s.algorithms)
         assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
 
     def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
         store = LabelStore(s.instances, s.algorithms)
         ens = train_ensemble(
-            _memo(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
+            _memo_of(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
         )
         assert len(ens.forests) == 1 + 2
         assert all(f is None for f in ens.forests)
@@ -415,7 +415,7 @@ class TestForestMemo:
     def _block(self):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = TestTrainEnsemble()._store_full(s)
-        return s, _memo(s), store.solved, store.censored
+        return s, _memo_of(s), store.solved, store.censored
 
     def test_a_hit_returns_the_stored_forest(self, monkeypatch):
         s, memo, solved, censored = self._block()
@@ -432,7 +432,7 @@ class TestForestMemo:
         assert fits == []
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
         fresh = train_ensemble(
-            _memo(s), solved, censored, s.algorithms, s.cutoff
+            _memo_of(s), solved, censored, s.algorithms, s.cutoff
         )
         assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
         # A pair ensemble of the same algorithms hits on the pair slots, and
@@ -449,7 +449,7 @@ class TestForestMemo:
 
     def test_the_oldest_entries_go_past_the_node_budget(self, monkeypatch):
         s, memo, solved, censored = self._block()
-        ens = train_ensemble(_memo(s), solved, censored, s.algorithms, s.cutoff)
+        ens = train_ensemble(_memo_of(s), solved, censored, s.algorithms, s.cutoff)
         sizes = [f.nodes.feature.shape[0] for f in ens.forests]
         monkeypatch.setattr(selector_mod, "MEMO_NODES", sizes[-2] + sizes[-1])
         for slot, forest in enumerate(ens.forests):
@@ -464,7 +464,7 @@ class TestForestMemo:
             folds=[0], seeds=[0], n_trees=3,
         )
         harness.run_grid(spec)
-        assert spec._memos == {}
+        assert spec._unit is None
         return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
 
     def test_a_grid_with_no_node_budget_fits_what_it_fits_without_a_memo(
@@ -482,7 +482,7 @@ class TestForestMemo:
         # without any memo, and so must the unit's one memo.
         monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
         with monkeypatch.context() as m:
-            m.setattr(harness, "_memo", lambda *args: None)
+            m.setattr(harness, "fold_memo", lambda *args: None)
             del fits[:]
             assert self._grid(tmp_path / "none") == shared
             n_none = len(fits)
