@@ -6,12 +6,14 @@ splits until it is pure or no candidate split lowers its impurity) and
 bootstrap resampling. Predictions expose the fraction of tree votes as a
 confidence.
 
-Each split node scans all of its candidate features at once in numpy
-(`_scan_split`); there is no compiled kernel. Each tree grows from an
-explicit preorder stack, with no recursion limit to meet or raise. The scan
-also hands each child its rows and labels, as the two parts of the chosen
-feature's sort order, and its class-1 count, so no node recounts its labels
-and a pure node becomes a leaf without a numpy call. A forest keeps the
+Each split node scans all of its candidate features at once
+(`_scan_split`): a block of at most `SMALL_SCAN` values on Python floats,
+a larger one in numpy, with the same result to the bit; there is no
+compiled kernel. Each tree grows from an explicit preorder stack, with no
+recursion limit to meet or raise. The scan also hands each child its rows
+and labels, as the two parts of the chosen feature's sort order, and its
+class-1 count, so no node recounts its labels and a pure node becomes a
+leaf without a numpy call. A forest keeps the
 nodes of all its trees in one set of flat arrays, with per-tree views
 (`RandomForest.trees`) built on first use, and `forest_votes` walks every
 (forest, tree, row) lane of any list of forests at once, one numpy pass per
@@ -37,9 +39,63 @@ import numpy as np
 
 from .draws import ForestDraws, TreeStreams
 
-# Recorded by benchmark reports; the split scan has a single numpy
-# implementation.
+# Recorded by benchmark reports; both split scans are plain Python and numpy,
+# with no compiled kernel.
 KERNEL_IMPL = "pure"
+
+
+# Largest block, in values (candidates times rows), that `_scan_split` scans
+# on Python floats: below it numpy's fixed cost per call outweighs the
+# interpreted loop. Measured per (k, n) block at numpy 2.4.6; the command
+# that re-derives it is in BENCH_smallscan.json.
+SMALL_SCAN = 64
+
+
+def _gini_table(size: int) -> list[list[float]]:
+    """table[s][o] = s - ((s - o)**2 + o**2) / s, s times the Gini impurity
+    of s rows with o of class 1, as the numpy scan forms it, for
+    1 <= s <= size; table[0] is empty."""
+    return [[]] + [
+        [s - ((s - o) * (s - o) + o * o) / s for o in range(s + 1)] for s in range(1, size + 1)
+    ]
+
+
+_GINI = _gini_table(SMALL_SCAN)
+
+
+def _scan_lists(rows: list[list[float]], labels: list[int]):
+    """`_scan_split` on Python lists, with the numpy scan's double operations.
+
+    Every count is an int below 2**53, so `int / int` rounds the exact
+    quotient once, as numpy's float64 division of the same ints does, and
+    `int - float` converts the int exactly; `_GINI` holds those results. A
+    score is one float sum of two of them, and a later boundary wins only
+    with a strictly lower score, as `argmin` on the flattened block picks.
+    """
+    n = len(labels)
+    total1 = sum(labels)
+    gini = _GINI
+    best, best_row = math.inf, -1
+    for r, col in enumerate(rows):
+        order = sorted(range(n), key=col.__getitem__)
+        c1 = j = 0  # class-1 rows among, and size of, the left child
+        prev = col[order[0]]
+        for i in order:
+            v = col[i]
+            if v != prev:
+                score = gini[j][c1] + gini[n - j][total1 - c1]
+                if score < best:
+                    best, best_row, best_order, m, left1 = score, r, order, j, c1
+                    lo, hi = prev, v
+            prev = v
+            c1 += labels[i]
+            j += 1
+    if best_row < 0:
+        return -1, math.inf, 0.0, None, 0, 0
+    thr = (lo + hi) / 2.0
+    if thr >= hi:
+        thr = lo
+    return best_row, best, thr, np.array(best_order, dtype=np.intp), m, left1
 
 
 def _scan_split(values: np.ndarray, labels: np.ndarray):
@@ -50,12 +106,15 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     class vector of those rows. Returns (row, score, threshold, order, m,
     left1): the chosen candidate row, the sum over both children of n_child
     times the child's Gini impurity, the split threshold, the chosen row's
-    ascending sort order, the split position and the left child's class-1
-    count; or
-    (-1, inf, 0.0, None, 0, 0) when every row is constant. Counts are exact
-    integers, each score is formed with the same double operations for every
-    boundary, and ties keep the first minimum: first the earliest row, then
-    the earliest boundary in ascending order.
+    ascending sort order (an intp array), the split position and the left
+    child's class-1 count; or (-1, inf, 0.0, None, 0, 0) when every row is
+    constant. Counts are exact integers, each score is formed with the same
+    double operations for every boundary, and ties keep the first minimum:
+    first the earliest row, then the earliest boundary in ascending order.
+
+    A block of at most `SMALL_SCAN` values is scanned on Python floats
+    (`_scan_lists`), a larger one in numpy; the two give the same tuple to
+    the bit, up to the order of tied rows within each part of `order`.
 
     The split falls between the sorted values lo = values[row, order[m - 1]]
     and hi = values[row, order[m]], lo < hi, and the threshold lies in
@@ -65,6 +124,8 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     it: a caller splits by position and gets the children
     `value <= threshold` would give.
     """
+    if values.size <= SMALL_SCAN:
+        return _scan_lists(values.tolist(), labels.tolist())
     n = values.shape[1]
     # Neither sort needs to be stable. A split falls only between two
     # different values, where the running count covers every tied row in any

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_proba, reference_votes
+from frugalas import forest as forest_mod
 from frugalas.draws import CHUNK, TreeStreams
 from frugalas.forest import (
+    SMALL_SCAN,
     ForestConfig,
     dump_trees,
+    _scan_lists,
     _scan_split,
     fit_forest,
     forest_votes,
@@ -329,7 +332,7 @@ def _bits(x):
 class TestScanSplit:
     def test_matches_the_per_column_reference(self):
         rng = np.random.default_rng(7)
-        cross_row_ties = no_split = 0
+        cross_row_ties = no_split = small = 0
         for _ in range(600):
             k = int(rng.integers(1, 7))
             n = int(rng.integers(2, 60))
@@ -342,6 +345,7 @@ class TestScanSplit:
                 a, b = rng.choice(k, size=2, replace=False)
                 block[b] = rng.permutation(block[a])  # another row, same multiset
             labels = rng.integers(0, 2, size=n).astype(np.int64)
+            small += block.size <= SMALL_SCAN
 
             row, score, thr, order, m, left1 = _scan_split(block, labels)
             ref_row, ref_score, ref_thr = reference_block_scan(block, labels)
@@ -358,6 +362,7 @@ class TestScanSplit:
             else:
                 no_split += 1
         assert cross_row_ties > 20 and no_split > 5
+        assert small > 100 and 600 - small > 100  # both the list and the numpy scan ran
 
 
 # The build before each scan handed its children their rows, labels and
@@ -486,6 +491,77 @@ def assert_same_nodes(forest, fresh):
         assert column.tobytes() == getattr(fresh.nodes, name).tobytes(), name
     assert forest.roots.tolist() == fresh.roots.tolist()
     assert forest.depth == fresh.depth
+
+
+# Values that make the two scans disagree if either rounds differently: both
+# zeros, denormals, neighbours one ulp apart, and magnitudes whose midpoint
+# overflows, so that `thr >= hi` picks the lower value.
+HUGE = np.finfo(np.float64).max
+EDGES = {
+    "zeros": [0.0, -0.0, 1.0],
+    "denormals": [5e-324, -5e-324, 1e-323, 0.0, -0.0],
+    "one ulp": [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0, np.nextafter(-1.0, 0.0)],
+    "huge": [HUGE, np.nextafter(HUGE, 0.0), -HUGE, np.nextafter(-HUGE, 0.0), 1.7e308, 0.0],
+}
+
+
+@st.composite
+def scan_blocks(draw):
+    """(block, labels): 1-4 candidate rows of 2-64 values, on both sides of
+    `SMALL_SCAN`, with ties, constant rows and single-class labels."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", *EDGES]))
+    if kind == "uniform":
+        pool = rng.uniform(-5, 5, size=draw(st.integers(1, n)))
+    else:
+        pool = np.array(EDGES[kind])
+    block = rng.choice(pool, size=(k, n))
+    if draw(st.booleans()):
+        block[rng.integers(k)] = pool[0]  # a constant row
+    labels = draw(st.sampled_from(["mixed", "class 0", "class 1"]))
+    if labels == "mixed":
+        y = rng.integers(0, 2, size=n)
+    else:
+        y = np.full(n, int(labels == "class 1"))
+    return block, y.astype(np.int64)
+
+
+def numpy_scan(block, labels):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest_mod, "SMALL_SCAN", 0)
+        return _scan_split(block, labels)
+
+
+class TestListScan:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(scan_blocks())
+    def test_equals_the_numpy_scan_bit_for_bit(self, data):
+        block, labels = data
+        # `_GINI` covers 64 rows, so the list scan takes every drawn block.
+        row, score, thr, order, m, left1 = _scan_lists(block.tolist(), labels.tolist())
+        ref_row, ref_score, ref_thr, ref_order, ref_m, ref_left1 = numpy_scan(block, labels)
+        assert (row, m, left1) == (ref_row, ref_m, ref_left1)
+        assert _bits(score) == _bits(ref_score) and _bits(thr) == _bits(ref_thr)
+        if row < 0:
+            assert order is None and ref_order is None
+        else:
+            assert order.dtype == np.intp
+            assert set(order[:m].tolist()) == set(ref_order[:m].tolist())
+            assert set(order[m:].tolist()) == set(ref_order[m:].tolist())
+        if block.size <= SMALL_SCAN:
+            small = _scan_split(block, labels)
+            assert small[:3] == (row, score, thr) and small[4:] == (m, left1)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(training_sets(), st.integers(1, 5), st.integers(0, 1000))
+    def test_forests_equal_forests_grown_on_the_numpy_scan_alone(self, data, n_trees, seed):
+        X, y = data
+        config = ForestConfig(n_trees=n_trees, seed=seed)
+        forest = fit_forest(X, y, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest_mod, "SMALL_SCAN", 0)
+            assert_same_nodes(forest, fit_forest(X, y, config))
 
 
 @st.composite
