@@ -93,7 +93,7 @@ def _scan_lists(rows: list[list[float]], labels: list[int]):
     if best_row < 0:
         return -1, math.inf, 0.0, None, 0, 0
     thr = (lo + hi) / 2.0
-    if thr >= hi:
+    if not lo <= thr < hi:
         thr = lo
     return best_row, best, thr, np.array(best_order, dtype=np.intp), m, left1
 
@@ -117,9 +117,10 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     the bit, up to the order of tied rows within each part of `order`.
 
     The split falls between the sorted values lo = values[row, order[m - 1]]
-    and hi = values[row, order[m]], lo < hi, and the threshold lies in
-    [lo, hi), as both are finite (`fit_forest` rejects any other value; the
-    midpoint of -inf and inf would be nan). So the first m rows of `order`
+    and hi = values[row, order[m]], lo < hi, both finite (`fit_forest`
+    rejects any other value). The threshold is their midpoint, or lo where
+    the midpoint rounds up to hi or overflows to an infinity, so it lies in
+    [lo, hi). So the first m rows of `order`
     are exactly the rows with `value <= threshold` and the rest those above
     it: a caller splits by position and gets the children
     `value <= threshold` would give.
@@ -155,7 +156,7 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
         return -1, np.inf, 0.0, None, 0, 0
     lo, hi = values.item(row, j), values.item(row, j + 1)
     thr = (lo + hi) / 2.0
-    if thr >= hi:
+    if not lo <= thr < hi:
         thr = lo
     return row, best_score, thr, order[row], j + 1, c1l.item(row, j)
 

@@ -22,10 +22,11 @@ step logs from it, bit for bit as two loops would.
 
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
 columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
-cell one per labelling round (one at step 0 when its loop never steps), and
-one row builder turns either into rows. Step logs and summaries are written
-atomically (a temporary file, then a rename), so completed cells are skipped
-on rerun and an interrupted grid resumes where it stopped.
+cell the step records its loop writes: one per labelling round, or the
+step-0 one when the loop never steps. One row builder turns either into
+rows. Step logs and summaries are written atomically (a temporary file,
+then a rename), so completed cells are skipped on rerun and an interrupted
+grid resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -300,7 +301,9 @@ class _Unit:
         round for round, and scores its pair forests alone as X does. A
         static cell (X or X-to, for X `uncertainty` or `random`) whose
         partner is in the grid with no step log yet runs one X-to loop and
-        writes both cells' logs from it, bit for bit as two loops would."""
+        writes both cells' logs from it, bit for bit as two loops would.
+        Every row comes from the loop's own step records: one per round, or
+        `FrugalLoop.record()` at step 0 when the loop never steps."""
         spec, scenario = self.spec, self.spec.scenario
         if config_id in PASSIVE_CONFIGS:
             b = self.baseline
@@ -317,22 +320,17 @@ class _Unit:
             scenario, self.split, self.test, spec.loop_config(run_id, self.seed),
             memo=self.memo,
         )
-        steps = loop.run()
+        # A loop whose initial phase settled every pool cell never steps:
+        # it logs what it has at step 0.
+        steps = loop.run() or [loop.record()]
         for cell in cells:
             # The X cell of a shared loop logs the pair forests alone.
             plain = cell != run_id
-            if not steps:
-                # The initial phase settled every pool cell, so the loop
-                # never stepped: log what it had at step 0.
-                ensemble = loop.ensemble.without_timeouts() if plain else loop.ensemble
-                test_par10 = evaluate_selector(ensemble, self.test, scenario)
-                records = [(0, loop.controller.current, 0, loop.ledger.total, 1.0, test_par10)]
-            else:
-                records = [
-                    (r.step, r.timeout, r.requests, r.cost, r.data_frac,
-                     r.plain_test_par10 if plain else r.test_par10)
-                    for r in steps
-                ]
+            records = [
+                (r.step, r.timeout, r.requests, r.cost, r.data_frac,
+                 r.plain_test_par10 if plain else r.test_par10)
+                for r in steps
+            ]
             self._write(cell, records)
 
     def _write(self, config_id: str, records: list[tuple]) -> None:

@@ -13,13 +13,14 @@ then steer no query and no run.
 `VoteCache` walks each forest once, right after the retrain that made it,
 on the loop's one fixed row block (the training rows when the query ranks by
 uncertainty, then the validation and test rows) and keeps its class-1 tree
-votes, which the query and the evaluation read as integers. A loop's label
-store, pools, training votes and feature rows and its (pair, position)
-queries share one index: the training position. Every loop trains on a
-`selector.ForestMemo`, made by `fold_memo`: the fold's imputer, the training
-rows it imputed once and every forest fit on them. A loop given no memo
-builds its own; loops given one memo take any forest another of them
-already fit for a slot's label vector.
+votes, which the query and the evaluation read as integers; its refresh
+decides whether a round evaluates again. `FrugalLoop.record` writes every
+step record. A loop's label store, pools, training votes and feature rows
+and its (pair, position) queries share one index: the training position.
+Every loop trains on a `selector.ForestMemo`, made by `fold_memo`: the
+fold's imputer, the training rows it imputed once and every forest fit on
+them. A loop given no memo builds its own; loops given one memo take any
+forest another of them already fit for a slot's label vector.
 """
 
 from __future__ import annotations
@@ -202,15 +203,16 @@ class VoteCache:
         self.forests: list = [object()] * n_slots
         self.votes = np.zeros((n_slots, X.shape[0]), dtype=np.int64)
 
-    def refresh(self, forests) -> None:
+    def refresh(self, forests) -> bool:
         """Walk, in one `forest_votes` call, the trained slots whose forest
-        is not the one last walked."""
+        is not the one last walked; True when any slot's forest changed."""
         stale = [s for s, f in enumerate(forests) if f is not self.forests[s]]
         walk = [s for s in stale if forests[s] is not None]
         if walk:
             self.votes[walk] = forest_votes([forests[s] for s in walk], self.X)
         for s in stale:
             self.forests[s] = forests[s]
+        return bool(stale)
 
 
 class FrugalLoop:
@@ -289,7 +291,6 @@ class FrugalLoop:
         self.pool = np.ones((len(self.pairs), n), dtype=bool)
         self._update_pools()
 
-        self.ensemble: SelectorEnsemble | None = None
         self.ensemble = self._retrain()
         # Every slot on one block: the training rows, which only the
         # uncertainty query reads, then the validation and test rows, which
@@ -298,11 +299,10 @@ class FrugalLoop:
         self._query_rows = n if cfg.selection == "uncertainty" else 0
         block = np.concatenate((self.memo.X, held_out_X)) if self._query_rows else held_out_X
         self._votes = VoteCache(block, len(self.ensemble.forests))
-        # The slot forests last evaluated (fresh objects: none yet), and
-        # their (validation, test, plain test) PAR10. Under a static timeout
-        # the timeout models steer no query and no run, so a loop with them
-        # also scores its pair forests alone: the plain test PAR10.
-        self._evaluated: list = [object()] * len(self.ensemble.forests)
+        # The (validation, test, plain test) PAR10 last evaluated: none yet.
+        # Under a static timeout the timeout models steer no query and no
+        # run, so a loop with them also scores its pair forests alone: the
+        # plain test PAR10.
         self._par10: tuple[float, float, float | None] | None = None
         self._scores_plain = cfg.timeout_predictor and not cfg.dynamic_timeout
 
@@ -324,7 +324,6 @@ class FrugalLoop:
             self.store.censored,
             self.scenario.algorithms,
             timeout_at=self.controller.current if self.cfg.timeout_predictor else None,
-            previous=self.ensemble,
         )
 
     # -- query selection -----------------------------------------------------
@@ -391,19 +390,21 @@ class FrugalLoop:
         if not pos.size:
             return None
         self.step_index += 1
-        timeout_used = self.controller.current
         for p, k in zip(pair.tolist(), pos.tolist()):
             self.execute_request(p, k)
         self._update_pools()
         self.ensemble = self._retrain()
-        forests = self.ensemble.forests
-        self._votes.refresh(forests)
+        record = self.record()
+        # A plateau-triggered increase takes effect from the next step on.
+        self.controller.observe(record.validation_par10)
+        return record
 
-        # Only the forests decide what the selector picks, so a round that
-        # holds the forests last evaluated keeps both PAR10 values as well.
-        # The loop keeps its own record of them: the first query's walk also
-        # refreshes the cache, before any evaluation.
-        if any(f is not e for f, e in zip(forests, self._evaluated)):
+    def record(self) -> StepRecord:
+        """The loop's step record at the current step and timeout. Only the
+        forests decide what the selector picks, so it evaluates them only
+        when the vote cache's refresh finds a changed slot or no scores exist
+        yet (the first uncertainty query refreshes the cache before then)."""
+        if self._votes.refresh(self.ensemble.forests) or self._par10 is None:
             votes = self._votes.votes[:, self._query_rows :]
             validation_par10, test_par10 = evaluate_selector(
                 self.ensemble, self._held_out, self.scenario, votes, split=len(self.validation)
@@ -416,13 +417,10 @@ class FrugalLoop:
                     votes[: plain.n_pairs, len(self.validation) :],
                 )
             self._par10 = validation_par10, test_par10, plain_test_par10
-            self._evaluated = list(forests)
         validation_par10, test_par10, plain_test_par10 = self._par10
-        # A plateau-triggered increase takes effect from the next step on.
-        self.controller.observe(validation_par10)
         return StepRecord(
             step=self.step_index,
-            timeout=timeout_used,
+            timeout=self.controller.current,
             requests=self.requests_executed,
             resolved_cells=self.resolved_cells,
             data_frac=self.resolved_cells / self.total_cells,

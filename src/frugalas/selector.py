@@ -49,15 +49,12 @@ class SelectorEnsemble:
     order (class 0 = the pair's first algorithm is faster); then, when
     `timeout_at` is set, one slot per algorithm in portfolio order (class 1 =
     will time out at `timeout_at`). A None forest is untrained and abstains.
-    `labels` (int8, slot x train instance, -1 where unlabelled) is what each
-    slot was fit on, None when unknown; `train_ensemble` sets it.
     """
 
     algorithms: list[str]
     forests: list[RandomForest | None]
     imputer: ImputerModel
     timeout_at: float | None = None
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         # Slots carry no names, so a wrong count would vote with the wrong
@@ -98,17 +95,19 @@ class ForestMemo:
     The block is `X`, a fold's training rows imputed by `imputer`, and one
     forest config, `config`. A forest is a function of its slot's seed and
     of the rows and labels of its labelled instances, so `train_ensemble`
-    takes a slot's forest from `forests` when its (slot index, label vector)
-    was fit before, and stores each forest it fits. `streams` holds each
-    slot's `TreeStreams` record, made at the slot's first fit, which every
-    later fit of the slot reads. `forests` keeps insertion order: once its
-    forests hold more than `MEMO_NODES` nodes, the oldest entries are
-    dropped; the streams stay.
+    takes a slot's forest from `current`, the (key, forest) it last served
+    for each slot, or else from `forests`, when its key (slot index, label
+    vector) was fit before, and stores each forest it fits. `streams` holds
+    each slot's `TreeStreams` record, made at the slot's first fit, which
+    every later fit of the slot reads. `forests` keeps insertion order: once
+    its forests hold more than `MEMO_NODES` nodes, the oldest entries are
+    dropped; `current` and the streams stay.
     """
 
     def __init__(self, X: np.ndarray, imputer: ImputerModel, config: ForestConfig):
         self.X, self.imputer, self.config = X, imputer, config
         self.streams: dict[int, TreeStreams] = {}
+        self.current: dict[int, tuple[tuple[int, bytes], RandomForest]] = {}
         self.forests: dict[tuple[int, bytes], RandomForest] = {}
         self.nodes = 0
 
@@ -126,7 +125,6 @@ def train_ensemble(
     censored: np.ndarray,
     algorithms,
     timeout_at: float | None = None,
-    previous: SelectorEnsemble | None = None,
 ) -> SelectorEnsemble:
     """Fit pairwise forests, and timeout forests labelled at `timeout_at`
     unless it is None, from observed labels, on `memo`'s block.
@@ -138,15 +136,12 @@ def train_ensemble(
     (2, k), under `memo.config`'s seed.
 
     A forest is a function of its slot's seed and of the rows and labels of
-    the labelled instances, so a slot takes an earlier forest whenever one
-    was fit on its label vector, in this order. `previous`, when given, must
-    be an ensemble this function returned for a memo of the same block and
-    config, the same `algorithms` and slot layout, whatever its labels:
-    every slot whose label vector is unchanged keeps `previous`'s forest.
-    Next, a slot whose (slot index, label vector) the memo holds takes the
-    memo's forest; a memo is shared only by ensembles of the same
-    `algorithms`. Only the rest refit, on the slot's tree streams in the
-    memo, and each refit goes into the memo.
+    the labelled instances, so a slot takes the memo's forest whenever one
+    was fit on its label vector: first the one the memo last served for the
+    slot, so a slot whose labels did not change since keeps its forest
+    object, then a stored one. A memo is shared only by ensembles of the
+    same `algorithms`. Only the rest refit, on the slot's tree streams in
+    the memo, and each refit goes into the memo.
     """
     algorithms = list(algorithms)
     side_a, side_b = pair_columns(len(algorithms))
@@ -155,21 +150,17 @@ def train_ensemble(
     if timeout_at is not None:
         timeout_labels = timeout_classes(solved, censored, np.arange(len(algorithms)), timeout_at)
         labels = np.concatenate((labels, timeout_labels.T))
-    unchanged = np.zeros(labels.shape[0], dtype=bool)
-    if previous is not None:
-        unchanged = (previous.labels == labels).all(axis=1)
 
     forests = []
     for s, slot_labels in enumerate(labels):
         labelled = slot_labels >= 0
-        if unchanged[s]:
-            forests.append(previous.forests[s])
-            continue
         if not labelled.any():
             forests.append(None)
             continue
         key = (s, slot_labels.tobytes())
-        forest = memo.forests.get(key)
+        current, forest = memo.current.get(s, (None, None))
+        if current != key:
+            forest = memo.forests.get(key)
         if forest is None:
             streams = memo.streams.get(s)
             if streams is None:
@@ -180,8 +171,9 @@ def train_ensemble(
             cfg = replace(memo.config, seed=streams.seed)
             forest = fit_forest(memo.X[labelled], slot_labels[labelled], cfg, streams)
             memo.add(key, forest)
+        memo.current[s] = key, forest
         forests.append(forest)
-    return SelectorEnsemble(algorithms, forests, memo.imputer, timeout_at, labels)
+    return SelectorEnsemble(algorithms, forests, memo.imputer, timeout_at)
 
 
 def slot_votes(ensemble: SelectorEnsemble, X) -> np.ndarray:

@@ -211,6 +211,19 @@ class TestForestVotes:
         thr = forest.trees[0].threshold[0]
         assert forest_votes([forest], [[thr], [np.nextafter(thr, 20.0)]]).tolist() == [[0, 1]]
 
+    @pytest.mark.parametrize("n_each", [2, 40])  # the list scan, then the numpy scan
+    def test_a_midpoint_that_overflows_falls_back_to_the_lower_value(self, n_each):
+        # (-1.797e308 + -1.7e308) / 2 overflows to -inf, which would send
+        # every row right.
+        lo, hi = -1.797e308, -1.7e308
+        X = np.array([[lo]] * n_each + [[hi]] * n_each)
+        y = np.array([0] * n_each + [1] * n_each)
+        assert (X.size <= SMALL_SCAN) == (n_each == 2)
+        forest = fit_forest(X, y, ForestConfig(n_trees=1, seed=0))
+        assert forest.depth == 1
+        assert forest.trees[0].threshold[0] == lo
+        assert forest_votes([forest], X).tolist() == [y.tolist()]
+
     def test_trees_are_views_of_one_node_store(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(40, 3))
@@ -309,7 +322,7 @@ def reference_column_scan(values, labels):
     k = int(np.argmin(score))
     j = int(boundaries[k])
     thr = (values[j] + values[j + 1]) / 2.0
-    if thr >= values[j + 1]:
+    if not values[j] <= thr < values[j + 1]:
         thr = values[j]
     return float(score[k]), float(thr), True
 
@@ -394,7 +407,7 @@ def reference_scan_split(values, labels):
         return -1, np.inf, 0.0
     lo, hi = float(values[row, j]), float(values[row, j + 1])
     thr = (lo + hi) / 2.0
-    if thr >= hi:
+    if not lo <= thr < hi:
         thr = lo
     return row, best_score, thr
 
@@ -495,7 +508,7 @@ def assert_same_nodes(forest, fresh):
 
 # Values that make the two scans disagree if either rounds differently: both
 # zeros, denormals, neighbours one ulp apart, and magnitudes whose midpoint
-# overflows, so that `thr >= hi` picks the lower value.
+# overflows, so that the threshold falls back to the lower value.
 HUGE = np.finfo(np.float64).max
 EDGES = {
     "zeros": [0.0, -0.0, 1.0],

@@ -512,6 +512,30 @@ class TestLoopThatNeverSteps:
         summary = summarize(rows)
         assert {r["config"] for r in summary} == {"random", "uncertainty-dt", "passive"}
 
+    def test_a_shared_loop_logs_both_passive_scores(self, tmp_path, monkeypatch):
+        # Each static pair runs one X-to loop, which never steps: its X cell
+        # logs the plain passive score and its X-to cell the full one.
+        spec = ExperimentSpec(
+            make_synthetic_scenario(40, 3), tmp_path / "runs",
+            configurations=STATIC + PASSIVE_CONFIGS,
+            folds=[0], seeds=[0], n_trees=2, batch_frac=1.0,
+        )
+        loops = _count_loops(monkeypatch)
+        run_grid(spec)
+        assert loops == [("uncertainty", True), ("random", True)]
+        rows = read_step_logs(spec.out_dir)
+        assert sorted(r["config"] for r in rows) == sorted(spec.configurations)
+        row = {r["config"]: r for r in rows}
+        passive, passive_to = row["passive"], row["passive-to"]
+        # The timeout models change the pick, so the test tells the two apart.
+        assert passive["test_par10_s"] != passive_to["test_par10_s"]
+        for x in ("uncertainty", "random"):
+            assert row[x]["step"] == row[f"{x}-to"]["step"] == "0"
+            assert row[x]["test_par10_s"] == passive["test_par10_s"]
+            assert (row[f"{x}-to"]["test_par10_s"], row[f"{x}-to"]["cost_s"]) == (
+                passive_to["test_par10_s"], passive_to["cost_s"]
+            )
+
     def test_step_log_with_no_rows_is_a_results_error(self, tmp_path):
         log = tmp_path / "runs" / "random" / "fold00_seed0.csv"
         log.parent.mkdir(parents=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frugalas.loop as loop_mod
+import frugalas.selector as selector_mod
 from conftest import (
     build_scenario,
     entropy_score,
@@ -12,20 +13,35 @@ from conftest import (
     reference_proba,
     training_block,
 )
-from frugalas.forest import ForestConfig, dump_trees
+from frugalas.forest import ForestConfig, dump_trees, fit_forest, forest_votes
 from frugalas.harness import ExperimentSpec, passive_ensemble
-from frugalas.labels import Censored, LabelStore, Solved, pairwise_label
+from frugalas.labels import (
+    Censored,
+    LabelStore,
+    Solved,
+    pair_classes,
+    pairwise_label,
+    timeout_classes,
+)
 from frugalas.loop import (
     CostLedger,
     DynamicTimeoutController,
     FrugalLoop,
     LedgerEntry,
     LoopConfig,
+    VoteCache,
     fold_memo,
 )
 from frugalas.preprocess import FoldSplit, ImputerModel, make_splits
 from frugalas.scenario import OK, OTHER_FAILURE as OTHER, TIMEOUT
-from frugalas.selector import ForestMemo, SelectorEnsemble, evaluate_selector, train_ensemble
+from frugalas.selector import (
+    MEMO_NODES,
+    ForestMemo,
+    SelectorEnsemble,
+    evaluate_selector,
+    pair_columns,
+    train_ensemble,
+)
 from frugalas.synthetic import make_synthetic_scenario
 
 
@@ -616,8 +632,24 @@ class TestStepping:
             assert 0.0 <= e.charged <= loop.scenario.cutoff
 
 
+def slot_labels(loop, timeout_at) -> np.ndarray:
+    """Each slot's training labels, one row per slot in slot order, from
+    `loop`'s store as it stands: the pair slots', then, unless `timeout_at`
+    is None, the timeout slots' labelled at `timeout_at`."""
+    solved, censored = loop.store.solved, loop.store.censored
+    labels = pair_classes(solved, censored, *pair_columns(len(loop.scenario.algorithms))).T
+    if timeout_at is None:
+        return labels
+    algorithms = np.arange(len(loop.scenario.algorithms))
+    return np.concatenate((labels, timeout_classes(solved, censored, algorithms, timeout_at).T))
+
+
 class TestRetrainReuse:
-    def test_reused_forests_equal_a_fresh_fit(self):
+    # At 0 the memo stores no forest, so only the slots' current forests
+    # are reused.
+    @pytest.mark.parametrize("memo_nodes", [MEMO_NODES, 0], ids=["default-budget", "no-budget"])
+    def test_reused_forests_equal_a_fresh_fit(self, memo_nodes, monkeypatch):
+        monkeypatch.setattr(selector_mod, "MEMO_NODES", memo_nodes)
         loop, s = make_loop(
             n_train=16,
             n_algorithms=3,
@@ -631,24 +663,25 @@ class TestRetrainReuse:
         reused = refit_on_growth = 0
         for _ in range(12):
             before = loop.ensemble
+            before_labels = slot_labels(loop, before.timeout_at)
             if loop.step() is None:
                 break
             after = loop.ensemble
             timeout = after.timeout_at
+            after_labels = slot_labels(loop, timeout)
             X, solved, censored = training_block(s, loop.train, loop.store, loop.imputer)
             fresh = train_ensemble(
                 ForestMemo(X, loop.imputer, loop.cfg.forest), solved, censored, s.algorithms,
                 timeout_at=timeout,
             )
             # every slot equals a from-scratch fit on the same store
-            assert np.array_equal(after.labels, fresh.labels)
             for new, ref in zip(after.forests, fresh.forests, strict=True):
                 assert (new is None) == (ref is None)
                 if new is not None:
                     assert dump_trees(new) == dump_trees(ref)
             # a slot keeps its forest object exactly when its labels are unchanged
             for slot, (new, old) in enumerate(zip(after.forests, before.forests, strict=True)):
-                if np.array_equal(after.labels[slot], before.labels[slot]):
+                if np.array_equal(after_labels[slot], before_labels[slot]):
                     assert new is old
                     reused += new is not None
                 elif new is not None:
@@ -659,7 +692,7 @@ class TestRetrainReuse:
             if timeout > before.timeout_at:
                 for t in range(n_pairs, len(after.forests)):
                     refit_on_growth += after.forests[t] is not None and not np.array_equal(
-                        after.labels[t], before.labels[t]
+                        after_labels[t], before_labels[t]
                     )
         assert reused and refit_on_growth
 
@@ -667,7 +700,6 @@ class TestRetrainReuse:
         # Every refit of a slot reads the tree streams its first fit seeded,
         # so a loop run to exhaustion seeds at most slots x trees generators.
         import frugalas.draws as draws_mod
-        import frugalas.selector as selector_mod
 
         seeded, fits = [], []
         seed_sequence, fit_forest = draws_mod.SeedSequence, selector_mod.fit_forest
@@ -996,6 +1028,18 @@ class TestVoteCache:
         assert len({id(f) for f in walked}) == len(walked)
         assert {id(f) for f in walked} == {id(f) for f in read}
         assert walked
+
+    def test_refresh_says_whether_a_slot_changed(self, walks):
+        X = np.arange(6.0).reshape(-1, 1)
+        forest = fit_forest(X, [0, 0, 0, 1, 1, 1], ForestConfig(n_trees=2, seed=0))
+        cache = VoteCache(X, 2)
+        assert cache.refresh([forest, None])  # no slot was walked before
+        assert not cache.refresh([forest, None])
+        # A slot that loses its forest changes, and walks nothing.
+        assert cache.refresh([None, None])
+        assert not cache.refresh([None, None])
+        assert [fs for _, fs in walks] == [[forest]]
+        assert cache.votes.tolist() == [forest_votes([forest], X)[0].tolist(), [0] * 6]
 
     def test_passive_baseline_walks_nothing(self, walks):
         s = make_synthetic_scenario(60, 3, seed=0)

@@ -349,29 +349,32 @@ class TestTrainEnsemble:
     def test_pair_count(self):
         s = build_scenario(np.random.default_rng(2).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        ens = train_ensemble(_memo_of(s), store.solved, store.censored, s.algorithms)
+        memo = _memo_of(s)
+        ens = train_ensemble(memo, store.solved, store.censored, s.algorithms)
         assert len(ens.forests) == 3
         assert ens.timeout_at is None
-        assert ens.labels.shape == (3, 12)
+        assert sorted(memo.current) == [0, 1, 2]  # each slot's current forest
 
     def test_timeout_models_present_when_enabled(self):
         s = build_scenario(np.random.default_rng(3).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        ens = train_ensemble(
-            _memo_of(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
-        )
+        memo = _memo_of(s)
+        ens = train_ensemble(memo, store.solved, store.censored, s.algorithms, timeout_at=s.cutoff)
         assert len(ens.forests) == 3 + 3  # the pairs, then one timeout slot each
         assert ens.timeout_at == s.cutoff
-        assert ens.labels.shape == (6, 12)
+        assert sorted(memo.current) == list(range(6))
 
-    def test_unchanged_labels_reuse_every_forest(self):
+    def test_unchanged_labels_reuse_every_forest(self, monkeypatch):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
         block = store.solved, store.censored, s.algorithms
-        first = train_ensemble(_memo_of(s), *block, timeout_at=s.cutoff)
-        # A fresh memo of the same block holds no forest: `previous` gives
-        # every one.
-        again = train_ensemble(_memo_of(s), *block, timeout_at=s.cutoff, previous=first)
+        # With no node budget the memo stores no forest: each slot's current
+        # forest gives every one.
+        monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
+        memo = _memo_of(s)
+        first = train_ensemble(memo, *block, timeout_at=s.cutoff)
+        assert memo.forests == {}
+        again = train_ensemble(memo, *block, timeout_at=s.cutoff)
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
 
     def test_refits_read_the_memos_tree_streams(self, monkeypatch):
@@ -388,7 +391,7 @@ class TestTrainEnsemble:
             selector_mod, "fit_forest", lambda *args: read.append(args[3]) or fit(*args)
         )
         solved[0], censored[0] = np.nan, np.nan  # every slot loses a row
-        again = train_ensemble(memo, solved, censored, s.algorithms, previous=first)
+        again = train_ensemble(memo, solved, censored, s.algorithms)
         assert all(new is not old for new, old in zip(again.forests, first.forests))
         assert read == [streams[slot] for slot in range(3)]
         assert memo.streams == streams
@@ -427,7 +430,8 @@ class TestForestMemo:
         monkeypatch.setattr(
             selector_mod, "fit_forest", lambda *args: fits.append(args) or fit(*args)
         )
-        # No `previous`: every slot is a memo hit, and nothing refits.
+        # Unchanged labels: every slot takes its current forest, and nothing
+        # refits.
         again = train_ensemble(memo, solved, censored, s.algorithms, s.cutoff)
         assert fits == []
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
@@ -442,10 +446,17 @@ class TestForestMemo:
         assert all(new is old for new, old in zip(plain.forests, first.forests[:3], strict=True))
         assert fits == []
         streams = dict(memo.streams)
+        row = solved[0].copy(), censored[0].copy()
         solved[0], censored[0] = np.nan, np.nan
-        train_ensemble(memo, solved, censored, s.algorithms)
+        changed = train_ensemble(memo, solved, censored, s.algorithms)
         assert len(fits) == 3 and len(memo.forests) == 9
         assert [args[3] for args in fits] == [streams[p] for p in range(3)]
+        assert all(memo.current[p][1] is changed.forests[p] for p in range(3))
+        # Labels that come back take the stored forests, not the current ones.
+        solved[0], censored[0] = row
+        back = train_ensemble(memo, solved, censored, s.algorithms)
+        assert len(fits) == 3
+        assert all(new is old for new, old in zip(back.forests, first.forests[:3], strict=True))
 
     def test_the_oldest_entries_go_past_the_node_budget(self, monkeypatch):
         s, memo, solved, censored = self._block()
@@ -477,9 +488,10 @@ class TestForestMemo:
         )
         shared = self._grid(tmp_path / "shared")
         n_shared = len(fits)
-        # With no node budget no memo keeps a forest, so only `previous`
-        # reuses one: one memo per loop and baseline fits what they fit
-        # without any memo, and so must the unit's one memo.
+        # With no node budget no memo stores a forest, so a slot reuses only
+        # its current forest, the one its loop's last retrain got: one memo
+        # per loop and baseline fits what they fit without any memo, and on
+        # this grid so does the unit's one memo.
         monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
         with monkeypatch.context() as m:
             m.setattr(harness, "fold_memo", lambda *args: None)
