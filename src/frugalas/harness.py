@@ -2,7 +2,8 @@
 aggregation of per-step logs into cost-vs-performance curves.
 
 The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
-the loop is the one engine that labels and trains for every configuration.
+the loop is the one engine that labels and trains for every configuration;
+with timeout models the baseline's scores are its loop's step-0 record.
 A grid's task is one (fold, seed) unit: it runs the unit's cells in
 configuration order on one copy of the spec, on one job or many. A `_Unit`
 holds what the cells share: the split, one `ForestMemo` (`loop.fold_memo`)
@@ -41,10 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .forest import ForestConfig
-from .loop import DT_INITIAL_FRAC, CostLedger, FrugalLoop, LoopConfig, fold_memo
+from .loop import DT_INITIAL_FRAC, FrugalLoop, LoopConfig, fold_memo
 from .preprocess import N_FOLDS, FoldSplit, PreprocessError, make_splits
 from .scenario import Scenario
-from .selector import ForestMemo, SelectorEnsemble, algorithm_pairs, evaluate_selector, slot_votes
+from .selector import ForestMemo, algorithm_pairs, evaluate_selector
 
 # Neither is called here: every imputer is fit, and every ensemble trained,
 # in `loop`. perfbench/tracing.py wraps both names here as well as there.
@@ -182,32 +183,6 @@ class ExperimentSpec:
         )
 
 
-def passive_ensemble(
-    scenario: Scenario,
-    fold: FoldSplit,
-    seed: int,
-    timeout_models: bool = False,
-    n_trees: int = ForestConfig.n_trees,
-    memo: ForestMemo | None = None,
-) -> tuple[SelectorEnsemble, CostLedger]:
-    """Selector trained on the full fold at cutoff, and the ledger that
-    charged its labelling: `FrugalLoop`'s initial phase over the whole fold,
-    which runs every training instance on every algorithm at the cutoff,
-    in fold order, before any model exists (step 0). `memo` is the forest
-    memo it trains on, as `FrugalLoop` takes it."""
-    cfg = LoopConfig(
-        timeout_predictor=timeout_models,
-        # An empty fold fails in FrugalLoop, with PreprocessError.
-        initial_size=len(fold.train) or None,
-        seed=seed,
-        forest=ForestConfig(n_trees=n_trees, seed=seed),
-    )
-    loop = FrugalLoop(scenario, fold, (), cfg, memo=memo)
-    if all(f is None for f in loop.ensemble.pair_forests):
-        raise PreprocessError("no labelled data: every pairwise model would be untrained")
-    return loop.ensemble, loop.ledger
-
-
 def run_passive_baseline(
     scenario: Scenario,
     fold: FoldSplit,
@@ -217,24 +192,31 @@ def run_passive_baseline(
     n_trees: int = ForestConfig.n_trees,
     memo: ForestMemo | None = None,
 ) -> PassiveBaseline:
-    """Fit and evaluate the passive baseline of one fold. The pair forests of
-    the timeout-model ensemble are the plain ensemble's, bit for bit (same
-    slot seed paths, same labels), so with `timeout_models` one fit and one
-    walk of its forests on the test rows give both test PAR10 values: the
-    plain ensemble votes with the pair slots' rows of that walk."""
-    ensemble, ledger = passive_ensemble(scenario, fold, seed, timeout_models, n_trees, memo)
-    if ensemble.timeout_at is None:
+    """Fit and evaluate the passive baseline of one fold: `FrugalLoop`'s
+    initial phase over the whole fold, which runs every training instance on
+    every algorithm at the cutoff, in fold order, before any model exists
+    (step 0), on `memo` as `FrugalLoop` takes it. That settles every pool
+    cell, so the loop never steps, and with `timeout_models` its step-0
+    record holds both test PAR10 values from one walk of its forests on the
+    test rows: under a static timeout the loop scores its pair forests
+    alone too."""
+    cfg = LoopConfig(
+        timeout_predictor=timeout_models,
+        # An empty fold fails in FrugalLoop, with PreprocessError.
+        initial_size=len(fold.train) or None,
+        seed=seed,
+        forest=ForestConfig(n_trees=n_trees, seed=seed),
+    )
+    loop = FrugalLoop(scenario, FoldSplit(fold.train, []), test_instances, cfg, memo=memo)
+    if all(f is None for f in loop.ensemble.pair_forests):
+        raise PreprocessError("no labelled data: every pairwise model would be untrained")
+    if not timeout_models:
         # One evaluation, which walks its forests through `select_batch`
         # (perfbench/test_checks.py plants a wrong selector there).
-        par10 = evaluate_selector(ensemble, test_instances, scenario)
-        return PassiveBaseline(ledger.total, par10, None)
-    test_instances = list(test_instances)
-    rows = [scenario.instance_index(i) for i in test_instances]
-    votes = slot_votes(ensemble, ensemble.imputer.transform(scenario.feature_matrix[rows]))
-    plain = ensemble.without_timeouts()
-    par10 = evaluate_selector(plain, test_instances, scenario, votes[: plain.n_pairs])
-    par10_to = evaluate_selector(ensemble, test_instances, scenario, votes)
-    return PassiveBaseline(ledger.total, par10, par10_to)
+        par10 = evaluate_selector(loop.ensemble, loop.test, scenario)
+        return PassiveBaseline(loop.ledger.total, par10, None)
+    r = loop.record()
+    return PassiveBaseline(r.cost, r.plain_test_par10, r.test_par10)
 
 
 def _ratio(num: float, den: float) -> float:

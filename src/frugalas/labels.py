@@ -45,15 +45,6 @@ class LabelStore:
         self.solved = np.full((len(self.row), len(self.column)), np.nan)
         self.censored = np.full_like(self.solved, np.nan)
 
-    def get(self, instance: str, algorithm: str) -> Observation | None:
-        cell = self.row[instance], self.column[algorithm]
-        runtime, at = self.solved[cell], self.censored[cell]
-        if not math.isnan(runtime):
-            return Solved(float(runtime))
-        if not math.isnan(at):
-            return Censored(float(at))
-        return None
-
     def record(self, instance: str, algorithm: str, obs: Observation) -> None:
         cell = self.row[instance], self.column[algorithm]
         if not math.isnan(self.solved[cell]):

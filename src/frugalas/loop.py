@@ -12,11 +12,12 @@ forests alone, which is what the loop without them logs: the timeout models
 then steer no query and no run.
 `VoteCache` walks each forest once, right after the retrain that made it,
 on the loop's one fixed row block (the training rows when the query ranks by
-uncertainty, then the validation and test rows) and keeps its class-1 tree
-votes, which the query and the evaluation read as integers; its refresh
-decides whether a round evaluates again. `FrugalLoop.record` writes every
-step record. A loop's label store, pools, training votes and feature rows
-and its (pair, position) queries share one index: the training position.
+uncertainty and a pool cell is open, then the validation and test rows) and
+keeps its class-1 tree votes, which the query and the evaluation read as
+integers; its refresh decides whether a round evaluates again.
+`FrugalLoop.record` writes every step record. A loop's label store, pools,
+training votes and feature rows and its (pair, position) queries share one
+index: the training position.
 Every loop trains on a `selector.ForestMemo`, made by `fold_memo`: the
 fold's imputer, the training rows it imputed once and every forest fit on
 them. A loop given no memo builds its own; loops given one memo take any
@@ -55,7 +56,8 @@ def fold_memo(scenario: Scenario, train, forest_config: ForestConfig) -> ForestM
     fails here, with PreprocessError."""
     imputer = fit_imputer(scenario, train)
     rows = [scenario.instance_index(i) for i in train]
-    return ForestMemo(imputer.transform(scenario.feature_matrix[rows]), imputer, forest_config)
+    X = imputer.transform(scenario.feature_matrix[rows])
+    return ForestMemo(train, X, imputer, forest_config)
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,9 @@ class FrugalLoop:
         """`memo` is the `ForestMemo` the loop trains on, one of
         `fold_memo(scenario, fold.train, cfg.forest)`: the loop imputes its
         held-out rows with the memo's imputer, and every retrain reads and
-        fills it (see `train_ensemble`). A memo of another tree count or
-        seed is a ValueError. None builds the loop its own."""
+        fills it (see `train_ensemble`). A memo of other training instances,
+        or of another tree count or seed, is a ValueError. None builds the
+        loop its own."""
         self.scenario = scenario
         self.cfg = cfg
         self.train = list(fold.train)
@@ -239,6 +242,8 @@ class FrugalLoop:
         n = len(self.train)
         # An empty fold fails here, with PreprocessError.
         self.memo = fold_memo(scenario, self.train, cfg.forest) if memo is None else memo
+        if self.memo.train != tuple(self.train):
+            raise ValueError("the forest memo holds the rows of other training instances")
         if self.memo.config != cfg.forest:
             raise ValueError(
                 f"the forest memo holds forests of {self.memo.config.n_trees} trees and seed "
@@ -293,10 +298,10 @@ class FrugalLoop:
 
         self.ensemble = self._retrain()
         # Every slot on one block: the training rows, which only the
-        # uncertainty query reads, then the validation and test rows, which
-        # each evaluation reads. Nothing is walked before the first query or
-        # the first retrain.
-        self._query_rows = n if cfg.selection == "uncertainty" else 0
+        # uncertainty query reads (and only while a pool cell is open), then
+        # the validation and test rows, which each evaluation reads. Nothing
+        # is walked before the first query or the first retrain.
+        self._query_rows = n if cfg.selection == "uncertainty" and self.pool.any() else 0
         block = np.concatenate((self.memo.X, held_out_X)) if self._query_rows else held_out_X
         self._votes = VoteCache(block, len(self.ensemble.forests))
         # The (validation, test, plain test) PAR10 last evaluated: none yet.
@@ -332,9 +337,10 @@ class FrugalLoop:
         """(n_pairs, n_train) max posterior of each pair's model on every
         training instance, `max(k - v, v) / k` from `k` trees with `v`
         class-1 votes; an abstaining (untrained) pair scores 0.5. Only an
-        uncertainty loop, whose vote block starts with the training rows,
-        has these: it reads the votes from `_votes`, which walks only
-        forests no retrain has walked yet (the first query's)."""
+        uncertainty loop built with an open pool cell, whose vote block
+        starts with the training rows, has these: it reads the votes from
+        `_votes`, which walks only forests no retrain has walked yet (the
+        first query's)."""
         forests = self.ensemble.pair_forests
         trained = [p for p, f in enumerate(forests) if f is not None]
         k = np.array([len(forests[p].roots) for p in trained]).reshape(-1, 1)

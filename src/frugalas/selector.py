@@ -92,19 +92,21 @@ class ForestMemo:
     """One training block and every forest fit on it, by slot and label
     vector: what `train_ensemble` trains on.
 
-    The block is `X`, a fold's training rows imputed by `imputer`, and one
-    forest config, `config`. A forest is a function of its slot's seed and
-    of the rows and labels of its labelled instances, so `train_ensemble`
-    takes a slot's forest from `current`, the (key, forest) it last served
-    for each slot, or else from `forests`, when its key (slot index, label
-    vector) was fit before, and stores each forest it fits. `streams` holds
-    each slot's `TreeStreams` record, made at the slot's first fit, which
-    every later fit of the slot reads. `forests` keeps insertion order: once
-    its forests hold more than `MEMO_NODES` nodes, the oldest entries are
-    dropped; `current` and the streams stay.
+    The block is `X`, the rows of the training instances `train` (in that
+    order) imputed by `imputer`, and one forest config, `config`. A forest
+    is a function of its slot's seed and of the rows and labels of its
+    labelled instances, so `train_ensemble` takes a slot's forest from
+    `current`, the (key, forest) it last served for each slot, or else from
+    `forests`, when its key (slot index, label vector) was fit before, and
+    stores each forest it fits. `streams` holds each slot's `TreeStreams`
+    record, made at the slot's first fit, which every later fit of the slot
+    reads. `forests` keeps insertion order: once its forests hold more than
+    `MEMO_NODES` nodes, the oldest entries are dropped; `current` and the
+    streams stay.
     """
 
-    def __init__(self, X: np.ndarray, imputer: ImputerModel, config: ForestConfig):
+    def __init__(self, train, X: np.ndarray, imputer: ImputerModel, config: ForestConfig):
+        self.train = tuple(train)
         self.X, self.imputer, self.config = X, imputer, config
         self.streams: dict[int, TreeStreams] = {}
         self.current: dict[int, tuple[tuple[int, bytes], RandomForest]] = {}

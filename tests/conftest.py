@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from frugalas.labels import Censored, Solved
 from frugalas.scenario import OK, TIMEOUT, OTHER_FAILURE, RunRecord, Scenario
 
 
@@ -56,6 +59,18 @@ def entropy_score(p_max):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(np.where(p > 0, p * np.log2(p), 0.0) + np.where(q > 0, q * np.log2(q), 0.0))
     return h
+
+
+def observation(store, instance, algorithm):
+    """The observation a `LabelStore` holds for one cell: `Solved`,
+    `Censored` or None when the cell is unlabelled."""
+    cell = store.row[instance], store.column[algorithm]
+    runtime, at = store.solved[cell], store.censored[cell]
+    if not math.isnan(runtime):
+        return Solved(float(runtime))
+    if not math.isnan(at):
+        return Censored(float(at))
+    return None
 
 
 def training_block(scenario, train, store, imputer):

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import build_scenario, training_block
+from conftest import build_scenario, observation, training_block
 import frugalas.loop as loop_mod
 import frugalas.selector as selector_mod
 from frugalas import harness
@@ -19,7 +19,6 @@ from frugalas.harness import (
     ExperimentSpec,
     ResultsError,
     parse_config_id,
-    passive_ensemble,
     read_step_logs,
     read_summary,
     run_cell,
@@ -30,7 +29,7 @@ from frugalas.harness import (
 )
 from frugalas.forest import ForestConfig, dump_trees
 from frugalas.labels import Censored, LabelStore, Solved
-from frugalas.loop import CostLedger
+from frugalas.loop import CostLedger, FrugalLoop, LoopConfig
 from frugalas.preprocess import FoldSplit, PreprocessError, fit_imputer, make_splits
 from frugalas.scenario import OK, TIMEOUT
 from frugalas.selector import ForestMemo, evaluate_selector, train_ensemble
@@ -54,6 +53,19 @@ class TestConfigIds:
                 parse_config_id(config_id)
 
 
+def passive_ensemble(scenario, fold, seed, timeout_models=False, n_trees=ForestConfig.n_trees):
+    """The ensemble and ledger of the loop `run_passive_baseline` builds:
+    `FrugalLoop`'s initial phase over the whole fold."""
+    cfg = LoopConfig(
+        timeout_predictor=timeout_models,
+        initial_size=len(fold.train) or None,
+        seed=seed,
+        forest=ForestConfig(n_trees=n_trees, seed=seed),
+    )
+    loop = FrugalLoop(scenario, FoldSplit(fold.train, []), (), cfg)
+    return loop.ensemble, loop.ledger
+
+
 def _passive_ledger(scenario):
     """The ledger of a passive baseline trained on every instance."""
     fold = FoldSplit(train=list(scenario.instances), validation=[])
@@ -66,14 +78,14 @@ class TestPassiveBaseline:
         ledger = _passive_ledger(two_by_two)
         assert ledger.total == 22.0
         assert len(ledger.store) == 4
-        assert ledger.store.get("i0", "a0") == Solved(1.0)
+        assert observation(ledger.store, "i0", "a0") == Solved(1.0)
 
     def test_full_store_censors_timeouts(self):
         s = build_scenario(
             [[5.0, 130.0]], statuses=[[OK, TIMEOUT]]
         )  # recorded failure time past the cutoff is clamped
         ledger = _passive_ledger(s)
-        assert ledger.store.get("i0", "a1") == Censored(100.0)
+        assert observation(ledger.store, "i0", "a1") == Censored(100.0)
         assert ledger.total == 5.0 + 100.0
 
     def test_passive_cost_is_the_sum_of_its_ledger(self):
@@ -95,15 +107,16 @@ class TestPassiveBaseline:
         # the reference: run every training cell at the cutoff in fold order,
         # then fit the imputer and train once on the full store
         s = make_synthetic_scenario(60, 3, seed=0)
-        fold = make_splits(s, seed=0).folds[0]
+        plan = make_splits(s, seed=0)
+        fold = plan.folds[0]
         ledger = CostLedger(s, LabelStore(s.instances, s.algorithms))
         for inst in fold.train:
             ledger.run(0, inst, s.algorithms, s.cutoff)
         imputer = fit_imputer(s, fold.train)
         X, solved, censored = training_block(s, fold.train, ledger.store, imputer)
         reference = train_ensemble(
-            ForestMemo(X, imputer, ForestConfig(n_trees=3, seed=4)), solved, censored,
-            s.algorithms, timeout_at=s.cutoff if timeout_models else None,
+            ForestMemo(fold.train, X, imputer, ForestConfig(n_trees=3, seed=4)),
+            solved, censored, s.algorithms, timeout_at=s.cutoff if timeout_models else None,
         )
         ensemble, passive = passive_ensemble(s, fold, 4, timeout_models, n_trees=3)
         assert passive.entries == ledger.entries
@@ -112,15 +125,24 @@ class TestPassiveBaseline:
         assert len(ensemble.forests) == len(reference.forests)
         for got, ref in zip(ensemble.forests, reference.forests):
             assert dump_trees(got) == dump_trees(ref)
+        # what the grid reads of the baseline: the same cost and the
+        # reference's test PAR10 values, with and without timeout models
+        baseline = run_passive_baseline(s, fold, plan.test, 4, timeout_models, n_trees=3)
+        assert baseline.cost.hex() == ledger.total.hex()
+        assert baseline.par10 == evaluate_selector(reference.without_timeouts(), plan.test, s)
+        if timeout_models:
+            assert baseline.par10_to == evaluate_selector(reference, plan.test, s)
+        else:
+            assert baseline.par10_to is None
 
     def test_no_labels_raises(self):
         # every run ties, so no pair has a label; an empty fold has no rows
         s = build_scenario(np.ones((4, 2)))
         fold = FoldSplit(train=list(s.instances), validation=[])
         with pytest.raises(PreprocessError, match="no labelled data"):
-            passive_ensemble(s, fold, seed=0, n_trees=3)
+            run_passive_baseline(s, fold, [], seed=0, n_trees=3)
         with pytest.raises(PreprocessError, match="empty training set"):
-            passive_ensemble(s, FoldSplit(train=[], validation=[]), seed=0, n_trees=3)
+            run_passive_baseline(s, FoldSplit(train=[], validation=[]), [], seed=0, n_trees=3)
 
     def _dominant_scenario(self, n=50):
         rng = np.random.default_rng(0)
@@ -131,8 +153,6 @@ class TestPassiveBaseline:
 
     @pytest.mark.parametrize("timeout_models", [False, True])
     def test_walks_its_forests_once(self, monkeypatch, timeout_models):
-        import frugalas.selector as selector_mod
-
         walks = []  # (forests, rows) of each `forest_votes` call
         votes = selector_mod.forest_votes
 
@@ -140,7 +160,9 @@ class TestPassiveBaseline:
             walks.append((list(forests), np.shape(X)[0]))
             return votes(forests, X)
 
+        # `select_batch` walks in `selector`, the loop's vote cache in `loop`
         monkeypatch.setattr(selector_mod, "forest_votes", counted)
+        monkeypatch.setattr(loop_mod, "forest_votes", counted)
         s = make_synthetic_scenario(60, 3, seed=0)
         plan = make_splits(s, seed=0)
         fold = plan.folds[0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import observation
 from frugalas.labels import (
     Censored,
     LabelStore,
@@ -149,10 +150,10 @@ class TestOnlyImprove:
     def test_get_and_len_read_the_arrays(self):
         store = self._store()
         assert len(store) == 2
-        assert store.get("i0", "a0") == Solved(5.0)
-        assert store.get("i0", "a1") == Censored(20.0)
+        assert observation(store, "i0", "a0") == Solved(5.0)
+        assert observation(store, "i0", "a1") == Censored(20.0)
         store.record("i0", "a1", Solved(30.0))
-        assert store.get("i0", "a1") == Solved(30.0)
+        assert observation(store, "i0", "a1") == Solved(30.0)
         assert np.isnan(store.censored).all() and len(store) == 2
 
 
@@ -180,7 +181,7 @@ def test_every_accepted_state_improves_on_the_one_before(records):
     store = LabelStore(range(3), range(2))
     cells = [(i, j) for i in range(3) for j in range(2)]
     for i, j, obs in records:
-        before = {cell: store.get(*cell) for cell in cells}
+        before = {cell: observation(store, *cell) for cell in cells}
         old = before[(i, j)]
         if isinstance(old, Solved) or not improves(old, obs):
             solved, censored = store.solved.copy(), store.censored.copy()
@@ -190,8 +191,8 @@ def test_every_accepted_state_improves_on_the_one_before(records):
             np.testing.assert_array_equal(store.censored, censored)
             continue
         store.record(i, j, obs)
-        assert store.get(i, j) == obs
+        assert observation(store, i, j) == obs
         for cell in cells:
-            assert improves(before[cell], store.get(*cell)), cell
+            assert improves(before[cell], observation(store, *cell)), cell
         # a cell holds at most one kind of observation
         assert not (~np.isnan(store.solved) & ~np.isnan(store.censored)).any()

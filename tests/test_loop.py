@@ -10,11 +10,12 @@ from conftest import (
     entropy_score,
     least_confidence_score,
     margin_score,
+    observation,
     reference_proba,
     training_block,
 )
 from frugalas.forest import ForestConfig, dump_trees, fit_forest, forest_votes
-from frugalas.harness import ExperimentSpec, passive_ensemble
+from frugalas.harness import ExperimentSpec
 from frugalas.labels import (
     Censored,
     LabelStore,
@@ -108,7 +109,7 @@ def replay(scenario, timeout, instance="i0", algorithm="a0"):
     ledger.run(3, instance, [algorithm], timeout)
     (entry,) = ledger.entries
     assert ledger.total == entry.charged
-    assert ledger.store.get(instance, algorithm) == entry.state
+    assert observation(ledger.store, instance, algorithm) == entry.state
     return entry.state, entry.charged
 
 
@@ -452,13 +453,13 @@ class TestExecution:
         loop, base = self._manual_loop()
         k = loop.train.index("i6")
         loop.execute_request(0, k)  # pair 0 is (a0, a1)
-        assert loop.store.get("i6", "a0") == Censored(60.0)
-        assert loop.store.get("i6", "a1") == Censored(60.0)
+        assert observation(loop.store, "i6", "a0") == Censored(60.0)
+        assert observation(loop.store, "i6", "a1") == Censored(60.0)
 
         loop.controller.current = 100.0
         loop.execute_request(0, k)
-        assert loop.store.get("i6", "a0") == Solved(90.0)
-        assert loop.store.get("i6", "a1") == Censored(100.0)
+        assert observation(loop.store, "i6", "a0") == Solved(90.0)
+        assert observation(loop.store, "i6", "a1") == Censored(100.0)
 
         charged = [
             e.charged for e in loop.ledger.entries[base:] if e.instance == "i6"
@@ -493,7 +494,7 @@ class TestExecution:
 
         loop.controller.current = 100.0
         loop.execute_request(0, k)
-        assert loop.store.get("i6", "a1") == Censored(100.0)
+        assert observation(loop.store, "i6", "a1") == Censored(100.0)
         assert [e.charged for e in loop.ledger.entries[base:]] == [100.0]
         loop._update_pools()
         assert not loop.pool[0, k]
@@ -589,15 +590,15 @@ class TestStepping:
         for p, (a, b) in enumerate(loop.pairs):
             # open cells are undecided and can still change
             for inst in compress(loop.train, loop.pool[p]):
-                obs_a = loop.store.get(inst, a)
-                obs_b = loop.store.get(inst, b)
+                obs_a = observation(loop.store, inst, a)
+                obs_b = observation(loop.store, inst, b)
                 if obs_a is None or obs_b is None:
                     continue
                 assert pairwise_label(obs_a, obs_b) is None, (p, inst)
                 assert not (final(obs_a) and final(obs_b)), (p, inst)
             for inst in compress(loop.train, ~loop.pool[p]):
-                obs_a = loop.store.get(inst, a)
-                obs_b = loop.store.get(inst, b)
+                obs_a = observation(loop.store, inst, a)
+                obs_b = observation(loop.store, inst, b)
                 if obs_a is None or obs_b is None:
                     continue  # may still be pending in another pool
                 # removed cells are decisive or permanently uninformative
@@ -671,7 +672,8 @@ class TestRetrainReuse:
             after_labels = slot_labels(loop, timeout)
             X, solved, censored = training_block(s, loop.train, loop.store, loop.imputer)
             fresh = train_ensemble(
-                ForestMemo(X, loop.imputer, loop.cfg.forest), solved, censored, s.algorithms,
+                ForestMemo(loop.train, X, loop.imputer, loop.cfg.forest), solved, censored,
+                s.algorithms,
                 timeout_at=timeout,
             )
             # every slot equals a from-scratch fit on the same store
@@ -910,7 +912,9 @@ class TestPlainScore:
         imputer = loop_mod.fit_imputer(s, plan.folds[0].train)
         rows = [s.instance_index(i) for i in plan.folds[0].train]
         cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
-        memo = ForestMemo(imputer.transform(s.feature_matrix[rows]), imputer, cfg.forest)
+        memo = ForestMemo(
+            plan.folds[0].train, imputer.transform(s.feature_matrix[rows]), imputer, cfg.forest
+        )
 
         def refuse(*args):
             raise AssertionError("the loop fit an imputer")
@@ -950,6 +954,19 @@ class TestLoopMemo:
                 assert (got is None) == (ref is None)
                 if got is not None:
                     assert dump_trees(got) == dump_trees(ref)
+
+    def test_a_memo_of_another_fold_raises(self, tmp_path):
+        # Two folds of equal size: a memo of one fold's rows would train the
+        # other fold's loop on the wrong features without a word.
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        assert len(plan.folds[0].train) == len(plan.folds[1].train)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
+        memo = fold_memo(s, plan.folds[0].train, cfg.forest)
+        with pytest.raises(ValueError, match="forest memo"):
+            FrugalLoop(s, plan.folds[1], plan.test, cfg, memo=memo)
+        assert memo.forests == {}
+        FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
 
     def test_a_memo_of_another_tree_count_or_seed_raises(self, tmp_path):
         s = make_synthetic_scenario(60, 3, seed=0)
@@ -1041,9 +1058,20 @@ class TestVoteCache:
         assert [fs for _, fs in walks] == [[forest]]
         assert cache.votes.tolist() == [forest_votes([forest], X)[0].tolist(), [0] * 6]
 
-    def test_passive_baseline_walks_nothing(self, walks):
-        s = make_synthetic_scenario(60, 3, seed=0)
-        fold = make_splits(s, 0).folds[0]
-        ensemble, _ = passive_ensemble(s, fold, 0, timeout_models=True, n_trees=5)
-        assert all(f is not None for f in ensemble.pair_forests)
+    def test_a_loop_that_never_steps_walks_its_held_out_rows_once(self, walks, tmp_path):
+        # At `batch_frac` 1 the initial phase settles every pool cell, so no
+        # query reads the training rows, and the loop walks neither while it
+        # is built nor in `run()`; its step-0 record walks the held-out rows.
+        s = make_synthetic_scenario(40, 3, seed=0)
+        plan = make_splits(s, 0)
+        spec = ExperimentSpec(s, tmp_path, n_trees=5, batch_frac=1.0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, spec.loop_config("uncertainty-to", 0))
+        assert not loop.pool.any()
+        assert all(f is not None for f in loop.ensemble.pair_forests)
+        assert loop.run() == []
         assert walks == []
+        record = loop.record()
+        [(X, forests)] = walks
+        assert X.shape[0] == len(loop.validation) + len(loop.test)
+        assert forests == [f for f in loop.ensemble.forests if f is not None]
+        assert record.step == 0 and record.plain_test_par10 is not None
