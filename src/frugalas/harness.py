@@ -4,22 +4,23 @@ aggregation of per-step logs into cost-vs-performance curves.
 The passive baseline is `FrugalLoop`'s initial phase over the whole fold, so
 the loop is the one engine that labels and trains for every configuration;
 with timeout models the baseline's scores are its loop's step-0 record.
-A grid's task is one (fold, seed) unit: it runs the unit's cells in
-configuration order on one copy of the spec, on one job or many. A `_Unit`
-holds what the cells share: the split, one `ForestMemo` (`loop.fold_memo`)
+A grid's task is one (fold, seed) unit, on one job or many. A `_Unit` holds
+what the unit's cells share: the split, one `ForestMemo` (`loop.fold_memo`)
 with the imputer and the imputed training rows, and the passive baseline's
 cost and test PAR10 values, which the `passive` and `passive-to` rows and
 every frugal cell's ratio denominators read. The baseline and every loop of
 a unit train on the memo with the same slot seeds, so a forest is a
 function of its slot and its label vector, and each distinct one of the
-unit is fit once, whichever cell needs it first. `run_cell` states when a
-unit is made and when it goes.
+unit is fit once, whichever cell needs it first. The task makes the unit,
+runs the cells in configuration order on it and drops it when it returns;
+nothing of it stays on the caller's spec.
 
 Under a static timeout the timeout models only filter the vote, so an X-to
 loop (X `uncertainty` or `random`) queries, runs and fits its pair forests
 exactly as an X loop does. A unit that runs both cells of such a pair runs
 one X-to loop, which also scores its pair forests alone, and writes both
-step logs from it, bit for bit as two loops would.
+step logs from it, bit for bit as two loops would; likewise one baseline
+writes both passive logs.
 
 Step logs are CSV files, one per (configuration, fold, seed) cell, with the
 columns listed in STEP_COLUMNS. A passive cell logs one record and a frugal
@@ -32,6 +33,7 @@ grid resumes where it stopped.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -63,12 +65,15 @@ FRUGAL_CONFIGS = [
     "random-to-dt",
 ]
 PASSIVE_CONFIGS = ["passive", "passive-to"]
-# Each static frugal configuration and its partner: X and X-to.
-STATIC_PARTNERS = {
+# The configurations whose cells one unit computes in pairs: each static
+# frugal configuration and its partner (X and X-to), and the two passive ones.
+PARTNERS = {
     "uncertainty": "uncertainty-to",
     "uncertainty-to": "uncertainty",
     "random": "random-to",
     "random-to": "random",
+    "passive": "passive-to",
+    "passive-to": "passive",
 }
 N_SEEDS = 5
 
@@ -137,11 +142,6 @@ class ExperimentSpec:
     dt_window: int = LoopConfig.dt_window
     dt_tolerance: float = LoopConfig.dt_tolerance
     jobs: int = 1
-    # The `_Unit` of the last cell that had to compute, kept for the next
-    # cell of the same (fold, seed); `run_cell` states when it goes. Left
-    # out of __init__ (a `dataclasses.replace` copy starts with none), of
-    # repr and of ==.
-    _unit: _Unit | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A repeated entry would run a cell twice, into the same files.
@@ -270,9 +270,6 @@ class _Unit:
     def path(self, config_id: str) -> Path:
         return _cell_path(self.spec.out_dir, config_id, self.fold, self.seed)
 
-    def complete(self) -> bool:
-        return all(self.path(c).exists() for c in self.spec.configurations)
-
     def run(self, config_id: str) -> None:
         """Write the step log of the unit's `config_id` cell.
 
@@ -283,20 +280,22 @@ class _Unit:
         round for round, and scores its pair forests alone as X does. A
         static cell (X or X-to, for X `uncertainty` or `random`) whose
         partner is in the grid with no step log yet runs one X-to loop and
-        writes both cells' logs from it, bit for bit as two loops would.
+        writes both cells' logs from it, bit for bit as two loops would, and
+        a passive cell writes its partner's log from the same baseline.
         Every row comes from the loop's own step records: one per round, or
         `FrugalLoop.record()` at step 0 when the loop never steps."""
         spec, scenario = self.spec, self.spec.scenario
-        if config_id in PASSIVE_CONFIGS:
-            b = self.baseline
-            n_cells = len(algorithm_pairs(scenario.algorithms)) * len(self.split.train)
-            test_par10 = b.par10_to if config_id == "passive-to" else b.par10
-            self._write(config_id, [(1, scenario.cutoff, n_cells, b.cost, 1.0, test_par10)])
-            return
-        partner = STATIC_PARTNERS.get(config_id)
+        partner = PARTNERS.get(config_id)
         cells = [config_id]
         if partner in spec.configurations and not self.path(partner).exists():
             cells.append(partner)
+        if config_id in PASSIVE_CONFIGS:
+            b = self.baseline
+            n_cells = len(algorithm_pairs(scenario.algorithms)) * len(self.split.train)
+            for cell in cells:
+                test_par10 = b.par10_to if cell == "passive-to" else b.par10
+                self._write(cell, [(1, scenario.cutoff, n_cells, b.cost, 1.0, test_par10)])
+            return
         run_id = f"{parse_config_id(config_id)['selection']}-to" if len(cells) == 2 else config_id
         loop = FrugalLoop(
             scenario, self.split, self.test, spec.loop_config(run_id, self.seed),
@@ -344,14 +343,10 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     step log; a cell whose step log exists computes nothing. A cell outside
     the grid is a ValueError.
 
-    A cell that computes runs on its unit's `_Unit`, which `spec._unit`
-    keeps for the unit's later cells, so a unit makes its split, memo and
-    baseline once while its cells run one after another. One rule governs
-    its lifetime: `spec._unit` holds at most one unit, and lets it go when
-    a cell of another (fold, seed) computes (which makes its own), when a
-    cell raises, or when every one of `spec.configurations` has a step log
-    for the unit, whatever order its cells ran in. A unit that comes back
-    after it went is made again.
+    A cell that computes runs on the `_Unit` that `_run_unit` hands its
+    cells on its task's copy of the spec, or else on one made for this cell
+    alone, which goes when it returns. A cell that raises takes its task's
+    unit with it, so no later cell runs on a unit a failure left behind.
     """
     if (config_id not in spec.configurations or fold_index not in spec.folds
             or seed not in spec.seeds):
@@ -361,26 +356,28 @@ def run_cell(spec: ExperimentSpec, config_id: str, fold_index: int, seed: int) -
     path = _cell_path(spec.out_dir, config_id, fold_index, seed)
     if path.exists():
         return path
-    unit = spec._unit
     try:
-        if unit is None or (unit.fold, unit.seed) != (fold_index, seed):
-            spec._unit = None  # the old unit's memo goes before a new one is made
-            unit = spec._unit = _Unit(spec, fold_index, seed)
-        unit.run(config_id)
+        (getattr(spec, "_unit", None) or _Unit(spec, fold_index, seed)).run(config_id)
     except BaseException:
-        spec._unit = None
+        vars(spec).pop("_unit", None)
         raise
-    if unit.complete():
-        spec._unit = None
     return path
 
 
 def _run_unit(spec: ExperimentSpec, fold: int, seed: int) -> list[Path]:
-    """Run the cells of one (fold, seed) unit in `spec.configurations` order,
-    on one `_Unit` that the cell writing the unit's last step log lets go.
-    `run_cell` is looked up when each cell runs, so a wrapper on
-    `harness.run_cell` sees every cell."""
-    return [run_cell(spec, config_id, fold, seed) for config_id in spec.configurations]
+    """Run the cells of one (fold, seed) unit in `spec.configurations` order.
+    When one of them has no step log, one `_Unit` is made for them all and
+    handed to each on the task, a copy of the spec, which drops it when it
+    returns, raised or not: the unit refers to `spec`, not to the task, so
+    nothing but the task keeps its memo. `run_cell` is looked up when each
+    cell runs, so a wrapper on `harness.run_cell` sees every cell."""
+    task = copy.copy(spec)
+    if not all(_cell_path(spec.out_dir, c, fold, seed).exists() for c in spec.configurations):
+        task._unit = _Unit(spec, fold, seed)
+    try:
+        return [run_cell(task, config_id, fold, seed) for config_id in spec.configurations]
+    finally:
+        vars(task).pop("_unit", None)
 
 
 def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
@@ -388,14 +385,10 @@ def run_grid(spec: ExperimentSpec, progress=None) -> list[Path]:
     step-log paths in run order: by fold, then seed, then configuration.
     `progress(config_id, fold, seed, path)` is called once per cell, in the
     same order, as each unit finishes. With `jobs` above 1 the units run in
-    a pool of `min(jobs, units)` processes, each task on its own copy of
-    the spec."""
+    a pool of `min(jobs, units)` processes."""
     units = [(fold, seed) for fold in spec.folds for seed in spec.seeds]
     parallel = spec.jobs > 1
     workers = min(spec.jobs, len(units))
-    if parallel:
-        # Each task pickles the spec, so it must hold no half-run unit.
-        spec._unit = None
     paths = []
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         results = (pool.map if parallel else map)(_run_unit, [spec] * len(units), *zip(*units))

@@ -60,9 +60,6 @@ class LabelStore:
         else:
             self.censored[cell] = obs.at
 
-    def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.solved) | ~np.isnan(self.censored)))
-
 
 def pairwise_label(obs_a: Observation, obs_b: Observation) -> str | None:
     """Which side of an algorithm pair is faster: 'a', 'b' or None.

@@ -51,13 +51,13 @@ DT_INITIAL_FRAC = 1 / 64  # the dynamic timeout's default start, over the cutoff
 
 
 def fold_memo(scenario: Scenario, train, forest_config: ForestConfig) -> ForestMemo:
-    """An empty `ForestMemo` of the training instances `train`: the imputer
-    is fit on their feature rows, which it imputes once. An empty `train`
-    fails here, with PreprocessError."""
+    """An empty `ForestMemo` of the training instances `train` and the
+    scenario's portfolio: the imputer is fit on their feature rows, which it
+    imputes once. An empty `train` fails here, with PreprocessError."""
     imputer = fit_imputer(scenario, train)
     rows = [scenario.instance_index(i) for i in train]
     X = imputer.transform(scenario.feature_matrix[rows])
-    return ForestMemo(train, X, imputer, forest_config)
+    return ForestMemo(train, scenario.algorithms, X, imputer, forest_config)
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,8 @@ class FrugalLoop:
         `fold_memo(scenario, fold.train, cfg.forest)`: the loop imputes its
         held-out rows with the memo's imputer, and every retrain reads and
         fills it (see `train_ensemble`). A memo of other training instances,
-        or of another tree count or seed, is a ValueError. None builds the
-        loop its own."""
+        of another portfolio, or of another tree count or seed, is a
+        ValueError. None builds the loop its own."""
         self.scenario = scenario
         self.cfg = cfg
         self.train = list(fold.train)
@@ -244,6 +244,8 @@ class FrugalLoop:
         self.memo = fold_memo(scenario, self.train, cfg.forest) if memo is None else memo
         if self.memo.train != tuple(self.train):
             raise ValueError("the forest memo holds the rows of other training instances")
+        if self.memo.algorithms != tuple(scenario.algorithms):
+            raise ValueError("the forest memo holds the forests of another portfolio")
         if self.memo.config != cfg.forest:
             raise ValueError(
                 f"the forest memo holds forests of {self.memo.config.n_trees} trees and seed "
@@ -327,7 +329,6 @@ class FrugalLoop:
             self.memo,
             self.store.solved,
             self.store.censored,
-            self.scenario.algorithms,
             timeout_at=self.controller.current if self.cfg.timeout_predictor else None,
         )
 

@@ -93,9 +93,10 @@ class ForestMemo:
     vector: what `train_ensemble` trains on.
 
     The block is `X`, the rows of the training instances `train` (in that
-    order) imputed by `imputer`, and one forest config, `config`. A forest
-    is a function of its slot's seed and of the rows and labels of its
-    labelled instances, so `train_ensemble` takes a slot's forest from
+    order) imputed by `imputer`, one forest config, `config`, and one
+    portfolio, `algorithms`, whose pairs and timeout models the slots are.
+    A forest is a function of its slot's seed and of the rows and labels of
+    its labelled instances, so `train_ensemble` takes a slot's forest from
     `current`, the (key, forest) it last served for each slot, or else from
     `forests`, when its key (slot index, label vector) was fit before, and
     stores each forest it fits. `streams` holds each slot's `TreeStreams`
@@ -105,8 +106,10 @@ class ForestMemo:
     streams stay.
     """
 
-    def __init__(self, train, X: np.ndarray, imputer: ImputerModel, config: ForestConfig):
-        self.train = tuple(train)
+    def __init__(
+        self, train, algorithms, X: np.ndarray, imputer: ImputerModel, config: ForestConfig
+    ):
+        self.train, self.algorithms = tuple(train), tuple(algorithms)
         self.X, self.imputer, self.config = X, imputer, config
         self.streams: dict[int, TreeStreams] = {}
         self.current: dict[int, tuple[tuple[int, bytes], RandomForest]] = {}
@@ -125,14 +128,14 @@ def train_ensemble(
     memo: ForestMemo,
     solved: np.ndarray,
     censored: np.ndarray,
-    algorithms,
     timeout_at: float | None = None,
 ) -> SelectorEnsemble:
     """Fit pairwise forests, and timeout forests labelled at `timeout_at`
     unless it is None, from observed labels, on `memo`'s block.
 
     `solved` and `censored` are a `LabelStore`'s arrays on the rows of
-    `memo.X` in the same order, one column per algorithm of `algorithms`.
+    `memo.X` in the same order, one column per algorithm of
+    `memo.algorithms`; arrays of another column count are a ValueError.
     A slot with no labelled row stays untrained and abstains. Pair slot p
     is seeded by the path (1, p) and the timeout slot of algorithm k by
     (2, k), under `memo.config`'s seed.
@@ -141,11 +144,15 @@ def train_ensemble(
     the labelled instances, so a slot takes the memo's forest whenever one
     was fit on its label vector: first the one the memo last served for the
     slot, so a slot whose labels did not change since keeps its forest
-    object, then a stored one. A memo is shared only by ensembles of the
-    same `algorithms`. Only the rest refit, on the slot's tree streams in
-    the memo, and each refit goes into the memo.
+    object, then a stored one. Only the rest refit, on the slot's tree
+    streams in the memo, and each refit goes into the memo.
     """
-    algorithms = list(algorithms)
+    algorithms = list(memo.algorithms)
+    if solved.shape[1] != len(algorithms) or censored.shape[1] != len(algorithms):
+        raise ValueError(
+            f"the forest memo's portfolio has {len(algorithms)} algorithms, "
+            f"the labels {solved.shape[1]} and {censored.shape[1]} columns"
+        )
     side_a, side_b = pair_columns(len(algorithms))
     # Every slot's labels, one row per slot.
     labels = pair_classes(solved, censored, side_a, side_b).T

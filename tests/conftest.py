@@ -73,6 +73,11 @@ def observation(store, instance, algorithm):
     return None
 
 
+def observed_cells(store):
+    """How many cells of a `LabelStore` hold an observation."""
+    return int(np.count_nonzero(~np.isnan(store.solved) | ~np.isnan(store.censored)))
+
+
 def training_block(scenario, train, store, imputer):
     """`train_ensemble`'s training block for the instances `train`: their
     feature rows imputed by `imputer`, then their rows of `store`'s solved

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import hashlib
 import pickle
 import shutil
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import build_scenario, observation, training_block
+from conftest import build_scenario, observation, observed_cells, training_block
 import frugalas.loop as loop_mod
 import frugalas.selector as selector_mod
 from frugalas import harness
@@ -77,7 +79,7 @@ class TestPassiveBaseline:
     def test_full_store_cost_two_by_two(self, two_by_two):
         ledger = _passive_ledger(two_by_two)
         assert ledger.total == 22.0
-        assert len(ledger.store) == 4
+        assert observed_cells(ledger.store) == 4
         assert observation(ledger.store, "i0", "a0") == Solved(1.0)
 
     def test_full_store_censors_timeouts(self):
@@ -115,8 +117,8 @@ class TestPassiveBaseline:
         imputer = fit_imputer(s, fold.train)
         X, solved, censored = training_block(s, fold.train, ledger.store, imputer)
         reference = train_ensemble(
-            ForestMemo(fold.train, X, imputer, ForestConfig(n_trees=3, seed=4)),
-            solved, censored, s.algorithms, timeout_at=s.cutoff if timeout_models else None,
+            ForestMemo(fold.train, s.algorithms, X, imputer, ForestConfig(n_trees=3, seed=4)),
+            solved, censored, timeout_at=s.cutoff if timeout_models else None,
         )
         ensemble, passive = passive_ensemble(s, fold, 4, timeout_models, n_trees=3)
         assert passive.entries == ledger.entries
@@ -359,6 +361,25 @@ def _count_baselines(monkeypatch) -> list:
     return calls
 
 
+def _no_unit(spec) -> bool:
+    """The spec carries no `_Unit`: nothing of a run stays on it."""
+    return "_unit" not in vars(spec)
+
+
+def _track_units(monkeypatch) -> list:
+    """Patch `harness._Unit` to keep a weak reference to each unit made."""
+    units = []
+    make = harness._Unit
+
+    def tracked(*args):
+        unit = make(*args)
+        units.append(weakref.ref(unit))
+        return unit
+
+    monkeypatch.setattr(harness, "_Unit", tracked)
+    return units
+
+
 def _in_process_pool(monkeypatch) -> list:
     """Patch `harness.ProcessPoolExecutor` with a pool that runs its tasks
     in this process, each on a pickled copy of its arguments as a worker
@@ -400,7 +421,7 @@ class TestBaselineMemo:
         passive_to = [r for r in read_step_logs(spec.out_dir) if r["config"] == "passive-to"]
         assert len(passive_to) == 4
         assert all(np.isfinite(float(r["test_par10_s"])) for r in passive_to)
-        assert spec._unit is None
+        assert _no_unit(spec)
 
     def test_shared_baseline_matches_a_fresh_spec_per_cell(self, tmp_path):
         shared = _small_spec(
@@ -431,7 +452,7 @@ class TestBaselineMemo:
             with pytest.raises(PreprocessError, match="no labelled data"):
                 run_cell(spec, config_id, 0, 0)
         assert len(calls) == len(self.CONFIGS)
-        assert spec._unit is None
+        assert _no_unit(spec)
         assert not spec.out_dir.exists()
 
     def test_finished_grid_fits_no_baseline(self, tmp_path, monkeypatch):
@@ -441,7 +462,7 @@ class TestBaselineMemo:
         again = _small_spec(tmp_path, **kwargs)
         assert run_grid(again) == first
         assert calls == []
-        assert again._unit is None
+        assert _no_unit(again)
 
     def test_grid_without_passive_to_fits_no_timeout_models(self, tmp_path, monkeypatch):
         spec = _small_spec(tmp_path, configurations=["random", "passive"], seeds=[0, 1])
@@ -459,7 +480,7 @@ class TestBaselineMemo:
         assert workers == [2]  # one process per unit, and no more than `jobs`
         # one fit per unit, with the timeout models that `passive-to` reads
         assert sorted(calls) == [(0, True), (1, True)]
-        assert spec._unit is None  # each task made its units on its own copy
+        assert _no_unit(spec)  # each task made its unit on its own copy
         assert _logs(spec.out_dir) == _logs(tmp_path / "seq" / "runs")
 
     @pytest.mark.parametrize(
@@ -475,13 +496,53 @@ class TestBaselineMemo:
         assert not spec.out_dir.exists()
 
     def test_replaced_spec_starts_empty(self, tmp_path):
+        # A cell's unit stays on no spec: a run leaves only the fields.
         spec = _small_spec(tmp_path, configurations=["random", "passive"])
         run_cell(spec, "random", 0, 0)
-        assert (spec._unit.fold, spec._unit.seed) == (0, 0)
-        assert dataclasses.replace(spec, n_trees=3)._unit is None
-        # the unit is no part of a spec's value
+        run_grid(spec)
+        fields = {f.name for f in dataclasses.fields(spec)}
+        assert set(vars(spec)) == fields
         assert dataclasses.replace(spec) == spec
-        assert "_unit" not in repr(spec)
+
+    def test_lone_passive_cells_fit_one_baseline(self, tmp_path, monkeypatch):
+        # The `passive` cell writes `passive-to`'s log from the same
+        # baseline, so the second call finds its log and fits nothing.
+        kwargs = dict(configurations=["passive", "passive-to"], seeds=[0])
+        grid = _small_spec(tmp_path / "grid", **kwargs)
+        run_grid(grid)
+        calls = _count_baselines(monkeypatch)
+        spec = _small_spec(tmp_path / "cells", **kwargs)
+        run_cell(spec, "passive", 0, 0)
+        run_cell(spec, "passive-to", 0, 0)
+        assert calls == [(0, True)]
+        assert _no_unit(spec)
+        assert _logs(spec.out_dir) == _logs(grid.out_dir)
+
+    def test_resume_of_passive_to_keeps_the_passive_log(self, tmp_path, monkeypatch):
+        spec = _small_spec(tmp_path, configurations=["passive", "passive-to"])
+        run_grid(spec)
+        before = _logs(spec.out_dir)
+        passive = spec.out_dir / "passive" / "fold00_seed0.csv"
+        stamp = passive.stat().st_mtime_ns
+        (spec.out_dir / "passive-to" / "fold00_seed0.csv").unlink()
+        calls = _count_baselines(monkeypatch)
+        run_grid(spec)
+        assert calls == [(0, True)]
+        assert passive.stat().st_mtime_ns == stamp
+        assert _logs(spec.out_dir) == before
+
+    def test_a_tasks_unit_dies_when_the_task_returns(self, tmp_path, monkeypatch):
+        # Reference counting alone frees a finished unit: no cycle holds it
+        # for the cyclic garbage collector.
+        spec = _small_spec(tmp_path, configurations=self.CONFIGS)
+        units = _track_units(monkeypatch)
+        gc.disable()
+        try:
+            paths = harness._run_unit(spec, 0, 0)
+            assert len(units) == 1 and units[0]() is None
+        finally:
+            gc.enable()
+        assert all(path.exists() for path in paths)
 
 
 class TestSplitMemo:
@@ -504,7 +565,7 @@ class TestSplitMemo:
         assert len(run_grid(spec)) == 16
         # one split per (fold, seed) unit, by fold and then seed
         assert seeds == [0, 1, 0, 1] if jobs == 1 else sorted(seeds) == [0, 0, 1, 1]
-        assert spec._unit is None
+        assert _no_unit(spec)
 
 
 class TestLoopThatNeverSteps:
@@ -612,7 +673,7 @@ class TestStaticPairs:
         assert _logs(spec.out_dir) == single
         # one loop per pair and unit, and it is the X-to loop
         assert sorted(loops) == sorted([("random", True), ("uncertainty", True)] * 2)
-        assert spec._unit is None
+        assert _no_unit(spec)
 
     @pytest.mark.parametrize("deleted", STATIC)
     def test_resume_recomputes_only_the_missing_cell(self, tmp_path, monkeypatch, deleted):
@@ -633,14 +694,17 @@ class TestStaticPairs:
         for path, stamp in stamps.items():
             if path != missing:
                 assert path.stat().st_mtime_ns == stamp
-        assert again._unit is None
+        assert _no_unit(again)
 
-    def test_a_unit_leaves_no_records_behind(self, tmp_path):
+    def test_a_unit_leaves_no_records_behind(self, tmp_path, monkeypatch):
         spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC + ["passive"])
+        units = _track_units(monkeypatch)
         seen = []
-        run_grid(spec, progress=lambda *cell: seen.append(spec._unit))
-        # progress runs as each unit finishes, before the next one starts
-        assert seen == [None] * 10
+        run_grid(spec, progress=lambda *cell: seen.append([unit() for unit in units]))
+        # progress runs as each unit finishes, before the next one starts,
+        # and by then the unit is gone
+        assert len(units) == 2
+        assert seen == [[None]] * 5 + [[None, None]] * 5
 
     def test_a_lone_static_cell_writes_its_partners_log(self, tmp_path, monkeypatch):
         spec = self._spec(tmp_path, "three-algorithms", configurations=STATIC)
@@ -649,10 +713,8 @@ class TestStaticPairs:
         assert (spec.out_dir / "random-to" / "fold00_seed0.csv").exists()
         assert loops == [("random", True)]
         # the partner's `run_cell` finds its log and runs no loop
-        unit = spec._unit
         run_cell(spec, "random-to", 0, 0)
         assert loops == [("random", True)]
-        assert spec._unit is unit  # the uncertainty pair has no log yet
         full = self._spec(tmp_path / "full", "three-algorithms", configurations=STATIC)
         run_grid(full)
         for config_id in ("random", "random-to"):
@@ -694,7 +756,7 @@ class TestImputerMemo:
         assert sorted(fits) == sorted(expected)
         # Each unit's imputer lived in its forest memo, which went with the
         # unit when its last cell ran.
-        assert spec._unit is None
+        assert _no_unit(spec)
 
 
 class TestUnitForestMemo:
@@ -711,7 +773,7 @@ class TestUnitForestMemo:
     def grid(self, tmp_path_factory):
         spec = self._spec(tmp_path_factory.mktemp("memo") / "grid")
         run_grid(spec)
-        assert spec._unit is None
+        assert _no_unit(spec)
         return spec.out_dir
 
     def test_logs_equal_single_configuration_logs(self, grid, tmp_path):
@@ -743,94 +805,108 @@ class TestUnitForestMemo:
         run_grid(spec)
         assert _logs(spec.out_dir) == _logs(grid)
 
-    def test_run_cell_drops_the_memo_after_the_last_configuration(self, tmp_path):
-        spec = self._spec(tmp_path / "cells", seeds=[0, 1])
-        for fold in spec.folds:
-            for seed in spec.seeds:
-                harness.run_cell(spec, self.CONFIGS[0], fold, seed)
-                unit = spec._unit
-                assert (unit.fold, unit.seed) == (fold, seed)
-                for config_id in self.CONFIGS[1:-1]:
-                    harness.run_cell(spec, config_id, fold, seed)
-                    assert spec._unit is unit
-                harness.run_cell(spec, self.CONFIGS[-1], fold, seed)
-                assert spec._unit is None
+    def test_run_cell_drops_the_memo_after_the_last_configuration(self, tmp_path, monkeypatch):
+        # A direct `run_cell` on a spec with no unit makes a unit for that
+        # one cell, and the unit goes when the cell returns, the last
+        # configuration's as every other.
+        spec = self._spec(tmp_path / "cells", folds=[0])
+        units = _track_units(monkeypatch)
+        for config_id in self.CONFIGS:
+            made = len(units)
+            harness.run_cell(spec, config_id, 0, 0)
+            assert _no_unit(spec)
+            assert all(unit() is None for unit in units)
+            # a cell whose partner wrote its log makes no unit
+            computes = config_id not in ("uncertainty-to", "random-to", "passive-to")
+            assert len(units) == made + computes
 
-    def test_run_cell_in_reverse_order_drops_the_memo(self, tmp_path):
-        # The memo goes once every configuration of the unit has a step log,
-        # whichever cell writes the last one, and the logs are the forward
-        # order's.
+    def test_run_cell_in_reverse_order_drops_the_memo(self, tmp_path, monkeypatch):
+        # Cells run one by one in any order log what the grid logs, and
+        # leave no unit behind.
         kwargs = dict(folds=[0], seeds=[0], n_trees=2)
         forward = self._spec(tmp_path / "forward", **kwargs)
         backward = self._spec(tmp_path / "backward", **kwargs)
         run_grid(forward)
         for config_id in reversed(self.CONFIGS):
             harness.run_cell(backward, config_id, 0, 0)
-        assert backward._unit is None
+        assert _no_unit(backward)
         assert _logs(backward.out_dir) == _logs(forward.out_dir)
         # A rerun over complete logs makes no unit.
+        units = _track_units(monkeypatch)
         harness.run_cell(backward, "random", 0, 0)
-        assert backward._unit is None
+        run_grid(backward)
+        assert units == []
 
     def test_interleaved_units_remake_a_replaced_unit(self, grid, tmp_path, monkeypatch):
-        # The cells of two units in turn: a cell of the other unit replaces
-        # the one unit the spec keeps, so each unit that comes back fits its
-        # baseline again, and the logs keep every bit.
+        # The cells of two units in turn: each cell that computes makes and
+        # drops a unit of its own, so it fits its baseline again, and the
+        # logs keep every bit.
         spec = self._spec(tmp_path / "interleaved")
         calls = _count_baselines(monkeypatch)
         computed = 0
         for config_id in self.CONFIGS:
             for fold in spec.folds:
-                before = spec._unit
-                computes = not (spec.out_dir / config_id / f"fold{fold:02d}_seed0.csv").exists()
-                computed += computes
+                computed += not (spec.out_dir / config_id / f"fold{fold:02d}_seed0.csv").exists()
                 harness.run_cell(spec, config_id, fold, 0)
-                # A cell that computes keeps a new unit of its own, unless it
-                # wrote its unit's last log; one that finds its log keeps the
-                # unit the spec had.
-                unit = spec._unit
-                if computes:
-                    assert unit is None or (unit is not before and unit.fold == fold)
-                else:
-                    assert unit is before
-        assert spec._unit is None
+                assert _no_unit(spec)
         assert _logs(spec.out_dir) == _logs(grid)
-        # Each static pair's first cell writes both logs, so 8 of a unit's
-        # 10 cells compute, and each computing cell remade its unit.
-        assert computed == 16
+        # Each static pair's and the passive pair's first cell writes both
+        # logs, so 7 of a unit's 10 cells compute.
+        assert computed == 14
         assert len(calls) == computed
 
     def test_parallel_grid_after_a_half_run_unit(self, grid, tmp_path, monkeypatch):
         spec = self._spec(tmp_path / "half", jobs=2)
         harness.run_cell(spec, "uncertainty", 0, 0)
-        assert spec._unit is not None
+        assert _no_unit(spec)
         _in_process_pool(monkeypatch)
-        units, run_unit = [], harness._run_unit
+        tasks, run_unit = [], harness._run_unit
 
         def unit(task, *args):
-            units.append(task._unit)
+            tasks.append(_no_unit(task))
             return run_unit(task, *args)
 
         monkeypatch.setattr(harness, "_run_unit", unit)
         run_grid(spec)
         # Each task got a spec with no unit, and the logs are the
         # sequential grid's.
-        assert units == [None, None]
-        assert spec._unit is None
+        assert tasks == [True, True]
+        assert _no_unit(spec)
         assert _logs(spec.out_dir) == _logs(grid)
 
-    def test_a_cell_that_raises_drops_the_memo(self, tmp_path, monkeypatch):
-        spec = self._spec(tmp_path / "raises")
-        harness.run_cell(spec, "uncertainty", 0, 0)
-        assert (spec._unit.fold, spec._unit.seed) == (0, 0)
+    def test_a_cell_that_raises_drops_the_memo(self, grid, tmp_path, monkeypatch):
+        # A wrapper on `run_cell` that swallows a failure, as a benchmark's
+        # may: the task's cells after the one that raised run on units of
+        # their own, not on the one the failure left, and log what a clean
+        # grid logs.
+        spec = self._spec(tmp_path / "raises", folds=[0])
+        failed, run = [], loop_mod.FrugalLoop.run
 
-        def fail(*args):
-            raise RuntimeError("cell failed")
+        def fail_once(loop, *args):
+            if not failed:
+                failed.append(loop.cfg.selection)
+                raise RuntimeError("cell failed")
+            return run(loop, *args)
 
-        monkeypatch.setattr(loop_mod.FrugalLoop, "run", fail)
-        with pytest.raises(RuntimeError, match="cell failed"):
-            harness.run_cell(spec, "random", 0, 0)
-        assert spec._unit is None
+        cell = harness.run_cell
+
+        def swallowing(*args):
+            try:
+                return cell(*args)
+            except RuntimeError:
+                return None
+
+        monkeypatch.setattr(loop_mod.FrugalLoop, "run", fail_once)
+        monkeypatch.setattr(harness, "run_cell", swallowing)
+        units = _track_units(monkeypatch)
+        paths = run_grid(spec)
+        assert failed == ["uncertainty"] and paths[0] is None
+        # The task's unit, then one for each of the 7 cells that computed
+        # after the failure: `uncertainty-to` wrote its partner's log.
+        assert len(units) == 8
+        assert _no_unit(spec)
+        fold0 = {k: v for k, v in _logs(grid).items() if k.name.startswith("fold00")}
+        assert _logs(spec.out_dir) == fold0
 
     def test_no_forest_is_fit_twice_in_a_unit(self, tmp_path, monkeypatch):
         # Each fit keyed as perfbench/tracing.py keys it: the training rows,

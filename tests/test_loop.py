@@ -672,9 +672,8 @@ class TestRetrainReuse:
             after_labels = slot_labels(loop, timeout)
             X, solved, censored = training_block(s, loop.train, loop.store, loop.imputer)
             fresh = train_ensemble(
-                ForestMemo(loop.train, X, loop.imputer, loop.cfg.forest), solved, censored,
-                s.algorithms,
-                timeout_at=timeout,
+                ForestMemo(loop.train, s.algorithms, X, loop.imputer, loop.cfg.forest),
+                solved, censored, timeout_at=timeout,
             )
             # every slot equals a from-scratch fit on the same store
             for new, ref in zip(after.forests, fresh.forests, strict=True):
@@ -913,7 +912,8 @@ class TestPlainScore:
         rows = [s.instance_index(i) for i in plan.folds[0].train]
         cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
         memo = ForestMemo(
-            plan.folds[0].train, imputer.transform(s.feature_matrix[rows]), imputer, cfg.forest
+            plan.folds[0].train, s.algorithms, imputer.transform(s.feature_matrix[rows]), imputer,
+            cfg.forest,
         )
 
         def refuse(*args):
@@ -967,6 +967,16 @@ class TestLoopMemo:
             FrugalLoop(s, plan.folds[1], plan.test, cfg, memo=memo)
         assert memo.forests == {}
         FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
+
+    def test_a_memo_of_another_portfolio_raises(self, tmp_path):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config("random-to", 0)
+        memo = fold_memo(s, plan.folds[0].train, cfg.forest)
+        other = ForestMemo(memo.train, s.algorithms[:2], memo.X, memo.imputer, memo.config)
+        with pytest.raises(ValueError, match="another portfolio"):
+            FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=other)
+        assert other.forests == {}
 
     def test_a_memo_of_another_tree_count_or_seed_raises(self, tmp_path):
         s = make_synthetic_scenario(60, 3, seed=0)

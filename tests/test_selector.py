@@ -16,6 +16,7 @@ from frugalas.labels import Censored, LabelStore, Solved, pairwise_label, timeou
 from frugalas.loop import fold_memo
 from frugalas.preprocess import ImputerModel, fit_imputer
 from frugalas.scenario import OK, TIMEOUT, par1, par10
+from frugalas.synthetic import make_synthetic_scenario
 import frugalas.selector as selector_mod
 from frugalas import harness
 from frugalas.selector import (
@@ -350,7 +351,7 @@ class TestTrainEnsemble:
         s = build_scenario(np.random.default_rng(2).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
         memo = _memo_of(s)
-        ens = train_ensemble(memo, store.solved, store.censored, s.algorithms)
+        ens = train_ensemble(memo, store.solved, store.censored)
         assert len(ens.forests) == 3
         assert ens.timeout_at is None
         assert sorted(memo.current) == [0, 1, 2]  # each slot's current forest
@@ -359,7 +360,7 @@ class TestTrainEnsemble:
         s = build_scenario(np.random.default_rng(3).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
         memo = _memo_of(s)
-        ens = train_ensemble(memo, store.solved, store.censored, s.algorithms, timeout_at=s.cutoff)
+        ens = train_ensemble(memo, store.solved, store.censored, timeout_at=s.cutoff)
         assert len(ens.forests) == 3 + 3  # the pairs, then one timeout slot each
         assert ens.timeout_at == s.cutoff
         assert sorted(memo.current) == list(range(6))
@@ -367,7 +368,7 @@ class TestTrainEnsemble:
     def test_unchanged_labels_reuse_every_forest(self, monkeypatch):
         s = build_scenario(np.random.default_rng(5).uniform(1, 50, size=(12, 3)))
         store = self._store_full(s)
-        block = store.solved, store.censored, s.algorithms
+        block = store.solved, store.censored
         # With no node budget the memo stores no forest: each slot's current
         # forest gives every one.
         monkeypatch.setattr(selector_mod, "MEMO_NODES", 0)
@@ -382,7 +383,7 @@ class TestTrainEnsemble:
         store = self._store_full(s)
         memo = _memo_of(s)
         solved, censored = store.solved, store.censored
-        first = train_ensemble(memo, solved, censored, s.algorithms)
+        first = train_ensemble(memo, solved, censored)
         streams = dict(memo.streams)
         assert sorted(streams) == [0, 1, 2]
         read = []
@@ -391,19 +392,17 @@ class TestTrainEnsemble:
             selector_mod, "fit_forest", lambda *args: read.append(args[3]) or fit(*args)
         )
         solved[0], censored[0] = np.nan, np.nan  # every slot loses a row
-        again = train_ensemble(memo, solved, censored, s.algorithms)
+        again = train_ensemble(memo, solved, censored)
         assert all(new is not old for new, old in zip(again.forests, first.forests))
         assert read == [streams[slot] for slot in range(3)]
         assert memo.streams == streams
-        fresh = train_ensemble(_memo_of(s), solved, censored, s.algorithms)
+        fresh = train_ensemble(_memo_of(s), solved, censored)
         assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
 
     def test_no_labels_abstains(self):
         s = build_scenario(np.ones((4, 2)))
         store = LabelStore(s.instances, s.algorithms)
-        ens = train_ensemble(
-            _memo_of(s), store.solved, store.censored, s.algorithms, timeout_at=s.cutoff
-        )
+        ens = train_ensemble(_memo_of(s), store.solved, store.censored, timeout_at=s.cutoff)
         assert len(ens.forests) == 1 + 2
         assert all(f is None for f in ens.forests)
 
@@ -422,7 +421,7 @@ class TestForestMemo:
 
     def test_a_hit_returns_the_stored_forest(self, monkeypatch):
         s, memo, solved, censored = self._block()
-        first = train_ensemble(memo, solved, censored, s.algorithms, s.cutoff)
+        first = train_ensemble(memo, solved, censored, s.cutoff)
         assert len(memo.forests) == 6
         assert memo.nodes == sum(f.nodes.feature.shape[0] for f in first.forests)
         fits = []
@@ -432,35 +431,48 @@ class TestForestMemo:
         )
         # Unchanged labels: every slot takes its current forest, and nothing
         # refits.
-        again = train_ensemble(memo, solved, censored, s.algorithms, s.cutoff)
+        again = train_ensemble(memo, solved, censored, s.cutoff)
         assert fits == []
         assert all(new is old for new, old in zip(again.forests, first.forests, strict=True))
-        fresh = train_ensemble(
-            _memo_of(s), solved, censored, s.algorithms, s.cutoff
-        )
+        fresh = train_ensemble(_memo_of(s), solved, censored, s.cutoff)
         assert [dump_trees(f) for f in again.forests] == [dump_trees(f) for f in fresh.forests]
         # A pair ensemble of the same algorithms hits on the pair slots, and
         # a changed label vector misses and refits on the memo's streams.
         del fits[:]
-        plain = train_ensemble(memo, solved, censored, s.algorithms)
+        plain = train_ensemble(memo, solved, censored)
         assert all(new is old for new, old in zip(plain.forests, first.forests[:3], strict=True))
         assert fits == []
         streams = dict(memo.streams)
         row = solved[0].copy(), censored[0].copy()
         solved[0], censored[0] = np.nan, np.nan
-        changed = train_ensemble(memo, solved, censored, s.algorithms)
+        changed = train_ensemble(memo, solved, censored)
         assert len(fits) == 3 and len(memo.forests) == 9
         assert [args[3] for args in fits] == [streams[p] for p in range(3)]
         assert all(memo.current[p][1] is changed.forests[p] for p in range(3))
         # Labels that come back take the stored forests, not the current ones.
         solved[0], censored[0] = row
-        back = train_ensemble(memo, solved, censored, s.algorithms)
+        back = train_ensemble(memo, solved, censored)
         assert len(fits) == 3
         assert all(new is old for new, old in zip(back.forests, first.forests[:3], strict=True))
 
+    def test_a_memo_serves_one_portfolio(self):
+        # Slot indices name the memo's pairs and timeout models. Labels of
+        # the first two algorithms with timeout models would take slots 1
+        # and 2, which are pair slots of all three, and seed their tree
+        # streams with the timeout slots' paths.
+        s = make_synthetic_scenario(60, 3, seed=0)
+        store = TestTrainEnsemble()._store_full(s)
+        memo = _memo_of(s)
+        with pytest.raises(ValueError, match="portfolio has 3 algorithms"):
+            train_ensemble(memo, store.solved[:, :2], store.censored[:, :2], s.cutoff)
+        assert memo.streams == {} and memo.forests == {}
+        ens = train_ensemble(memo, store.solved, store.censored, s.cutoff)
+        fresh = train_ensemble(_memo_of(s), store.solved, store.censored, s.cutoff)
+        assert [dump_trees(f) for f in ens.forests] == [dump_trees(f) for f in fresh.forests]
+
     def test_the_oldest_entries_go_past_the_node_budget(self, monkeypatch):
         s, memo, solved, censored = self._block()
-        ens = train_ensemble(_memo_of(s), solved, censored, s.algorithms, s.cutoff)
+        ens = train_ensemble(_memo_of(s), solved, censored, s.cutoff)
         sizes = [f.nodes.feature.shape[0] for f in ens.forests]
         monkeypatch.setattr(selector_mod, "MEMO_NODES", sizes[-2] + sizes[-1])
         for slot, forest in enumerate(ens.forests):
@@ -475,7 +487,7 @@ class TestForestMemo:
             folds=[0], seeds=[0], n_trees=3,
         )
         harness.run_grid(spec)
-        assert spec._unit is None
+        assert "_unit" not in vars(spec)
         return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
 
     def test_a_grid_with_no_node_budget_fits_what_it_fits_without_a_memo(
