@@ -9,11 +9,13 @@ confidence.
 Each split node scans all of its candidate features at once
 (`_scan_split`): a block of at most `SMALL_SCAN` values on Python floats,
 a larger one in numpy, with the same result to the bit; there is no
-compiled kernel. Each tree grows from an explicit preorder stack, with no
-recursion limit to meet or raise. The scan also hands each child its rows
-and labels, as the two parts of the chosen feature's sort order, and its
-class-1 count, so no node recounts its labels and a pure node becomes a
-leaf without a numpy call. A forest keeps the
+compiled kernel. Both scans read each boundary's score from one Gini table,
+built at import, of every child term up to `GINI_ROWS` rows; a node of more
+rows forms the same terms by array arithmetic. Each tree grows from an
+explicit preorder stack, with no recursion limit to meet or raise. The scan
+also hands each child its rows and labels, as the two parts of the chosen
+feature's sort order, and its class-1 count, so no node recounts its labels
+and a pure node becomes a leaf without a numpy call. A forest keeps the
 nodes of all its trees in one set of flat arrays, with per-tree views
 (`RandomForest.trees`) built on first use, and `forest_votes` walks every
 (forest, tree, row) lane of any list of forests at once, one numpy pass per
@@ -50,14 +52,43 @@ KERNEL_IMPL = "pure"
 # that re-derives it is in BENCH_smallscan.json.
 SMALL_SCAN = 64
 
+# Largest node, in rows, whose boundaries the numpy scan scores from the
+# Gini table; a larger node forms the same terms by array arithmetic. The
+# table holds (GINI_ROWS + 1) * (GINI_ROWS + 2) / 2 doubles, 594,440 bytes,
+# and covers every node of the benchmark's workloads, which have at most
+# 292 rows; 512 rows would take 1.05 MB, 2.6% of the smallest workload's
+# peak memory (BENCH_scantable.json).
+GINI_ROWS = 384
+
+
+def _gini_terms(size: int) -> np.ndarray:
+    """The Gini table: one flat float64 array whose row s, for
+    0 <= s <= size, starts at s * (s + 1) // 2 and holds, for o = 0..s,
+    s - ((s - o)**2 + o**2) / s, s times the Gini impurity of s rows with o
+    of class 1. Row 0 is one NaN, since no child is empty.
+
+    Each row is formed in numpy, with the int64 counts and the float64
+    division and subtraction the arithmetic scan uses, so every entry is the
+    double that scan forms for the same counts. Row by row, the build needs
+    no temporary array of the table's size, which would stay in the
+    process's heap."""
+    terms = np.empty((size + 1) * (size + 2) // 2)
+    terms[0] = np.nan
+    for s in range(1, size + 1):
+        o = np.arange(s + 1)
+        terms[s * (s + 1) // 2 : (s + 1) * (s + 2) // 2] = s - ((s - o) * (s - o) + o * o) / s
+    return terms
+
+
+_TERMS = _gini_terms(GINI_ROWS)
+# _ROW_START[s] is where the table's row s starts.
+_ROW_START = np.arange(GINI_ROWS + 1) * np.arange(1, GINI_ROWS + 2) // 2
+
 
 def _gini_table(size: int) -> list[list[float]]:
-    """table[s][o] = s - ((s - o)**2 + o**2) / s, s times the Gini impurity
-    of s rows with o of class 1, as the numpy scan forms it, for
-    1 <= s <= size; table[0] is empty."""
-    return [[]] + [
-        [s - ((s - o) * (s - o) + o * o) / s for o in range(s + 1)] for s in range(1, size + 1)
-    ]
+    """Rows 0..size of the Gini table as Python lists, table[s][o], for the
+    list scan; size is at most `GINI_ROWS`."""
+    return [_TERMS[a : a + s + 1].tolist() for s, a in enumerate(_ROW_START[: size + 1].tolist())]
 
 
 _GINI = _gini_table(SMALL_SCAN)
@@ -114,7 +145,12 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
 
     A block of at most `SMALL_SCAN` values is scanned on Python floats
     (`_scan_lists`), a larger one in numpy; the two give the same tuple to
-    the bit, up to the order of tied rows within each part of `order`.
+    the bit, up to the order of tied rows within each part of `order`. Both
+    take each child's term from the Gini table (`_gini_terms`), the numpy
+    scan with one `take` for every left child and one for every right
+    child; a node of more than `GINI_ROWS` rows forms the terms by array
+    arithmetic instead, with the same double operations that built the
+    table.
 
     The split falls between the sorted values lo = values[row, order[m - 1]]
     and hi = values[row, order[m]], lo < hi, both finite (`fit_forest`
@@ -138,14 +174,22 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     values = values.copy()
     values.sort(axis=1)
     c1l = c1[:, :-1]
-    # Every boundary's left child, then every right child: its size, class
-    # counts and n_child times its Gini impurity, in one pass for both sides.
-    n_l = np.arange(1, n, dtype=np.int64)
-    size = np.concatenate((n_l, n - n_l))
-    ones = np.concatenate((c1l, c1[:, -1:] - c1l), axis=1)
-    zeros = size - ones
-    impurity = size - (zeros * zeros + ones * ones) / size
-    score = impurity[:, : n - 1] + impurity[:, n - 1 :]
+    # Boundary j (1 <= j < n) leaves j rows, c1l of class 1, on the left and
+    # n - j rows, total1 - c1l of class 1, on the right; its score is the sum
+    # of the two children's terms s - (zeros**2 + ones**2) / s.
+    if n <= GINI_ROWS:
+        total1 = c1.item(-1)
+        left = _TERMS.take(_ROW_START[1:n] + c1l)
+        right = _TERMS.take((_ROW_START[n - 1 : 0 : -1] + total1) - c1l)
+        score = left + right
+    else:
+        # Every left child, then every right child, in one pass for both.
+        n_l = np.arange(1, n, dtype=np.int64)
+        size = np.concatenate((n_l, n - n_l))
+        ones = np.concatenate((c1l, c1[:, -1:] - c1l), axis=1)
+        zeros = size - ones
+        impurity = size - (zeros * zeros + ones * ones) / size
+        score = impurity[:, : n - 1] + impurity[:, n - 1 :]
     # Only a boundary between two different values is a split.
     score[values[:, :-1] == values[:, 1:]] = np.inf
 

@@ -20,8 +20,9 @@ training votes and feature rows and its (pair, position) queries share one
 index: the training position.
 Every loop trains on a `selector.ForestMemo`, made by `fold_memo`: the
 fold's imputer, the training rows it imputed once and every forest fit on
-them. A loop given no memo builds its own; loops given one memo take any
-forest another of them already fit for a slot's label vector.
+them. A loop given no memo builds its own, which stores no forest but each
+slot's current one; loops given one memo take any forest another of them
+already fit for a slot's label vector.
 """
 
 from __future__ import annotations
@@ -233,15 +234,19 @@ class FrugalLoop:
         held-out rows with the memo's imputer, and every retrain reads and
         fills it (see `train_ensemble`). A memo of other training instances,
         of another portfolio, or of another tree count or seed, is a
-        ValueError. None builds the loop its own."""
+        ValueError. None builds the loop its own, which only this loop reads,
+        so it stores no forest beyond each slot's current one."""
         self.scenario = scenario
         self.cfg = cfg
         self.train = list(fold.train)
         self.validation = list(fold.validation)
         self.test = list(test_instances)
         n = len(self.train)
-        # An empty fold fails here, with PreprocessError.
-        self.memo = fold_memo(scenario, self.train, cfg.forest) if memo is None else memo
+        if memo is None:
+            # An empty fold fails here, with PreprocessError.
+            memo = fold_memo(scenario, self.train, cfg.forest)
+            memo.shared = False  # only this loop reads it
+        self.memo = memo
         if self.memo.train != tuple(self.train):
             raise ValueError("the forest memo holds the rows of other training instances")
         if self.memo.algorithms != tuple(scenario.algorithms):

@@ -5,8 +5,9 @@ votes across all pairs pick the algorithm. Optional per-algorithm timeout
 forests exclude algorithms predicted to time out before the vote, unless
 every algorithm is predicted to time out. Every ensemble is trained on a
 `ForestMemo`: one fold's imputed training rows, its imputer and forest
-config, each slot's tree streams and every forest fit on those rows, so a
-slot whose label vector was fit before takes that forest.
+config, each slot's tree streams and, when more than one loop reads it,
+every forest fit on those rows, so a slot whose label vector was fit before
+takes that forest.
 """
 
 from __future__ import annotations
@@ -103,7 +104,9 @@ class ForestMemo:
     record, made at the slot's first fit, which every later fit of the slot
     reads. `forests` keeps insertion order: once its forests hold more than
     `MEMO_NODES` nodes, the oldest entries are dropped; `current` and the
-    streams stay.
+    streams stay. A memo that only one loop reads (`shared` false) stores no
+    forest at all: that loop already takes a slot's current forest, and its
+    store would serve next to nothing else.
     """
 
     def __init__(
@@ -115,8 +118,11 @@ class ForestMemo:
         self.current: dict[int, tuple[tuple[int, bytes], RandomForest]] = {}
         self.forests: dict[tuple[int, bytes], RandomForest] = {}
         self.nodes = 0
+        self.shared = True
 
     def add(self, key: tuple[int, bytes], forest: RandomForest) -> None:
+        if not self.shared:
+            return
         self.forests[key] = forest
         self.nodes += forest.nodes.feature.shape[0]
         while self.nodes > MEMO_NODES:
@@ -145,7 +151,8 @@ def train_ensemble(
     was fit on its label vector: first the one the memo last served for the
     slot, so a slot whose labels did not change since keeps its forest
     object, then a stored one. Only the rest refit, on the slot's tree
-    streams in the memo, and each refit goes into the memo.
+    streams in the memo, and each refit goes into the memo's store, unless
+    only one loop reads the memo.
     """
     algorithms = list(memo.algorithms)
     if solved.shape[1] != len(algorithms) or censored.shape[1] != len(algorithms):

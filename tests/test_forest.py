@@ -12,9 +12,13 @@ from conftest import reference_proba, reference_votes
 from frugalas import forest as forest_mod
 from frugalas.draws import CHUNK, TreeStreams
 from frugalas.forest import (
+    GINI_ROWS,
     SMALL_SCAN,
     ForestConfig,
     dump_trees,
+    _ROW_START,
+    _TERMS,
+    _gini_table,
     _scan_lists,
     _scan_split,
     fit_forest,
@@ -574,6 +578,96 @@ class TestListScan:
         forest = fit_forest(X, y, config)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forest_mod, "SMALL_SCAN", 0)
+            assert_same_nodes(forest, fit_forest(X, y, config))
+
+
+@st.composite
+def numpy_blocks(draw):
+    """(block, labels): 1-9 candidate rows of more than `SMALL_SCAN / k`
+    values, so the numpy scan takes them, up to 8 rows past `GINI_ROWS`,
+    with ties, constant rows and single-class labels."""
+    k = draw(st.sampled_from(range(1, 10)))
+    lowest = SMALL_SCAN // k + 1
+    n = draw(st.integers(lowest, GINI_ROWS + 8) | st.integers(GINI_ROWS - 8, GINI_ROWS + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", *EDGES]))
+    if kind == "uniform":
+        pool = rng.uniform(-5, 5, size=draw(st.integers(1, n)))
+    else:
+        pool = np.array(EDGES[kind])
+    block = rng.choice(pool, size=(k, n))
+    if draw(st.booleans()):
+        block[rng.integers(k)] = pool[0]  # a constant row
+    labels = draw(st.sampled_from(["mixed", "rare", "class 0", "class 1"]))
+    if labels == "mixed":
+        y = rng.integers(0, 2, size=n)
+    elif labels == "rare":
+        y = (rng.uniform(size=n) < 0.03).astype(np.int64)
+    else:
+        y = np.full(n, int(labels == "class 1"))
+    return block, y.astype(np.int64)
+
+
+def arithmetic_scan(block, labels):
+    """The numpy scan with every term formed by array arithmetic."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest_mod, "GINI_ROWS", 0)
+        return _scan_split(block, labels)
+
+
+class TestGiniTable:
+    def test_every_entry_is_the_exact_int_expression(self):
+        assert _TERMS.dtype == np.float64
+        assert _TERMS.shape == (_ROW_START[-1] + GINI_ROWS + 1,)
+        assert np.isnan(_TERMS[0])
+        terms = _TERMS.tolist()
+        for s in range(1, GINI_ROWS + 1):
+            start = s * (s + 1) // 2
+            assert _ROW_START[s] == start
+            row = [s - ((s - o) ** 2 + o**2) / s for o in range(s + 1)]
+            assert [_bits(x) for x in terms[start : start + s + 1]] == [_bits(x) for x in row]
+
+    def test_the_list_scans_rows_are_the_tables(self):
+        table = _gini_table(SMALL_SCAN)
+        assert len(table) == SMALL_SCAN + 1
+        for s in range(1, SMALL_SCAN + 1):
+            assert table[s] == _TERMS[_ROW_START[s] : _ROW_START[s] + s + 1].tolist()
+        assert forest_mod._GINI[1:] == table[1:]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(numpy_blocks())
+    def test_the_table_scan_equals_the_arithmetic_and_the_reference(self, data):
+        block, labels = data
+        assert block.size > SMALL_SCAN
+        row, score, thr, order, m, left1 = _scan_split(block, labels)
+        arith = arithmetic_scan(block, labels)
+        assert (row, m, left1) == (arith[0], arith[4], arith[5])
+        assert _bits(score) == _bits(arith[1]) and _bits(thr) == _bits(arith[2])
+        ref_row, ref_score, ref_thr = reference_scan_split(block, labels)
+        assert row == ref_row
+        assert _bits(score) == _bits(ref_score) and _bits(thr) == _bits(ref_thr)
+        if row < 0:
+            assert order is None and arith[3] is None
+            return
+        go_left = block[row] <= thr
+        assert (m, left1) == (go_left.sum(), labels[go_left].sum())
+        assert order.dtype == np.intp
+        for got in (order, arith[3]):
+            assert set(got[:m].tolist()) == set(np.flatnonzero(go_left).tolist())
+            assert set(got[m:].tolist()) == set(np.flatnonzero(~go_left).tolist())
+
+    def test_a_fit_past_the_table_equals_the_arithmetic_fit(self):
+        # The roots and the first levels outgrow the table; their
+        # descendants read it, unless the bound is 0.
+        rng = np.random.default_rng(5)
+        n = GINI_ROWS + 200
+        X = rng.normal(size=(n, 9))
+        X[:, ::3] = np.round(X[:, ::3])  # duplicates, both signs of zero
+        y = (X[:, 1] + rng.normal(size=n) > 0).astype(np.int64)
+        config = ForestConfig(n_trees=3, seed=2)
+        forest = fit_forest(X, y, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest_mod, "GINI_ROWS", 0)
             assert_same_nodes(forest, fit_forest(X, y, config))
 
 

@@ -5,15 +5,18 @@ scenario, and the sha256 over the step logs (relative path and bytes, in path
 order) must equal the recorded value. A second digest covers `dump_trees` of
 a fixed set of forests directly, over 1 to 35 features with continuous,
 duplicate-valued and constant columns; it is also computed with numpy's
-Generator patched away, as the trees come from PCG64 raw output alone. A
-change that alters what the system computes, rather than how fast, changes
-these digests; such a change must say so and record the new values here.
+Generator patched away, as the trees come from PCG64 raw output alone, and
+with the split scan's Gini table switched off, as the numpy scan's array
+arithmetic forms the same scores. A change that alters what the system
+computes, rather than how fast, changes these digests; such a change must
+say so and record the new values here.
 """
 
 import hashlib
 
 import numpy as np
 
+from frugalas import forest as forest_mod
 from frugalas.forest import ForestConfig, dump_trees, fit_forest
 from frugalas.harness import FRUGAL_CONFIGS, PASSIVE_CONFIGS, ExperimentSpec, run_grid
 from frugalas.synthetic import make_synthetic_scenario
@@ -86,3 +89,9 @@ def test_trees_need_no_generator(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "Generator", refuse)
     assert trees_digest(fits) == GOLDEN_TREES_SHA256
+
+
+def test_trees_need_no_gini_table(monkeypatch):
+    # With a bound of 0 every numpy scan forms its terms by arithmetic.
+    monkeypatch.setattr(forest_mod, "GINI_ROWS", 0)
+    assert trees_digest(golden_tree_fits()) == GOLDEN_TREES_SHA256

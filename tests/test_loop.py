@@ -159,7 +159,9 @@ class TestRunOracle:
         assert ledger.total == 30.0 + 60.0 + 10.0 + 90.0
 
 
-def make_loop(n_train=8, n_algorithms=2, seed=0, **cfg_kwargs):
+def make_loop(n_train=8, n_algorithms=2, seed=0, given_memo=False, **cfg_kwargs):
+    """A loop on a small random scenario; with `given_memo`, on a memo made
+    for it, which stores forests, rather than on its own, which does not."""
     rng = np.random.default_rng(97)
     n = n_train + 4
     runtimes = rng.uniform(1, 50, size=(n, n_algorithms))
@@ -169,7 +171,8 @@ def make_loop(n_train=8, n_algorithms=2, seed=0, **cfg_kwargs):
     test = s.instances[n_train + 2 :]
     cfg_kwargs.setdefault("forest", ForestConfig(n_trees=5, seed=seed))
     cfg = LoopConfig(seed=seed, **cfg_kwargs)
-    return FrugalLoop(s, fold, test, cfg), s
+    memo = fold_memo(s, fold.train, cfg.forest) if given_memo else None
+    return FrugalLoop(s, fold, test, cfg, memo=memo), s
 
 
 class TestInitialPhase:
@@ -647,11 +650,12 @@ def slot_labels(loop, timeout_at) -> np.ndarray:
 
 class TestRetrainReuse:
     # At 0 the memo stores no forest, so only the slots' current forests
-    # are reused.
+    # are reused. The loop is given a memo, since its own would store none.
     @pytest.mark.parametrize("memo_nodes", [MEMO_NODES, 0], ids=["default-budget", "no-budget"])
     def test_reused_forests_equal_a_fresh_fit(self, memo_nodes, monkeypatch):
         monkeypatch.setattr(selector_mod, "MEMO_NODES", memo_nodes)
         loop, s = make_loop(
+            given_memo=True,
             n_train=16,
             n_algorithms=3,
             initial_size=3,
@@ -945,9 +949,16 @@ class TestLoopMemo:
         lone = FrugalLoop(s, plan.folds[0], plan.test, cfg)
         records = lone.run()
         assert records
+        # Only the lone loop reads its own memo, which stores no forest; each
+        # slot's current forest stays, and is the loop's.
+        assert not lone.memo.shared and lone.memo.forests == {} and lone.memo.nodes == 0
+        assert lone.memo.current
+        for slot, (_, forest) in lone.memo.current.items():
+            assert forest is lone.ensemble.forests[slot]
         for memo in (given, filled):
             loop = FrugalLoop(s, plan.folds[0], plan.test, cfg, memo=memo)
             assert loop.run() == records
+            assert memo.shared and memo.forests
             assert loop.ledger.entries == lone.ledger.entries
             assert len(loop.ensemble.forests) == len(lone.ensemble.forests)
             for got, ref in zip(loop.ensemble.forests, lone.ensemble.forests):
