@@ -6,12 +6,12 @@ splits until it is pure or no candidate split lowers its impurity) and
 bootstrap resampling. Predictions expose the fraction of tree votes as a
 confidence.
 
-Each split node scans all of its candidate features at once
-(`_scan_split`): a block of at most `SMALL_SCAN` values on Python floats,
-a larger one in numpy, with the same result to the bit; there is no
-compiled kernel. Both scans read each boundary's score from one Gini table,
-built at import, of every child term up to `GINI_ROWS` rows; a node of more
-rows forms the same terms by array arithmetic. Each tree grows from an
+Each split node scans all of its candidate features at once (`_scan_split`):
+a block of at most `SMALL_SCAN` values on Python floats, a larger one in
+numpy, with the same result to the bit; there is no compiled kernel. Both
+scans read each boundary's score from one Gini table, built at import, of
+every child term up to `GINI_ROWS` rows; a node of more rows forms the same
+terms with the function that built the table. Each tree grows from an
 explicit preorder stack, with no recursion limit to meet or raise. The scan
 also hands each child its rows and labels, as the two parts of the chosen
 feature's sort order, and its class-1 count, so no node recounts its labels
@@ -53,7 +53,7 @@ KERNEL_IMPL = "pure"
 SMALL_SCAN = 64
 
 # Largest node, in rows, whose boundaries the numpy scan scores from the
-# Gini table; a larger node forms the same terms by array arithmetic. The
+# Gini table; a larger node forms the same terms with `_child_terms`. The
 # table holds (GINI_ROWS + 1) * (GINI_ROWS + 2) / 2 doubles, 594,440 bytes,
 # and covers every node of the benchmark's workloads, which have at most
 # 292 rows; 512 rows would take 1.05 MB, 2.6% of the smallest workload's
@@ -61,22 +61,25 @@ SMALL_SCAN = 64
 GINI_ROWS = 384
 
 
+def _child_terms(size, ones):
+    """size - ((size - ones)**2 + ones**2) / size: size times the Gini
+    impurity of a child of `size` rows, `ones` of them of class 1. The one
+    rule for every score: int64 counts, then a float64 division and
+    subtraction, which round the exact values of integers below 2**53."""
+    zeros = size - ones
+    return size - (zeros * zeros + ones * ones) / size
+
+
 def _gini_terms(size: int) -> np.ndarray:
     """The Gini table: one flat float64 array whose row s, for
-    0 <= s <= size, starts at s * (s + 1) // 2 and holds, for o = 0..s,
-    s - ((s - o)**2 + o**2) / s, s times the Gini impurity of s rows with o
-    of class 1. Row 0 is one NaN, since no child is empty.
-
-    Each row is formed in numpy, with the int64 counts and the float64
-    division and subtraction the arithmetic scan uses, so every entry is the
-    double that scan forms for the same counts. Row by row, the build needs
-    no temporary array of the table's size, which would stay in the
-    process's heap."""
+    0 <= s <= size, starts at s * (s + 1) // 2 and holds `_child_terms(s, o)`
+    for o = 0..s. Row 0 is one NaN, since no child is empty. Row by row, the
+    build needs no temporary array of the table's size, which would stay in
+    the process's heap."""
     terms = np.empty((size + 1) * (size + 2) // 2)
     terms[0] = np.nan
     for s in range(1, size + 1):
-        o = np.arange(s + 1)
-        terms[s * (s + 1) // 2 : (s + 1) * (s + 2) // 2] = s - ((s - o) * (s - o) + o * o) / s
+        terms[s * (s + 1) // 2 : (s + 1) * (s + 2) // 2] = _child_terms(s, np.arange(s + 1))
     return terms
 
 
@@ -92,6 +95,16 @@ def _gini_table(size: int) -> list[list[float]]:
 
 
 _GINI = _gini_table(SMALL_SCAN)
+
+# What `_scan_split` returns when every candidate row is constant.
+_NO_SPLIT = (-1, math.inf, 0.0, None, 0, 0)
+
+
+def _threshold(lo: float, hi: float) -> float:
+    """The split threshold between sorted values lo < hi: their midpoint, or
+    lo where the midpoint rounds up to hi or overflows to an infinity."""
+    thr = (lo + hi) / 2.0
+    return thr if lo <= thr < hi else lo
 
 
 def _scan_lists(rows: list[list[float]], labels: list[int]):
@@ -122,11 +135,8 @@ def _scan_lists(rows: list[list[float]], labels: list[int]):
             c1 += labels[i]
             j += 1
     if best_row < 0:
-        return -1, math.inf, 0.0, None, 0, 0
-    thr = (lo + hi) / 2.0
-    if not lo <= thr < hi:
-        thr = lo
-    return best_row, best, thr, np.array(best_order, dtype=np.intp), m, left1
+        return _NO_SPLIT
+    return best_row, best, _threshold(lo, hi), np.array(best_order, dtype=np.intp), m, left1
 
 
 def _scan_split(values: np.ndarray, labels: np.ndarray):
@@ -148,15 +158,14 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     the bit, up to the order of tied rows within each part of `order`. Both
     take each child's term from the Gini table (`_gini_terms`), the numpy
     scan with one `take` for every left child and one for every right
-    child; a node of more than `GINI_ROWS` rows forms the terms by array
-    arithmetic instead, with the same double operations that built the
-    table.
+    child; a node of more than `GINI_ROWS` rows forms the terms with
+    `_child_terms`, the function that built the table.
 
     The split falls between the sorted values lo = values[row, order[m - 1]]
     and hi = values[row, order[m]], lo < hi, both finite (`fit_forest`
-    rejects any other value). The threshold is their midpoint, or lo where
-    the midpoint rounds up to hi or overflows to an infinity, so it lies in
-    [lo, hi). So the first m rows of `order`
+    rejects any other value). The threshold (`_threshold`) is their
+    midpoint, or lo where the midpoint rounds up to hi or overflows to an
+    infinity, so it lies in [lo, hi). So the first m rows of `order`
     are exactly the rows with `value <= threshold` and the rest those above
     it: a caller splits by position and gets the children
     `value <= threshold` would give.
@@ -174,35 +183,28 @@ def _scan_split(values: np.ndarray, labels: np.ndarray):
     values = values.copy()
     values.sort(axis=1)
     c1l = c1[:, :-1]
+    total1 = c1.item(-1)
     # Boundary j (1 <= j < n) leaves j rows, c1l of class 1, on the left and
     # n - j rows, total1 - c1l of class 1, on the right; its score is the sum
-    # of the two children's terms s - (zeros**2 + ones**2) / s.
+    # of the two children's terms.
     if n <= GINI_ROWS:
-        total1 = c1.item(-1)
         left = _TERMS.take(_ROW_START[1:n] + c1l)
         right = _TERMS.take((_ROW_START[n - 1 : 0 : -1] + total1) - c1l)
-        score = left + right
     else:
-        # Every left child, then every right child, in one pass for both.
         n_l = np.arange(1, n, dtype=np.int64)
-        size = np.concatenate((n_l, n - n_l))
-        ones = np.concatenate((c1l, c1[:, -1:] - c1l), axis=1)
-        zeros = size - ones
-        impurity = size - (zeros * zeros + ones * ones) / size
-        score = impurity[:, : n - 1] + impurity[:, n - 1 :]
+        left = _child_terms(n_l, c1l)
+        right = _child_terms(n - n_l, total1 - c1l)
+    score = left + right
     # Only a boundary between two different values is a split.
     score[values[:, :-1] == values[:, 1:]] = np.inf
 
     best = int(score.argmin())
     row, j = divmod(best, n - 1)
     best_score = score.item(best)
-    if best_score == np.inf:
-        return -1, np.inf, 0.0, None, 0, 0
-    lo, hi = values.item(row, j), values.item(row, j + 1)
-    thr = (lo + hi) / 2.0
-    if not lo <= thr < hi:
-        thr = lo
-    return row, best_score, thr, order[row], j + 1, c1l.item(row, j)
+    if best_score == math.inf:
+        return _NO_SPLIT
+    threshold = _threshold(values.item(row, j), values.item(row, j + 1))
+    return row, best_score, threshold, order[row], j + 1, c1l.item(row, j)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ then steer no query and no run.
 on the loop's one fixed row block (the training rows when the query ranks by
 uncertainty and a pool cell is open, then the validation and test rows) and
 keeps its class-1 tree votes, which the query and the evaluation read as
-integers; its refresh decides whether a round evaluates again.
-`FrugalLoop.record` writes every step record. A loop's label store, pools,
-training votes and feature rows and its (pair, position) queries share one
-index: the training position.
+integers through its refresh.
+`FrugalLoop.record` scores the current forests and writes every step record.
+A loop's label store, pools, training votes and feature rows and its
+(pair, position) queries share one index: the training position.
 Every loop trains on a `selector.ForestMemo`, made by `fold_memo`: the
 fold's imputer, the training rows it imputed once and every forest fit on
 them. A loop given no memo builds its own, which stores no forest but each
@@ -206,16 +206,15 @@ class VoteCache:
         self.forests: list = [object()] * n_slots
         self.votes = np.zeros((n_slots, X.shape[0]), dtype=np.int64)
 
-    def refresh(self, forests) -> bool:
-        """Walk, in one `forest_votes` call, the trained slots whose forest
-        is not the one last walked; True when any slot's forest changed."""
-        stale = [s for s, f in enumerate(forests) if f is not self.forests[s]]
-        walk = [s for s in stale if forests[s] is not None]
+    def refresh(self, forests) -> np.ndarray:
+        """The (n_slots, rows) vote matrix of `forests`, one row per slot in
+        slot order: walks, in one `forest_votes` call, the trained slots
+        whose forest is not the one last walked."""
+        walk = [s for s, f in enumerate(forests) if f is not None and f is not self.forests[s]]
         if walk:
             self.votes[walk] = forest_votes([forests[s] for s in walk], self.X)
-        for s in stale:
-            self.forests[s] = forests[s]
-        return bool(stale)
+        self.forests = list(forests)
+        return self.votes
 
 
 class FrugalLoop:
@@ -311,11 +310,9 @@ class FrugalLoop:
         self._query_rows = n if cfg.selection == "uncertainty" and self.pool.any() else 0
         block = np.concatenate((self.memo.X, held_out_X)) if self._query_rows else held_out_X
         self._votes = VoteCache(block, len(self.ensemble.forests))
-        # The (validation, test, plain test) PAR10 last evaluated: none yet.
         # Under a static timeout the timeout models steer no query and no
         # run, so a loop with them also scores its pair forests alone: the
         # plain test PAR10.
-        self._par10: tuple[float, float, float | None] | None = None
         self._scores_plain = cfg.timeout_predictor and not cfg.dynamic_timeout
 
     # -- helpers -------------------------------------------------------------
@@ -344,14 +341,13 @@ class FrugalLoop:
         training instance, `max(k - v, v) / k` from `k` trees with `v`
         class-1 votes; an abstaining (untrained) pair scores 0.5. Only an
         uncertainty loop built with an open pool cell, whose vote block
-        starts with the training rows, has these: it reads the votes from
-        `_votes`, which walks only forests no retrain has walked yet (the
-        first query's)."""
+        starts with the training rows, has these: it reads the votes through
+        `_votes.refresh`, which walks only forests no retrain has walked yet
+        (the first query's)."""
         forests = self.ensemble.pair_forests
         trained = [p for p, f in enumerate(forests) if f is not None]
         k = np.array([len(forests[p].roots) for p in trained]).reshape(-1, 1)
-        self._votes.refresh(self.ensemble.forests)
-        v = self._votes.votes[trained, : self._query_rows]
+        v = self._votes.refresh(self.ensemble.forests)[trained, : self._query_rows]
         confidence = np.full(self.pool.shape, 0.5)
         confidence[trained] = np.maximum(k - v, v) / k
         return confidence
@@ -412,24 +408,19 @@ class FrugalLoop:
         return record
 
     def record(self) -> StepRecord:
-        """The loop's step record at the current step and timeout. Only the
-        forests decide what the selector picks, so it evaluates them only
-        when the vote cache's refresh finds a changed slot or no scores exist
-        yet (the first uncertainty query refreshes the cache before then)."""
-        if self._votes.refresh(self.ensemble.forests) or self._par10 is None:
-            votes = self._votes.votes[:, self._query_rows :]
-            validation_par10, test_par10 = evaluate_selector(
-                self.ensemble, self._held_out, self.scenario, votes, split=len(self.validation)
+        """The loop's step record at the current step and timeout. Every
+        call scores the current forests, on the held-out columns of the votes
+        that `_votes.refresh` returns."""
+        votes = self._votes.refresh(self.ensemble.forests)[:, self._query_rows :]
+        validation_par10, test_par10 = evaluate_selector(
+            self.ensemble, self._held_out, self.scenario, votes, split=len(self.validation)
+        )
+        plain_test_par10 = None
+        if self._scores_plain:
+            plain = self.ensemble.without_timeouts()
+            plain_test_par10 = evaluate_selector(
+                plain, self.test, self.scenario, votes[: plain.n_pairs, len(self.validation) :]
             )
-            plain_test_par10 = None
-            if self._scores_plain:
-                plain = self.ensemble.without_timeouts()
-                plain_test_par10 = evaluate_selector(
-                    plain, self.test, self.scenario,
-                    votes[: plain.n_pairs, len(self.validation) :],
-                )
-            self._par10 = validation_par10, test_par10, plain_test_par10
-        validation_par10, test_par10, plain_test_par10 = self._par10
         return StepRecord(
             step=self.step_index,
             timeout=self.controller.current,

@@ -25,7 +25,6 @@ class PreprocessError(ValueError):
 
 @dataclass(frozen=True)
 class ImputerModel:
-    kept_features: list[str]
     kept_idx: np.ndarray  # indices into the scenario feature order
     medians: np.ndarray  # per kept feature
 
@@ -59,11 +58,7 @@ def fit_imputer(scenario: Scenario, train_instances) -> ImputerModel:
     if not kept_idx:
         raise PreprocessError("all features dropped by the missing-rate filter")
     kept_idx = np.array(kept_idx, dtype=np.intp)
-    return ImputerModel(
-        kept_features=[scenario.features[j] for j in kept_idx],
-        kept_idx=kept_idx,
-        medians=np.array(medians, dtype=np.float64),
-    )
+    return ImputerModel(kept_idx, np.array(medians, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class TestPredict:
         proba = f.predict_proba(probe)
         # The label the selector acts on: a lone pair slot votes for its
         # second algorithm on class 1.
-        pair = SelectorEnsemble(["a0", "a1"], [f], ImputerModel(["x", "y", "z"], np.arange(3), np.zeros(3)))
+        pair = SelectorEnsemble(["a0", "a1"], [f], ImputerModel(np.arange(3), np.zeros(3)))
         labels = [int(a == "a1") for a in select_batch(pair, probe)]
         assert (proba >= 0).all() and (proba <= 1).all()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=0, atol=1e-15)

@@ -10,6 +10,10 @@ with the split scan's Gini table switched off, as the numpy scan's array
 arithmetic forms the same scores. A change that alters what the system
 computes, rather than how fast, changes these digests; such a change must
 say so and record the new values here.
+
+The inputs of both, the scenario and the fits, carry digests of their own,
+checked first: a numpy release that samples `normal`, `uniform` or
+`integers` differently fails as a moved fixture, not as a changed system.
 """
 
 import hashlib
@@ -23,6 +27,29 @@ from frugalas.synthetic import make_synthetic_scenario
 
 GOLDEN_STEP_LOG_SHA256 = "a39d994c0ad5232da75f94534fe0e5bb9f46ddceeb2e4644c808c5b8a0f69ac0"
 GOLDEN_TREES_SHA256 = "2a168b143c9e6f894292fcd93254c90c43a8dbd1098c48f859d235f498fe04a9"
+# The inputs of the two digests above, drawn with numpy's `normal`, `uniform`
+# and `integers`. A numpy release that samples differently moves these first.
+SCENARIO_FIXTURE_SHA256 = "b432f49664533c3cabd47dbabcfed30922134c66a7af2276ec78bc84e512e884"
+TREES_FIXTURE_SHA256 = "4a5d8a11b1066971987529a47a6acc8ea35ae6bf34b12d29747acd904c4b64fe"
+FIXTURE_MOVED = "fixture moved (numpy sampling changed)"
+
+
+def scenario_digest(scenario) -> str:
+    """sha256 of the feature matrix, then every run's runtime and status in
+    (instance, algorithm) order."""
+    h = hashlib.sha256(scenario.feature_matrix.tobytes())
+    for i in scenario.instances:
+        for a in scenario.algorithms:
+            run = scenario.run(i, a)
+            h.update(f"{run.runtime!r} {run.status}\n".encode())
+    return h.hexdigest()
+
+
+def golden_scenario():
+    """The scenario of the step-log digest, checked against its own digest."""
+    scenario = make_synthetic_scenario(40, 3, seed=0)
+    assert scenario_digest(scenario) == SCENARIO_FIXTURE_SHA256, FIXTURE_MOVED
+    return scenario
 
 
 def step_log_digest(out_dir) -> str:
@@ -35,7 +62,7 @@ def step_log_digest(out_dir) -> str:
 
 def test_step_logs_match_golden_digest(tmp_path):
     spec = ExperimentSpec(
-        scenario=make_synthetic_scenario(40, 3, seed=0),
+        scenario=golden_scenario(),
         out_dir=tmp_path / "runs",
         configurations=FRUGAL_CONFIGS + PASSIVE_CONFIGS,
         folds=[0, 1],
@@ -47,8 +74,18 @@ def test_step_logs_match_golden_digest(tmp_path):
     assert step_log_digest(spec.out_dir) == GOLDEN_STEP_LOG_SHA256
 
 
+def fits_digest(fits) -> str:
+    """sha256 of every fit's X shape and bytes, y bytes and config."""
+    h = hashlib.sha256()
+    for X, y, config in fits:
+        h.update(repr((X.shape, config.n_trees, config.seed)).encode())
+        h.update(X.tobytes() + y.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
 def golden_tree_fits():
-    """(X, y, config) of every forest in the trees digest."""
+    """(X, y, config) of every forest in the trees digest, checked against
+    their own digest."""
     fits = []
     rng = np.random.default_rng(12345)
     for n_features in range(1, 36):
@@ -64,6 +101,7 @@ def golden_tree_fits():
                 X[:, 0] = 1.0  # a constant column
             y = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(int)
             fits.append((X, y, ForestConfig(n_trees=7, seed=int(rng.integers(1000)))))
+    assert fits_digest(fits) == TREES_FIXTURE_SHA256, FIXTURE_MOVED
     return fits
 
 

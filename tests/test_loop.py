@@ -777,7 +777,23 @@ class TestRetrainReuse:
         assert shapes == []
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the forests each `forest_votes` call in the loop walks."""
+    walks = []  # (rows, forests); holding the forests keeps their ids unique
+    votes = loop_mod.forest_votes
+
+    def counted(forests, X):
+        walks.append((X, list(forests)))
+        return votes(forests, X)
+
+    monkeypatch.setattr(loop_mod, "forest_votes", counted)
+    return walks
+
+
 class TestEvaluationReuse:
+    """Every record scores the current forests, from the cached votes."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []  # the arguments of each `evaluate_selector` call in the loop
@@ -809,7 +825,9 @@ class TestEvaluationReuse:
                 names.append("plain")
         return names
 
-    def test_round_that_refits_nothing_evaluates_nothing(self, calls, monkeypatch):
+    def test_round_that_refits_nothing_walks_nothing_and_scores_once(
+        self, calls, walks, monkeypatch
+    ):
         loop, s = make_loop(n_train=12, n_algorithms=3, batch_frac=0.15, timeout_predictor=True)
         assert loop.batch == 2
         first = loop.step()
@@ -819,28 +837,31 @@ class TestEvaluationReuse:
 
         # Requests that run nothing change no label, so no forest is refit.
         monkeypatch.setattr(loop, "execute_request", lambda pair, position: None)
-        before = loop.ensemble
+        before, done, walked = loop.ensemble, len(calls), len(walks)
         record = loop.step()
         after = loop.ensemble
         for new, old in zip(after.forests, before.forests, strict=True):
             assert new is old
-        assert len(calls) == 2
+        assert len(walks) == walked
+        assert self.scored(calls[done:], loop) == ["full", "plain"]
         assert record.step == first.step + 1
+        assert (record.validation_par10, record.test_par10, record.plain_test_par10) == (
+            first.validation_par10, first.test_par10, first.plain_test_par10
+        )
         assert record.validation_par10 == evaluate_selector(after, loop.validation, s)
         assert record.test_par10 == evaluate_selector(after, loop.test, s)
         assert record.plain_test_par10 == evaluate_selector(after.without_timeouts(), loop.test, s)
 
     @pytest.mark.parametrize("config_id", ["uncertainty-to-dt", "random-to"])
-    def test_one_evaluation_per_round_with_new_forests(self, calls, config_id, tmp_path):
+    def test_every_round_scores_each_selector_once(self, calls, config_id, tmp_path):
         s = make_synthetic_scenario(60, 3, seed=0)
         plan = make_splits(s, 0)
         cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
         loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
-        # Each evaluated round scores each of its selectors once: a static
-        # timeout adds the pair forests alone.
+        # Each round scores each of its selectors once: a static timeout adds
+        # the pair forests alone.
         selectors = ["full"] if cfg.dynamic_timeout else ["full", "plain"]
-        # A first round that refits nothing still evaluates, although an
-        # uncertainty query has walked every forest by then.
+        # A first round that refits nothing scores too.
         loop.execute_request = lambda pair, position: None
         initial = list(loop.ensemble.forests)
         record = loop.step()
@@ -849,17 +870,35 @@ class TestEvaluationReuse:
         assert record.test_par10 == evaluate_selector(loop.ensemble, loop.test, s)
         del loop.execute_request
 
-        evaluated = rounds = 0
+        rounds = 1
         while True:
-            before, done = list(loop.ensemble.forests), len(calls)
-            if loop.step() is None:
+            done = len(calls)
+            if (record := loop.step()) is None:
                 break
             rounds += 1
-            changed = any(new is not old for new, old in zip(loop.ensemble.forests, before))
-            assert self.scored(calls[done:], loop) == selectors * changed
-            evaluated += changed
-        assert 0 < evaluated <= rounds
+            assert self.scored(calls[done:], loop) == selectors
+            assert record.test_par10 == evaluate_selector(loop.ensemble, loop.test, s)
+        assert len(calls) == rounds * len(selectors)
         assert loop.resolved_cells == loop.total_cells
+
+    @pytest.mark.parametrize(
+        "config_id", ["uncertainty", "uncertainty-to", "random", "random-to"]
+    )
+    def test_a_second_record_walks_nothing_and_scores_again(
+        self, calls, walks, config_id, tmp_path
+    ):
+        s = make_synthetic_scenario(60, 3, seed=0)
+        plan = make_splits(s, 0)
+        cfg = ExperimentSpec(s, tmp_path, n_trees=5).loop_config(config_id, 0)
+        loop = FrugalLoop(s, plan.folds[0], plan.test, cfg)
+        selectors = ["full", "plain"] if cfg.timeout_predictor else ["full"]
+        assert loop.run(max_steps=2)
+        first = loop.record()
+        done, walked = len(calls), len(walks)
+        second = loop.record()
+        assert second == first
+        assert len(walks) == walked
+        assert self.scored(calls[done:], loop) == selectors
 
 
 class TestPlainScore:
@@ -1001,19 +1040,7 @@ class TestLoopMemo:
 
 
 class TestVoteCache:
-    """Counts the forests each `forest_votes` call in the loop walks."""
-
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        walks = []  # (rows, forests); holding the forests keeps their ids unique
-        votes = loop_mod.forest_votes
-
-        def counted(forests, X):
-            walks.append((X, list(forests)))
-            return votes(forests, X)
-
-        monkeypatch.setattr(loop_mod, "forest_votes", counted)
-        return walks
+    """Each forest of a loop is walked once, on the loop's one row block."""
 
     @pytest.mark.parametrize("config_id", ["uncertainty-to-dt", "uncertainty", "random-to"])
     def test_a_round_walks_exactly_the_changed_forests(self, walks, config_id, tmp_path):
@@ -1067,17 +1094,21 @@ class TestVoteCache:
         assert {id(f) for f in walked} == {id(f) for f in read}
         assert walked
 
-    def test_refresh_says_whether_a_slot_changed(self, walks):
+    def test_refresh_returns_the_votes_and_walks_only_new_forests(self, walks):
         X = np.arange(6.0).reshape(-1, 1)
         forest = fit_forest(X, [0, 0, 0, 1, 1, 1], ForestConfig(n_trees=2, seed=0))
+        other = fit_forest(X, [0, 0, 1, 1, 1, 1], ForestConfig(n_trees=2, seed=1))
         cache = VoteCache(X, 2)
-        assert cache.refresh([forest, None])  # no slot was walked before
-        assert not cache.refresh([forest, None])
-        # A slot that loses its forest changes, and walks nothing.
-        assert cache.refresh([None, None])
-        assert not cache.refresh([None, None])
+        fresh = [forest_votes([f], X)[0].tolist() for f in (forest, other)]
+        assert cache.refresh([forest, None]).tolist() == [fresh[0], [0] * 6]
+        assert cache.refresh([forest, None]).tolist() == [fresh[0], [0] * 6]
         assert [fs for _, fs in walks] == [[forest]]
-        assert cache.votes.tolist() == [forest_votes([forest], X)[0].tolist(), [0] * 6]
+        # A slot that loses its forest walks nothing and keeps its last row,
+        # which readers ignore; a slot that gets one back walks it again.
+        assert cache.refresh([None, other]).tolist() == [fresh[0], fresh[1]]
+        assert cache.refresh([forest, other]).tolist() == fresh
+        assert cache.refresh([forest, other]).tolist() == fresh
+        assert [fs for _, fs in walks] == [[forest], [other], [forest]]
 
     def test_a_loop_that_never_steps_walks_its_held_out_rows_once(self, walks, tmp_path):
         # At `batch_frac` 1 the initial phase settles every pool cell, so no

@@ -271,7 +271,7 @@ class TestSelectBatch:
         if draw(st.booleans()):
             timeout_at = 1.0
             forests += [_maybe_forest(draw, n) for _ in algorithms]
-        imputer = ImputerModel(["f0"], np.array([0]), np.array([0.0]))
+        imputer = ImputerModel(np.array([0]), np.array([0.0]))
         ensemble = SelectorEnsemble(algorithms, forests, imputer, timeout_at)
         rows = np.arange(float(n)).reshape(-1, 1)
         assert select_batch(ensemble, rows) == reference_select_batch(ensemble, rows)
@@ -284,7 +284,7 @@ class TestSelectBatch:
             ["a0", "a1", "a2"],
             # pairs (a0, a1), (a0, a2), (a1, a2), then a timeout slot per algorithm
             [preset_forest([[1, 1], [0, 0]]), None, preset_forest([[1, 1]]), fire, fire, fire],
-            ImputerModel(["f0"], np.array([0]), np.array([0.0])),
+            ImputerModel(np.array([0]), np.array([0.0])),
             timeout_at=1.0,
         )
         rows = np.array([[0.0], [1.0]])
@@ -315,7 +315,7 @@ class TestSlotLayout:
     )
     def test_wrong_slot_count_raises(self, n_forests, timeout_at):
         # three algorithms: three pair slots, plus three timeout slots
-        imputer = ImputerModel(["f0"], np.array([0]), np.array([0.0]))
+        imputer = ImputerModel(np.array([0]), np.array([0.0]))
         with pytest.raises(ValueError, match="forest slots"):
             SelectorEnsemble(["a0", "a1", "a2"], [None] * n_forests, imputer, timeout_at)
 

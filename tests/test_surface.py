@@ -1,5 +1,6 @@
-"""No dead helpers: every function, class and method that `src/frugalas`
-defines is named somewhere in the package or the benchmark.
+"""No dead helpers or fields: every function, class and method that
+`src/frugalas` defines is named somewhere in the package or the benchmark,
+and every field it stores is read there.
 
 The scan is by name, not by binding. A definition counts as used when any
 `ast.Name`, `ast.Attribute` or import alias in `src/frugalas` (outside
@@ -8,6 +9,11 @@ name. So does a string constant in `perfbench/*.py` that equals the name: the
 tracer patches functions by name, and a patched function is looked up. A name
 reached only from `tests/` is a helper kept for its tests: move it into the
 tests, or put it on `ALLOWED` with the reason it stays.
+
+A field is a dataclass field (any annotated class attribute) or an attribute
+assigned on `self`. It counts as read when an attribute load (`obj.name`,
+not a store) of its name appears in the same files; a field only tests read
+is dead weight on every instance.
 """
 
 import ast
@@ -42,9 +48,46 @@ def _definitions():
     return defined
 
 
-def _names_used():
+def _fields():
+    """{qualified name: file} of every annotated class attribute (such as a
+    dataclass field) and every attribute assigned on `self` in
+    `src/frugalas`."""
+    fields = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign):
+                    fields[f"{node.name}.{sub.target.id}"] = path.name
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    fields[f"{node.name}.{sub.attr}"] = path.name
+    return fields
+
+
+def _sources():
     package = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    perfbench = sorted((ROOT / "perfbench").glob("*.py"))
+    return package, sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _attributes_read():
+    package, perfbench = _sources()
+    return {
+        node.attr
+        for path in package + perfbench
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _names_used():
+    package, perfbench = _sources()
     used = set()
     for path in package + perfbench:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -75,3 +118,14 @@ def test_every_allowed_name_is_still_defined_and_unused():
     used = _names_used()
     stale = sorted(n for n in ALLOWED if n not in defined or defined[n][1] in used)
     assert not stale, f"allowlist entries that are gone or now used: {stale}"
+
+
+def test_every_field_is_read():
+    read = _attributes_read()
+    unread = sorted(
+        f"{file}: {qualified}"
+        for qualified, file in _fields().items()
+        if qualified.rpartition(".")[2] not in read
+    )
+    message = "stored in src/frugalas, read nowhere in it or perfbench:\n"
+    assert not unread, message + "\n".join(unread)
